@@ -10,10 +10,7 @@ from .grid import (
     Dims,
     Spacing,
     VoxelGrid,
-    binary_combine,
-    coord_at,
     extract_patch,
-    flat_index,
     make_grid,
     to_bool,
 )
@@ -36,7 +33,6 @@ from .sampling import (
     SamplingMap,
     combine_psm,
     draw_centers,
-    gain_at_naive,
     gain_map,
     psm_from_gain,
 )
@@ -47,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coord", "Dims", "Spacing", "VoxelGrid",
-    "binary_combine", "coord_at", "extract_patch", "flat_index", "make_grid", "to_bool",
+    "extract_patch", "make_grid", "to_bool",
     "LossConfig", "af_loss", "combined_loss",
     "cross_entropy_grad", "cross_entropy_loss", "soft_dice_grad", "soft_dice_loss",
     "OrganConfig", "bowel_wall", "build_ooi", "select_labels",
@@ -55,7 +51,7 @@ __all__ = [
     "FACE6", "FULL26", "StructElem", "boundary_band", "dilate", "erode",
     "PhantomSpec", "TissueStats", "gen_phantom",
     "GainField", "PatchSpec", "SamplingMap",
-    "combine_psm", "draw_centers", "gain_at_naive", "gain_map", "psm_from_gain",
+    "combine_psm", "draw_centers", "gain_map", "psm_from_gain",
     "NoiseSpec", "l1_recon_loss", "mask_bowel_wall",
     "VolumeMeta", "read_volume", "write_volume",
 ]

@@ -31,6 +31,7 @@ import numpy as np
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
 from .grid import VoxelGrid, extract_patch, to_bool
 from .losses import LossConfig, af_loss, cross_entropy_loss, soft_dice_loss
+from .morphology import elem_from_name
 
 
 class UsageError(ValueError):
@@ -197,7 +198,6 @@ def _effective_config(args) -> PipelineConfig:
             raise UsageError(f"malformed config {path}: {exc}") from None
         cfg = PipelineConfig.from_json(obj)
 
-    organ = cfg.organ
     organ_over = {}
     for attr, key in (
         ("set_ts", "set_ts"), ("set_word", "set_word"),
@@ -207,15 +207,10 @@ def _effective_config(args) -> PipelineConfig:
         val = getattr(args, attr, None)
         if val is not None:
             organ_over[key] = val
+    if "elem" in organ_over:
+        organ_over["elem"] = elem_from_name(organ_over["elem"])
     if organ_over:
-        merged = organ.to_json()
-        merged.update(
-            {k: (sorted(v) if isinstance(v, frozenset) else v) for k, v in organ_over.items()}
-        )
-        if "elem" in organ_over:
-            merged["elem"] = organ_over["elem"]
-        organ = maskgen.OrganConfig.from_json(merged)
-        cfg = replace(cfg, organ=organ)
+        cfg = replace(cfg, organ=replace(cfg.organ, **organ_over))
 
     simple = {
         "patch_size": "patch_size", "lam": "lam", "mu": "mu",
@@ -280,7 +275,7 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     payload = {
         "count": args.count,
         "seed": args.seed,
-        "centers": [list(c.zyx) for c in centers],
+        "centers": centers.tolist(),
     }
     _emit_json(payload, args.out)
     if args.patch_dir:
@@ -335,8 +330,7 @@ def _cmd_metrics(args, cfg: PipelineConfig) -> int:
                 continue
             rec = json.loads(line)
             cases.append((str(rec["case_id"]), (rec["gt"], rec["pred"])))
-        jobs = max(1, args.jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(lambda c: _metric_case(c[1], cfg), cases))
         pairs = [(case_id, report) for (case_id, _), report in zip(cases, reports)]
         metrics.write_cohort_report(args.out, pairs)
@@ -450,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred")
     p.add_argument("--out")
     p.add_argument("--cohort", help="JSON-lines manifest of {case_id, gt, pred}")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--nsd-tol", dest="nsd_tol_mm", type=float)
     p.add_argument("--hd-penalty", dest="hd_penalty_mm", type=float)
 

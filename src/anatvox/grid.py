@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOOL_OPS = ("and", "or", "xor", "andnot")
-
-
 @dataclass(frozen=True)
 class Dims:
     """Voxel counts per axis, all strictly positive."""
@@ -125,46 +122,8 @@ def require_same_geometry(*grids: VoxelGrid) -> None:
             )
 
 
-def flat_index(dims: Dims, c: Coord) -> int:
-    """Flat z-major offset of a coordinate."""
-    if not (0 <= c.z < dims.nz and 0 <= c.y < dims.ny and 0 <= c.x < dims.nx):
-        raise ValueError(f"coordinate {c} outside dims {dims}")
-    return (c.z * dims.ny + c.y) * dims.nx + c.x
-
-
-def coord_at(dims: Dims, flat: int) -> Coord:
-    """Inverse of :func:`flat_index`."""
-    if not (0 <= flat < dims.n):
-        raise ValueError(f"flat index {flat} outside dims {dims}")
-    z, rem = divmod(int(flat), dims.ny * dims.nx)
-    y, x = divmod(rem, dims.nx)
-    return Coord(z, y, x)
-
-
-def shifted(arr: np.ndarray, dz: int, dy: int, dx: int, fill=0) -> np.ndarray:
-    """Array translated by (dz, dy, dx); vacated voxels take ``fill``.
-
-    Output voxel v holds arr[v + (dz, dy, dx)], i.e. the value of the
-    neighbor at positive offset when d is positive.
-    """
-    out = np.full_like(arr, fill)
-    src = []
-    dst = []
-    for d, n in zip((dz, dy, dx), arr.shape):
-        if abs(d) >= n:
-            return out
-        if d >= 0:
-            src.append(slice(d, n))
-            dst.append(slice(0, n - d))
-        else:
-            src.append(slice(0, n + d))
-            dst.append(slice(-d, n))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
-def extract_patch(grid: VoxelGrid, center: Coord, size, pad=0) -> VoxelGrid:
-    """Patch of ``size`` voxels around ``center`` with out-of-bounds padding.
+def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
+    """Patch of ``size`` voxels around the (z, y, x) ``center``, padded out of bounds.
 
     Output voxel k maps to grid coordinate center - size//2 + k. For even
     sizes the center is the high-index voxel of the central pair. The center
@@ -174,11 +133,12 @@ def extract_patch(grid: VoxelGrid, center: Coord, size, pad=0) -> VoxelGrid:
     size = tuple(int(s) for s in size)
     if len(size) != 3 or any(s <= 0 for s in size):
         raise ValueError(f"patch size must be 3 positive integers, got {size}")
+    center = tuple(int(c) for c in center)
     dims = grid.dims
-    if not (0 <= center.z < dims.nz and 0 <= center.y < dims.ny and 0 <= center.x < dims.nx):
+    if len(center) != 3 or not all(0 <= c < n for c, n in zip(center, dims.shape)):
         raise ValueError(f"patch center {center} outside grid dims {dims}")
 
-    start = [c - s // 2 for c, s in zip(center.zyx, size)]
+    start = [c - s // 2 for c, s in zip(center, size)]
     out = np.full(size, pad, dtype=grid.data.dtype)
     src = []
     dst = []
@@ -191,25 +151,6 @@ def extract_patch(grid: VoxelGrid, center: Coord, size, pad=0) -> VoxelGrid:
         dst.append(slice(lo - st, hi - st))
     out[tuple(dst)] = grid.data[tuple(src)]
     return VoxelGrid(out, grid.spacing)
-
-
-def binary_combine(a: VoxelGrid, b: VoxelGrid, op: str) -> VoxelGrid:
-    """Element-wise boolean combination of two masks of identical geometry."""
-    require_same_geometry(a, b)
-    if a.data.dtype != np.bool_ or b.data.dtype != np.bool_:
-        raise ValueError("binary_combine requires boolean grids")
-    op = op.lower().replace("-", "")
-    if op == "and":
-        out = a.data & b.data
-    elif op == "or":
-        out = a.data | b.data
-    elif op == "xor":
-        out = a.data ^ b.data
-    elif op == "andnot":
-        out = a.data & ~b.data
-    else:
-        raise ValueError(f"unknown boolean op {op!r}, expected one of {BOOL_OPS}")
-    return VoxelGrid(out, a.spacing)
 
 
 def to_bool(grid: VoxelGrid) -> VoxelGrid:

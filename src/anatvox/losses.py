@@ -36,7 +36,7 @@ def _as_float_pair(gt: VoxelGrid, pred: VoxelGrid):
     if gt.data.dtype != np.bool_:
         raise ValueError("ground truth must be a boolean grid")
     p = pred.data.astype(np.float64, copy=False)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # written so that NaN fails too
         raise ValueError("prediction values must lie in [0, 1]")
     return gt.data.astype(np.float64), p
 

@@ -1,8 +1,8 @@
 """Organ-of-interest mask derivation from multi-organ label volumes.
 
 Two label volumes (e.g. TotalSegmentator and WORD model outputs) are reduced
-to binary gastrointestinal masks via per-source indicator sets, dilated to
-absorb segmentation misses, and merged with OR. The undilated union's
+to binary gastrointestinal masks via per-source indicator sets, merged with
+OR, and dilated to absorb segmentation misses. The undilated union's
 boundary band doubles as the bowel-wall mask for reconstruction pretraining.
 
 Which integer codes mean stomach/duodenum/small bowel/colon/rectum depends
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, binary_combine, require_same_geometry
+from .grid import VoxelGrid, require_same_geometry
 from .morphology import FACE6, StructElem, boundary_band, dilate, elem_from_name
 
 # stomach, small bowel, duodenum, colon (TotalSegmentator v1 codes)
@@ -86,14 +86,16 @@ def select_labels(labels: VoxelGrid, indicator) -> VoxelGrid:
 def build_ooi(ts_labels: VoxelGrid, word_labels: VoxelGrid, cfg: OrganConfig) -> VoxelGrid:
     """Merged organ-of-interest mask from the two label sources.
 
-    Each source's indicator selection is dilated ``cfg.dilate_times`` times
-    before the OR, so a segment missed by one source but present in the
-    other (or merely nearby) still ends up covered.
+    The union of the two sources' indicator selections is dilated
+    ``cfg.dilate_times`` times, so a segment missed by one source but present
+    in the other (or merely nearby) still ends up covered. Dilation
+    distributes over union, so this equals the OR of each source dilated on
+    its own.
     """
     require_same_geometry(ts_labels, word_labels)
-    o_ts = dilate(select_labels(ts_labels, cfg.set_ts), cfg.elem, cfg.dilate_times)
-    o_word = dilate(select_labels(word_labels, cfg.set_word), cfg.elem, cfg.dilate_times)
-    return binary_combine(o_ts, o_word, "or")
+    o_ts = select_labels(ts_labels, cfg.set_ts).data
+    o_word = select_labels(word_labels, cfg.set_word).data
+    return dilate(ts_labels.with_data(o_ts | o_word), cfg.elem, cfg.dilate_times)
 
 
 def bowel_wall(ooi_raw: VoxelGrid, elem: StructElem, r_out: int, r_in: int) -> VoxelGrid:

@@ -21,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry, shifted
+from .grid import VoxelGrid, require_same_geometry
+from .morphology import FACE6, erode_mask
 
 _INF = float("inf")
 
@@ -126,10 +127,7 @@ def surface_voxels(mask: VoxelGrid) -> VoxelGrid:
     if mask.data.dtype != np.bool_:
         raise ValueError("surface_voxels requires a boolean grid")
     m = mask.data
-    interior = m.copy()
-    for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-        interior &= shifted(m, *d, fill=False)
-    return mask.with_data(m & ~interior)
+    return mask.with_data(m & ~erode_mask(m, FACE6, 1))
 
 
 def _nearest_rank_95(values: np.ndarray) -> float:

@@ -1,9 +1,8 @@
-"""Binary 3D morphology with a bit-packed fast path.
+"""Binary 3D morphology on boolean arrays.
 
-Masks are packed 64 voxels per uint64 word along x, so one dilation step is
-a handful of word-wise shifts and ORs. A plain shift-and-combine path over
-boolean arrays (`dilate_naive` / `erode_naive`) is kept as the reference;
-both paths must produce bitwise identical masks.
+One step combines each voxel with its two neighbors along each axis, in
+place on array slices: the face-6 cross reads all three axes from the
+step's input, the full-26 cube runs the three axis passes in sequence.
 
 Voxels outside the grid are background for both dilation and erosion, so
 dilation never wraps and erosion strips open borders.
@@ -15,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, shifted
-
-_WORD = 64
+from .grid import VoxelGrid
 
 
 @dataclass(frozen=True)
@@ -59,32 +56,6 @@ def elem_from_name(name: str) -> StructElem:
     return StructElem(name.lower())
 
 
-# ---------------------------------------------------------------------------
-# Naive reference path (boolean arrays, shift-and-combine)
-# ---------------------------------------------------------------------------
-
-def dilate_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
-    _check_mask(mask, times)
-    out = mask.copy()
-    for _ in range(times):
-        step = out.copy()
-        for dz, dy, dx in elem.offsets:
-            step |= shifted(out, dz, dy, dx, fill=False)
-        out = step
-    return out
-
-
-def erode_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
-    _check_mask(mask, times)
-    out = mask.copy()
-    for _ in range(times):
-        step = out.copy()
-        for dz, dy, dx in elem.offsets:
-            step &= shifted(out, dz, dy, dx, fill=False)
-        out = step
-    return out
-
-
 def _check_mask(mask: np.ndarray, times: int) -> None:
     if mask.dtype != np.bool_:
         raise ValueError("morphology requires a boolean mask")
@@ -94,117 +65,46 @@ def _check_mask(mask: np.ndarray, times: int) -> None:
         raise ValueError(f"repeat count must be >= 0, got {times}")
 
 
-# ---------------------------------------------------------------------------
-# Bit-packed path
-# ---------------------------------------------------------------------------
+def _axis_pass(out: np.ndarray, src: np.ndarray, axis: int, erode: bool) -> None:
+    """OR (AND to erode) every voxel of ``out`` in place with its two ``src`` neighbors.
 
-def _pack(mask: np.ndarray) -> np.ndarray:
-    """(nz, ny, nx) bool -> (nz, ny, nw) uint64, voxel x at bit x%64 of word x//64.
-
-    Tail bits past nx-1 in the last word are zero and every operation below
-    keeps them zero.
+    The neighbors are the voxels before and after along ``axis``. For erosion
+    the out-of-grid neighbor is background, so the two border planes of
+    ``out`` are cleared.
     """
-    nz, ny, nx = mask.shape
-    nw = (nx + _WORD - 1) // _WORD
-    if nx != nw * _WORD:
-        padded = np.zeros((nz, ny, nw * _WORD), dtype=np.bool_)
-        padded[..., :nx] = mask
-    else:
-        padded = mask
-    packed = np.packbits(padded, axis=-1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64)
+    op = np.logical_and if erode else np.logical_or
+    n = out.shape[axis]
+    lead = (slice(None),) * axis
+    lo, hi = lead + (slice(0, n - 1),), lead + (slice(1, n),)
+    op(out[hi], src[lo], out=out[hi])
+    op(out[lo], src[hi], out=out[lo])
+    if erode:
+        out[lead + (0,)] = False
+        out[lead + (n - 1,)] = False
 
 
-def _unpack(words: np.ndarray, nx: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=nx, bitorder="little")
-    return bits.astype(np.bool_)
-
-
-def _tail_mask(nx: int) -> np.uint64:
-    rem = nx % _WORD
-    if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << rem) - 1)
-
-
-def _x_plus(w: np.ndarray) -> np.ndarray:
-    """Value of the x+1 neighbor for every voxel (zeros shift in at x = nx-1)."""
-    out = w >> np.uint64(1)
-    out[..., :-1] |= w[..., 1:] << np.uint64(63)
-    return out
-
-
-def _x_minus(w: np.ndarray, tail: np.uint64) -> np.ndarray:
-    """Value of the x-1 neighbor (zeros at x = 0); tail bits re-cleared."""
-    out = w << np.uint64(1)
-    out[..., 1:] |= w[..., :-1] >> np.uint64(63)
-    out[..., -1] &= tail
-    return out
-
-
-def _axis_shift(w: np.ndarray, axis: int, d: int) -> np.ndarray:
-    """Neighbor value along z (axis 0) or y (axis 1), zero filled."""
-    out = np.zeros_like(w)
-    if axis == 0:
-        if d > 0:
-            out[:-1] = w[1:]
-        else:
-            out[1:] = w[:-1]
-    else:
-        if d > 0:
-            out[:, :-1] = w[:, 1:]
-        else:
-            out[:, 1:] = w[:, :-1]
-    return out
-
-
-def _dilate_step_packed(w: np.ndarray, elem: StructElem, tail: np.uint64) -> np.ndarray:
-    if elem.kind == "face6":
-        out = w | _x_plus(w) | _x_minus(w, tail)
-        out |= _axis_shift(w, 1, 1) | _axis_shift(w, 1, -1)
-        out |= _axis_shift(w, 0, 1) | _axis_shift(w, 0, -1)
-        return out
-    # full26 cube is separable into three axis segments
-    out = w | _x_plus(w) | _x_minus(w, tail)
-    out = out | _axis_shift(out, 1, 1) | _axis_shift(out, 1, -1)
-    out = out | _axis_shift(out, 0, 1) | _axis_shift(out, 0, -1)
-    return out
-
-
-def _erode_step_packed(w: np.ndarray, elem: StructElem, tail: np.uint64) -> np.ndarray:
-    if elem.kind == "face6":
-        out = w & _x_plus(w) & _x_minus(w, tail)
-        out &= _axis_shift(w, 1, 1) & _axis_shift(w, 1, -1)
-        out &= _axis_shift(w, 0, 1) & _axis_shift(w, 0, -1)
-        return out
-    out = w & _x_plus(w) & _x_minus(w, tail)
-    out = out & _axis_shift(out, 1, 1) & _axis_shift(out, 1, -1)
-    out = out & _axis_shift(out, 0, 1) & _axis_shift(out, 0, -1)
+def _iterate(mask: np.ndarray, elem: StructElem, times: int, erode: bool) -> np.ndarray:
+    _check_mask(mask, times)
+    out = mask.copy()
+    for _ in range(times):
+        for axis in range(3):
+            # The face-6 cross reads the step's input on every axis. The
+            # full-26 cube is the product of three axis segments, so each of
+            # its passes reads the previous pass.
+            if axis == 0 or elem.kind == "full26":
+                src = out.copy()
+            _axis_pass(out, src, axis, erode)
     return out
 
 
 def dilate_mask(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
-    """Iterated binary dilation on a boolean array (bit-packed)."""
-    _check_mask(mask, times)
-    if times == 0:
-        return mask.copy()
-    tail = _tail_mask(mask.shape[2])
-    w = _pack(mask)
-    for _ in range(times):
-        w = _dilate_step_packed(w, elem, tail)
-    return _unpack(w, mask.shape[2])
+    """Iterated binary dilation on a boolean array."""
+    return _iterate(mask, elem, times, erode=False)
 
 
 def erode_mask(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
-    """Iterated binary erosion on a boolean array (bit-packed)."""
-    _check_mask(mask, times)
-    if times == 0:
-        return mask.copy()
-    tail = _tail_mask(mask.shape[2])
-    w = _pack(mask)
-    for _ in range(times):
-        w = _erode_step_packed(w, elem, tail)
-    return _unpack(w, mask.shape[2])
+    """Iterated binary erosion on a boolean array."""
+    return _iterate(mask, elem, times, erode=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The gain of centering a patch at voxel p is the truncated-Gaussian-weighted
 count of interest voxels inside the patch-sized box around p. Because the
 kernel covariance is diagonal, the full gain field factorizes into three 1D
-passes; `gain_at_naive` keeps the direct triple-loop definition around as
-the reference.
+passes.
 
 The gain field is turned into a probability map by an additive blend with
 the uniform distribution followed by renormalization, organ- and
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Coord, VoxelGrid, coord_at, require_same_geometry, shifted
+from .grid import VoxelGrid, require_same_geometry
 
 PSM_SUM_TOL = 1e-9
 
@@ -72,10 +71,10 @@ class SamplingMap:
 
     def __post_init__(self):
         data = self.grid.data
-        if np.any(data < 0):
-            raise ValueError("sampling map has negative entries")
+        if not data.min() >= 0:  # written so that NaN fails too
+            raise ValueError("sampling map has negative or NaN entries")
         total = float(np.sum(data, dtype=np.float64))
-        if abs(total - 1.0) > PSM_SUM_TOL:
+        if not abs(total - 1.0) <= PSM_SUM_TOL:
             raise ValueError(f"sampling map sums to {total!r}, not 1")
 
 
@@ -87,8 +86,9 @@ def _axis_kernel(radius: int, variance: float) -> np.ndarray:
 def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
     """Gain field of an interest mask: three separable truncated-Gaussian passes.
 
-    Matches :func:`gain_at_naive` at every voxel. The mask is zero-padded, so
-    the gain is exactly 0 wherever no interest voxel falls inside the box.
+    Each pass adds the weighted in-grid neighbors along one axis, so the mask
+    is in effect zero-padded and the gain is exactly 0 wherever no interest
+    voxel falls inside the box.
     """
     if interest.data.dtype != np.bool_:
         raise ValueError("interest map must be boolean")
@@ -97,41 +97,20 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
     variances = patch.variances
     for axis in (0, 1, 2):
         r = radii[axis]
+        n = acc.shape[axis]
         k = _axis_kernel(r, variances[axis])
+        lead = (slice(None),) * axis
         nxt = np.zeros_like(acc)
         for i, t in enumerate(range(-r, r + 1)):
-            d = [0, 0, 0]
-            d[axis] = t
-            nxt += k[i] * shifted(acc, *d, fill=0.0)
+            if abs(t) >= n:
+                continue
+            # nxt[v] += k[i] * acc[v + t] wherever v + t is inside the grid
+            dst = lead + (slice(max(-t, 0), n - max(t, 0)),)
+            src = lead + (slice(max(t, 0), n - max(-t, 0)),)
+            nxt[dst] += k[i] * acc[src]
         acc = nxt
     acc *= patch.norm_const
     return GainField(interest.with_data(acc), patch)
-
-
-def gain_at_naive(interest: VoxelGrid, patch: PatchSpec, p: Coord) -> float:
-    """Direct triple-loop gain at one voxel; the test oracle for gain_map."""
-    if interest.data.dtype != np.bool_:
-        raise ValueError("interest map must be boolean")
-    nz, ny, nx = interest.data.shape
-    rz, ry, rx = patch.radii
-    vz, vy, vx = patch.variances
-    total = 0.0
-    for dz in range(-rz, rz + 1):
-        z = p.z + dz
-        if z < 0 or z >= nz:
-            continue
-        for dy in range(-ry, ry + 1):
-            y = p.y + dy
-            if y < 0 or y >= ny:
-                continue
-            for dx in range(-rx, rx + 1):
-                x = p.x + dx
-                if x < 0 or x >= nx:
-                    continue
-                if interest.data[z, y, x]:
-                    q = dz * dz / vz + dy * dy / vy + dx * dx / vx
-                    total += math.exp(-0.5 * q)
-    return patch.norm_const * total
 
 
 def psm_from_gain(gain: GainField, mu: float = 1.0) -> SamplingMap:
@@ -158,11 +137,11 @@ def combine_psm(s_organ: SamplingMap, s_tumor: SamplingMap, lam: float) -> Sampl
     return SamplingMap(s_organ.grid.with_data(mixed))
 
 
-def draw_centers(s: SamplingMap, count: int, seed: int) -> list[Coord]:
-    """``count`` seeded categorical draws from the map, as voxel coordinates.
+def draw_centers(s: SamplingMap, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded categorical draws from the map, as a (count, 3) int array.
 
-    Inverse-CDF over the flat z-major order; identical (map, count, seed)
-    always reproduces the identical list.
+    Row i is the (z, y, x) voxel of draw i. Inverse-CDF over the flat z-major
+    order; identical (map, count, seed) always reproduces the identical array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -172,5 +151,4 @@ def draw_centers(s: SamplingMap, count: int, seed: int) -> list[Coord]:
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right")
     np.clip(idx, 0, flat.size - 1, out=idx)
-    dims = s.grid.dims
-    return [coord_at(dims, int(i)) for i in idx]
+    return np.stack(np.unravel_index(idx, s.grid.data.shape), axis=1)

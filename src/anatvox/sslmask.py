@@ -31,12 +31,13 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
 
     Draws are assigned in the fixed z-major traversal order of the band, so a
     given seed always produces the identical volume; voxels outside the band
-    are copied bit-exactly.
+    are copied bit-exactly. Integer images come back as floats so that the
+    noise is not truncated; float images keep their dtype.
     """
     require_same_geometry(image, band)
     if band.data.dtype != np.bool_:
         raise ValueError("mask must be a boolean grid")
-    out = image.data.copy()
+    out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
     count = int(np.count_nonzero(band.data))
     if count:
         rng = np.random.default_rng(noise.seed)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from anatvox.grid import Spacing, VoxelGrid
+from anatvox.morphology import StructElem
+from anatvox.sampling import PatchSpec
 
 ISO = Spacing(1.0, 1.0, 1.0)
 ANISO = Spacing(5.0, 0.78, 0.78)
@@ -45,3 +49,72 @@ def directed_surface_distances(src: np.ndarray, dst: np.ndarray, spacing: Spacin
     b = np.argwhere(dst).astype(np.float64) * weights
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
     return np.sqrt(d2.min(axis=1))
+
+
+def shifted(arr: np.ndarray, dz: int, dy: int, dx: int, fill=0) -> np.ndarray:
+    """Array translated by (dz, dy, dx); vacated voxels take ``fill``.
+
+    Output voxel v holds arr[v + (dz, dy, dx)], i.e. the value of the
+    neighbor at positive offset when d is positive.
+    """
+    out = np.full_like(arr, fill)
+    src = []
+    dst = []
+    for d, n in zip((dz, dy, dx), arr.shape):
+        if abs(d) >= n:
+            return out
+        if d >= 0:
+            src.append(slice(d, n))
+            dst.append(slice(0, n - d))
+        else:
+            src.append(slice(0, n + d))
+            dst.append(slice(-d, n))
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def dilate_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
+    """Reference dilation: OR of the mask shifted by every element offset."""
+    out = mask.copy()
+    for _ in range(times):
+        step = out.copy()
+        for dz, dy, dx in elem.offsets:
+            step |= shifted(out, dz, dy, dx, fill=False)
+        out = step
+    return out
+
+
+def erode_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
+    """Reference erosion: AND of the mask shifted by every element offset."""
+    out = mask.copy()
+    for _ in range(times):
+        step = out.copy()
+        for dz, dy, dx in elem.offsets:
+            step &= shifted(out, dz, dy, dx, fill=False)
+        out = step
+    return out
+
+
+def gain_at_naive(interest: VoxelGrid, patch: PatchSpec, p) -> float:
+    """Direct triple-loop gain at the (z, y, x) voxel ``p``; the oracle for gain_map."""
+    nz, ny, nx = interest.data.shape
+    pz, py, px = p
+    rz, ry, rx = patch.radii
+    vz, vy, vx = patch.variances
+    total = 0.0
+    for dz in range(-rz, rz + 1):
+        z = pz + dz
+        if z < 0 or z >= nz:
+            continue
+        for dy in range(-ry, ry + 1):
+            y = py + dy
+            if y < 0 or y >= ny:
+                continue
+            for dx in range(-rx, rx + 1):
+                x = px + dx
+                if x < 0 or x >= nx:
+                    continue
+                if interest.data[z, y, x]:
+                    q = dz * dz / vz + dy * dy / vy + dx * dx / vx
+                    total += math.exp(-0.5 * q)
+    return patch.norm_const * total

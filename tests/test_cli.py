@@ -151,6 +151,8 @@ def test_usage_errors_exit_2(workdir):
     assert run(["nonsense"]) == 2
     assert run(["ooi", "--ts", str(workdir / "labels.nii")]) == 2  # missing required args
     assert run(["sample", "--psm", str(workdir / "tumor.nii"), "--count", "5"]) == 2  # no seed
+    assert run(["metrics", "--cohort", str(workdir / "cases.jsonl"), "--out", str(workdir / "c.jsonl"),
+                "--jobs", "0"]) == 2
 
 
 def test_missing_input_exit_1(workdir):
@@ -159,7 +161,10 @@ def test_missing_input_exit_1(workdir):
 
 
 def test_config_file_and_flag_precedence(workdir, capsys):
-    cfg = {"lambda": 0.5, "patch_size": [4, 8, 8], "organ": {"set_ts": [1], "set_word": [1]}}
+    cfg = {
+        "lambda": 0.5, "patch_size": [4, 8, 8],
+        "organ": {"set_ts": [1], "set_word": [1], "dilate_times": 2, "elem": "full26"},
+    }
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     rc = run(["psm", "--config", str(workdir / "cfg.json"), "--lambda", "0.25", "--print-config"])
     assert rc == 0
@@ -167,6 +172,15 @@ def test_config_file_and_flag_precedence(workdir, capsys):
     assert printed["lambda"] == 0.25  # flag wins
     assert printed["patch_size"] == [4, 8, 8]  # config survives
     assert printed["organ"]["set_ts"] == [1]
+    rc = run(["ooi", "--config", str(workdir / "cfg.json"), "--dilate-times", "1", "--print-config"])
+    assert rc == 0
+    organ = json.loads(capsys.readouterr().out)["organ"]
+    assert organ["dilate_times"] == 1  # organ flag wins
+    assert organ["elem"] == "full26" and organ["set_word"] == [1]  # organ block survives
+    rc = run(["ooi", "--config", str(workdir / "cfg.json"), "--elem", "face6", "--print-config"])
+    assert rc == 0
+    organ = json.loads(capsys.readouterr().out)["organ"]
+    assert organ["elem"] == "face6" and organ["dilate_times"] == 2
 
 
 def test_unknown_config_key_rejected(workdir):

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import (
-    Coord,
-    Dims,
-    Spacing,
-    VoxelGrid,
-    binary_combine,
-    coord_at,
-    extract_patch,
-    flat_index,
-    make_grid,
-    to_bool,
-)
+from anatvox.grid import Dims, Spacing, VoxelGrid, extract_patch, make_grid, to_bool
 
-from conftest import ISO, bool_grid, random_mask
+from conftest import ISO
 
 
 def test_make_grid_constant_fill():
@@ -45,7 +34,7 @@ def test_spacing_must_be_positive_finite():
 
 def test_extract_patch_full_cover_identity():
     g = make_grid(Dims(3, 3, 3), ISO, 1.0)
-    p = extract_patch(g, Coord(1, 1, 1), (3, 3, 3), pad=0.0)
+    p = extract_patch(g, (1, 1, 1), (3, 3, 3), pad=0.0)
     assert np.array_equal(p.data, g.data)
     assert p.spacing == g.spacing
 
@@ -53,7 +42,7 @@ def test_extract_patch_full_cover_identity():
 def test_extract_patch_corner_overlap():
     # center at the corner: only the high octant overlaps, 8 ones + 19 pads
     g = make_grid(Dims(3, 3, 3), ISO, 1.0)
-    p = extract_patch(g, Coord(0, 0, 0), (3, 3, 3), pad=0.0)
+    p = extract_patch(g, (0, 0, 0), (3, 3, 3), pad=0.0)
     assert int(p.data.sum()) == 8
     assert int((p.data == 0).sum()) == 19
     assert np.all(p.data[1:, 1:, 1:] == 1.0)
@@ -64,7 +53,7 @@ def test_extract_patch_even_size_convention():
     g = make_grid(Dims(4, 4, 4), ISO, 0.0)
     g.data[1, 1, 1] = 7.0
     g.data[2, 2, 2] = 9.0
-    p = extract_patch(g, Coord(2, 2, 2), (2, 2, 2), pad=0.0)
+    p = extract_patch(g, (2, 2, 2), (2, 2, 2), pad=0.0)
     assert p.data[0, 0, 0] == 7.0
     assert p.data[1, 1, 1] == 9.0
 
@@ -72,66 +61,16 @@ def test_extract_patch_even_size_convention():
 def test_extract_patch_center_outside_rejected():
     g = make_grid(Dims(3, 3, 3), ISO, 0.0)
     with pytest.raises(ValueError):
-        extract_patch(g, Coord(3, 0, 0), (3, 3, 3))
+        extract_patch(g, (3, 0, 0), (3, 3, 3))
     with pytest.raises(ValueError):
-        extract_patch(g, Coord(0, -1, 0), (3, 3, 3))
+        extract_patch(g, (0, -1, 0), (3, 3, 3))
 
 
 def test_extract_patch_interior_idempotent(rng):
     g = VoxelGrid(rng.random((8, 8, 8)).astype(np.float32), ISO)
-    p1 = extract_patch(g, Coord(4, 4, 4), (3, 3, 3), pad=0.0)
-    p2 = extract_patch(p1, Coord(1, 1, 1), (3, 3, 3), pad=0.0)
+    p1 = extract_patch(g, np.array([4, 4, 4]), (3, 3, 3), pad=0.0)
+    p2 = extract_patch(p1, (1, 1, 1), (3, 3, 3), pad=0.0)
     assert np.array_equal(p1.data, p2.data)
-
-
-def test_binary_combine_basic_identities(rng):
-    ones = bool_grid(np.ones((3, 3, 3), dtype=bool))
-    zeros = bool_grid(np.zeros((3, 3, 3), dtype=bool))
-    mask = bool_grid(random_mask(rng, (3, 3, 3)))
-    assert np.all(binary_combine(ones, zeros, "or").data)
-    assert not np.any(binary_combine(ones, ones, "xor").data)
-    assert np.array_equal(binary_combine(mask, mask, "and").data, mask.data)
-
-
-def test_binary_combine_algebra_laws(rng):
-    for _ in range(20):
-        a = bool_grid(random_mask(rng, (4, 4, 4), 0.5))
-        b = bool_grid(random_mask(rng, (4, 4, 4), 0.5))
-        c = bool_grid(random_mask(rng, (4, 4, 4), 0.5))
-        for op in ("and", "or", "xor"):
-            assert np.array_equal(
-                binary_combine(a, b, op).data, binary_combine(b, a, op).data
-            )
-        x1 = binary_combine(binary_combine(a, b, "xor"), c, "xor")
-        x2 = binary_combine(a, binary_combine(b, c, "xor"), "xor")
-        assert np.array_equal(x1.data, x2.data)
-        # De Morgan with complement built from AND-NOT against the full mask
-        ones = bool_grid(np.ones((4, 4, 4), dtype=bool))
-        neg = lambda m: binary_combine(ones, m, "andnot")
-        lhs = neg(binary_combine(a, b, "and"))
-        rhs = binary_combine(neg(a), neg(b), "or")
-        assert np.array_equal(lhs.data, rhs.data)
-
-
-def test_binary_combine_shape_mismatch():
-    a = bool_grid(np.zeros((3, 3, 3), dtype=bool))
-    b = bool_grid(np.zeros((3, 3, 4), dtype=bool))
-    with pytest.raises(ValueError):
-        binary_combine(a, b, "or")
-
-
-def test_binary_combine_requires_bool():
-    a = make_grid(Dims(2, 2, 2), ISO, 1.0)
-    b = make_grid(Dims(2, 2, 2), ISO, 0.0)
-    with pytest.raises(ValueError):
-        binary_combine(a, b, "and")
-
-
-def test_flat_index_round_trip(rng):
-    dims = Dims(int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-    for flat in range(dims.n):
-        c = coord_at(dims, flat)
-        assert flat_index(dims, c) == flat
 
 
 def test_to_bool_from_labels():

@@ -59,6 +59,10 @@ def test_soft_dice_rejects_out_of_range_prediction():
         soft_dice_loss(y, _pred(np.full((2, 2, 2), 1.5)), CFG)
     with pytest.raises(ValueError):
         soft_dice_loss(y, _pred(np.full((2, 2, 2), -0.1)), CFG)
+    nan = np.full((2, 2, 2), 0.5)
+    nan[1, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        soft_dice_loss(y, _pred(nan), CFG)
 
 
 def test_cross_entropy_hard_perfect_hits_clamp_floor(rng):

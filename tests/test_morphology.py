@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from anatvox.grid import Dims, make_grid
 from anatvox.morphology import (
     FACE6,
@@ -9,13 +13,11 @@ from anatvox.morphology import (
     boundary_band,
     dilate,
     dilate_mask,
-    dilate_naive,
     erode,
     erode_mask,
-    erode_naive,
 )
 
-from conftest import ISO, bool_grid, random_mask
+from conftest import ISO, bool_grid, dilate_naive, erode_naive, random_mask
 
 
 def test_struct_elem_offsets():
@@ -129,6 +131,18 @@ def test_packed_equals_naive_across_word_boundaries(rng, nx):
         for t in (1, 2, 3):
             assert np.array_equal(dilate_mask(mask, elem, t), dilate_naive(mask, elem, t))
             assert np.array_equal(erode_mask(mask, elem, t), erode_naive(mask, elem, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=arrays(np.bool_, st.tuples(*[st.integers(1, 6)] * 3)),
+    elem=st.sampled_from([FACE6, FULL26]),
+    times=st.integers(0, 3),
+)
+def test_morphology_equals_naive_oracle_on_small_axes(mask, elem, times):
+    # size-1 axes have no in-grid neighbor on either side
+    assert np.array_equal(dilate_mask(mask, elem, times), dilate_naive(mask, elem, times))
+    assert np.array_equal(erode_mask(mask, elem, times), erode_naive(mask, elem, times))
 
 
 def test_boundary_band_cube_shell():

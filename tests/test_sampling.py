@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from anatvox.grid import Coord, Dims, VoxelGrid, make_grid
+from anatvox.grid import Dims, VoxelGrid, make_grid
 from anatvox.sampling import (
     PatchSpec,
     SamplingMap,
     combine_psm,
     draw_centers,
-    gain_at_naive,
     gain_map,
     psm_from_gain,
 )
 
-from conftest import ISO, bool_grid, random_mask
+from conftest import ISO, bool_grid, gain_at_naive, random_mask
 
 
 def test_patch_spec_derived_quantities():
@@ -52,7 +51,7 @@ def test_gain_single_voxel_center_equals_norm_const():
     spec = PatchSpec((6, 6, 6))
     g = gain_map(o, spec)
     assert g.grid.data[4, 4, 4] == pytest.approx(spec.norm_const, rel=1e-12)
-    assert gain_at_naive(o, spec, Coord(4, 4, 4)) == pytest.approx(spec.norm_const, rel=1e-12)
+    assert gain_at_naive(o, spec, (4, 4, 4)) == pytest.approx(spec.norm_const, rel=1e-12)
 
 
 def test_gain_full_mask_center_equals_truncated_kernel_mass():
@@ -76,7 +75,7 @@ def test_gain_zero_outside_reach(rng):
     spec = PatchSpec((4, 4, 4))
     g = gain_map(o, spec)
     assert g.grid.data[0, 0, 6] == 0.0
-    assert gain_at_naive(o, spec, Coord(0, 0, 6)) == 0.0
+    assert gain_at_naive(o, spec, (0, 0, 6)) == 0.0
     assert np.all(g.grid.data >= 0.0)
 
 
@@ -88,7 +87,7 @@ def test_gain_separable_matches_naive_everywhere(rng):
         for z in range(6):
             for y in range(7):
                 for x in range(5):
-                    ref = gain_at_naive(o, spec, Coord(z, y, x))
+                    ref = gain_at_naive(o, spec, (z, y, x))
                     if ref == 0.0:
                         assert g[z, y, x] == 0.0
                     else:
@@ -183,12 +182,18 @@ def test_sampling_map_validation():
         neg = np.full((2, 2, 2), 0.25)
         neg[0, 0, 0] = -0.75
         SamplingMap(VoxelGrid(neg, ISO))
+    for bad in (0, 7):  # NaN at the first voxel, then at the last
+        nan = np.full(8, 1.0 / 7)
+        nan[bad] = np.nan
+        with pytest.raises(ValueError):
+            SamplingMap(VoxelGrid(nan.reshape(2, 2, 2), ISO))
 
 
 def test_draw_centers_degenerate_distribution():
     s = _delta_map((4, 4, 4), (2, 1, 3))
     centers = draw_centers(s, 50, seed=9)
-    assert all(c == Coord(2, 1, 3) for c in centers)
+    assert centers.shape == (50, 3) and np.issubdtype(centers.dtype, np.integer)
+    assert np.all(centers == (2, 1, 3))
 
 
 def test_draw_centers_deterministic_per_seed():
@@ -196,8 +201,8 @@ def test_draw_centers_deterministic_per_seed():
     a = draw_centers(s, 100, seed=31)
     b = draw_centers(s, 100, seed=31)
     c = draw_centers(s, 100, seed=32)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_draw_centers_uniform_frequencies():
@@ -205,9 +210,7 @@ def test_draw_centers_uniform_frequencies():
     s = _uniform_map((4, 4, 4))
     n = 200_000
     centers = draw_centers(s, n, seed=5)
-    counts = np.zeros(64)
-    for c in centers:
-        counts[(c.z * 4 + c.y) * 4 + c.x] += 1
+    counts = np.bincount(np.ravel_multi_index(centers.T, (4, 4, 4)), minlength=64)
     p = 1.0 / 64
     sigma = math.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) < 5 * sigma)

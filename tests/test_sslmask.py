@@ -51,6 +51,16 @@ def test_masking_is_deterministic_and_outside_untouched(rng):
     assert np.array_equal(c.data[~band.data], x.data[~band.data])
 
 
+def test_integer_image_gets_untruncated_float_noise(rng):
+    x = VoxelGrid(rng.integers(-1000, 1000, (6, 6, 6)).astype(np.int16), ISO)
+    band = bool_grid(random_mask(rng, (6, 6, 6), 0.4))
+    out = mask_bowel_wall(x, band, NoiseSpec(seed=8))
+    assert np.issubdtype(out.data.dtype, np.floating)
+    noise = out.data[band.data]
+    assert np.any(noise != np.round(noise))
+    assert np.array_equal(out.data[~band.data], x.data[~band.data])
+
+
 def test_masking_preserves_dtype():
     x = make_grid(Dims(4, 4, 4), ISO, 0.0, dtype=np.float32)
     band = make_grid(Dims(4, 4, 4), ISO, True)
