@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ import numpy as np
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
 from .grid import VoxelGrid, extract_patch, to_bool
 from .losses import LossConfig, af_loss, cross_entropy_loss, soft_dice_loss
-from .morphology import elem_from_name
 
 
 class UsageError(ValueError):
@@ -43,97 +43,102 @@ class PipelineConfig:
     """Defaults for every stage; flags override config-file values."""
 
     organ: maskgen.OrganConfig = maskgen.OrganConfig()
-    patch_size: tuple[int, int, int] = (16, 32, 32)
-    sigma_is_stddev: bool = False
+    patch: sampling.PatchSpec = sampling.PatchSpec((16, 32, 32))
     lam: float = 0.33
     mu: float = 1.0
-    noise_mean: float = 0.0
-    noise_stddev: float = 1.0
+    noise: sslmask.NoiseSpec = sslmask.NoiseSpec()  # ssl-mask sets the seed
     loss: LossConfig = LossConfig()
     nsd_tol_mm: float = 4.0
     hd_penalty_mm: float = 1000.0
 
+    def __post_init__(self):
+        if not 0 <= self.lam <= 1:
+            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        for name in ("nsd_tol_mm", "hd_penalty_mm"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
     @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        known = {
-            "organ", "patch_size", "sigma_is_stddev", "lambda", "mu",
-            "noise", "loss", "nsd_tol_mm", "hd_penalty_mm",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "organ" in obj:
-            kwargs["organ"] = maskgen.OrganConfig.from_json(obj["organ"])
-        if "patch_size" in obj:
-            kwargs["patch_size"] = _parse_size(obj["patch_size"])
-        if "sigma_is_stddev" in obj:
-            kwargs["sigma_is_stddev"] = bool(obj["sigma_is_stddev"])
-        if "lambda" in obj:
-            kwargs["lam"] = float(obj["lambda"])
-        if "mu" in obj:
-            kwargs["mu"] = float(obj["mu"])
-        if "noise" in obj:
-            noise = obj["noise"]
-            bad = set(noise) - {"mean", "stddev"}
-            if bad:
-                raise UsageError(f"unknown noise config keys: {sorted(bad)}")
-            kwargs["noise_mean"] = float(noise.get("mean", 0.0))
-            kwargs["noise_stddev"] = float(noise.get("stddev", 1.0))
-        if "loss" in obj:
-            loss = obj["loss"]
-            bad = set(loss) - {"dice_eps", "ce_eps", "dice_weight", "ce_weight"}
-            if bad:
-                raise UsageError(f"unknown loss config keys: {sorted(bad)}")
-            kwargs["loss"] = LossConfig(**{k: float(v) for k, v in loss.items()})
-        for key in ("nsd_tol_mm", "hd_penalty_mm"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
-        return cls(**kwargs)
+    def from_json(cls, obj) -> "PipelineConfig":
+        """Config from a JSON object shaped like ``to_json``'s; absent keys keep their defaults."""
+        default = cls().to_json()
+        _check_json(obj, default, "config")
+        j = {k: {**v, **obj.get(k, {})} if isinstance(v, dict) else obj.get(k, v)
+             for k, v in default.items()}
+        return cls(
+            organ=maskgen.OrganConfig.from_json(j["organ"]),
+            patch=sampling.PatchSpec(tuple(j["patch_size"]), j["sigma_is_stddev"]),
+            lam=float(j["lambda"]),
+            mu=float(j["mu"]),
+            noise=sslmask.NoiseSpec(float(j["noise"]["mean"]), float(j["noise"]["stddev"])),
+            loss=LossConfig(**{k: float(v) for k, v in j["loss"].items()}),
+            nsd_tol_mm=float(j["nsd_tol_mm"]),
+            hd_penalty_mm=float(j["hd_penalty_mm"]),
+        )
 
     def to_json(self) -> dict:
         return {
             "organ": self.organ.to_json(),
-            "patch_size": list(self.patch_size),
-            "sigma_is_stddev": self.sigma_is_stddev,
+            "patch_size": list(self.patch.size),
+            "sigma_is_stddev": self.patch.sigma_is_stddev,
             "lambda": self.lam,
             "mu": self.mu,
-            "noise": {"mean": self.noise_mean, "stddev": self.noise_stddev},
-            "loss": {
-                "dice_eps": self.loss.dice_eps,
-                "ce_eps": self.loss.ce_eps,
-                "dice_weight": self.loss.dice_weight,
-                "ce_weight": self.loss.ce_weight,
-            },
+            "noise": {"mean": self.noise.mean, "stddev": self.noise.stddev},
+            "loss": asdict(self.loss),
             "nsd_tol_mm": self.nsd_tol_mm,
             "hd_penalty_mm": self.hd_penalty_mm,
         }
 
 
-def _parse_size(value) -> tuple[int, int, int]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
-    if len(parts) != 3:
-        raise UsageError(f"patch size needs 3 components, got {value!r}")
-    try:
-        size = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise UsageError(f"bad patch size {value!r}") from None
-    if any(s < 1 for s in size):
-        raise UsageError(f"patch size components must be >= 1, got {size}")
-    return size
+def _json_kind(value) -> str:
+    """JSON type name of a config value; the config's lists all hold numbers."""
+    if isinstance(value, list):
+        return "list of numbers" if all(_json_kind(v) == "number" for v in value) else "list"
+    kinds = {bool: "bool", int: "number", float: "number", str: "string", dict: "object"}
+    return kinds.get(type(value), "null")
 
 
-def _parse_labels(value: str) -> frozenset:
-    try:
-        labels = frozenset(int(p) for p in value.split(","))
-    except ValueError:
-        raise UsageError(f"bad label list {value!r}") from None
-    if not labels:
-        raise UsageError("label list must be nonempty")
-    return labels
+def _check_json(obj, schema: dict, where: str) -> None:
+    """Raise unless ``obj`` is a JSON object whose keys and value types are ``schema``'s."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {json.dumps(obj)}")
+    unknown = set(obj) - set(schema)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        if isinstance(schema[key], dict):
+            _check_json(value, schema[key], key)
+        elif _json_kind(value) != _json_kind(schema[key]):
+            want = _json_kind(schema[key])
+            raise TypeError(f"{key} must be a JSON {want}, got {json.dumps(value)}")
+
+
+def _int_list(value: str) -> list[int]:
+    return [int(p) for p in value.split(",")]
+
+
+# Every config flag, once: the config-JSON path it overrides, its argparse
+# keywords and the stages that take it. The path is also the flag's dest.
+_CONFIG_FLAGS = (
+    ("--set-ts", "organ.set_ts", {"type": _int_list}, ("ooi",)),
+    ("--set-word", "organ.set_word", {"type": _int_list}, ("ooi",)),
+    ("--dilate-times", "organ.dilate_times", {"type": int}, ("ooi",)),
+    ("--elem", "organ.elem", {"choices": ("face6", "full26")}, ("ooi", "wall")),
+    ("--r-out", "organ.wall_r_out", {"type": int}, ("wall",)),
+    ("--r-in", "organ.wall_r_in", {"type": int}, ("wall",)),
+    ("--patch-size", "patch_size", {"type": _int_list}, ("psm", "sample")),
+    ("--sigma-is-stddev", "sigma_is_stddev", {"action": "store_const", "const": True}, ("psm",)),
+    ("--mu", "mu", {"type": float}, ("psm",)),
+    ("--lambda", "lambda", {"type": float}, ("psm",)),
+    ("--noise-mean", "noise.mean", {"type": float}, ("ssl-mask",)),
+    ("--noise-std", "noise.stddev", {"type": float}, ("ssl-mask",)),
+    ("--dice-eps", "loss.dice_eps", {"type": float}, ("loss",)),
+    ("--ce-eps", "loss.ce_eps", {"type": float}, ("loss",)),
+    ("--nsd-tol", "nsd_tol_mm", {"type": float}, ("metrics",)),
+    ("--hd-penalty", "hd_penalty_mm", {"type": float}, ("metrics",)),
+)
 
 
 def _positive_int(value: str) -> int:
@@ -145,6 +150,9 @@ def _positive_int(value: str) -> int:
 
 def _load_grid(path) -> VoxelGrid:
     grid, _ = volio.read_volume(path)
+    data = grid.data  # min and max, unlike isfinite(), allocate no full-size temporary
+    if data.dtype.kind == "f" and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ValueError(f"{path}: volume holds non-finite voxel values")
     return grid
 
 
@@ -158,18 +166,12 @@ def _load_probability(path) -> VoxelGrid:
 
 
 def _write_mask(mask: VoxelGrid, path) -> None:
-    meta = volio.VolumeMeta.for_grid(mask, "uint8", _fmt(path))
-    volio.write_volume(mask, meta, path)
+    volio.write_volume(mask, volio.VolumeMeta.for_grid(mask, "uint8"), path)
 
 
 def _write_float(grid: VoxelGrid, path) -> None:
     out = grid.with_data(grid.data.astype(np.float32))
-    meta = volio.VolumeMeta.for_grid(out, "float32", _fmt(path))
-    volio.write_volume(out, meta, path)
-
-
-def _fmt(path) -> str:
-    return "nifti1" if Path(path).suffix == ".nii" else "rawjson"
+    volio.write_volume(out, volio.VolumeMeta.for_grid(out, "float32"), path)
 
 
 def _emit_json(obj, out_path) -> None:
@@ -187,8 +189,9 @@ def _require(args, *names) -> None:
 
 
 def _effective_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
+    """The config file's JSON object with the given flags written over it, validated once."""
+    obj = {}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
@@ -196,41 +199,20 @@ def _effective_config(args) -> PipelineConfig:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config {path}: {exc}") from None
-        cfg = PipelineConfig.from_json(obj)
-
-    organ_over = {}
-    for attr, key in (
-        ("set_ts", "set_ts"), ("set_word", "set_word"),
-        ("dilate_times", "dilate_times"), ("elem", "elem"),
-        ("r_out", "wall_r_out"), ("r_in", "wall_r_in"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            organ_over[key] = val
-    if "elem" in organ_over:
-        organ_over["elem"] = elem_from_name(organ_over["elem"])
-    if organ_over:
-        cfg = replace(cfg, organ=replace(cfg.organ, **organ_over))
-
-    simple = {
-        "patch_size": "patch_size", "lam": "lam", "mu": "mu",
-        "noise_mean": "noise_mean", "noise_stddev": "noise_stddev",
-        "nsd_tol_mm": "nsd_tol_mm", "hd_penalty_mm": "hd_penalty_mm",
-    }
-    for attr, key in simple.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg = replace(cfg, **{key: val})
-    if getattr(args, "sigma_is_stddev", None):
-        cfg = replace(cfg, sigma_is_stddev=True)
-    loss_over = {}
-    for attr in ("dice_eps", "ce_eps"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            loss_over[attr] = val
-    if loss_over:
-        cfg = replace(cfg, loss=replace(cfg.loss, **loss_over))
-    return cfg
+        if not isinstance(obj, dict):
+            raise UsageError(f"config {path} must be a JSON object")
+    for _, dest, _, _ in _CONFIG_FLAGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        block, _, key = dest.rpartition(".")
+        node = obj.setdefault(block, {}) if block else obj
+        if isinstance(node, dict):  # else from_json names the bad block
+            node[key] = value
+    try:
+        return PipelineConfig.from_json(obj)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise UsageError(f"bad config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +238,10 @@ def _cmd_wall(args, cfg: PipelineConfig) -> int:
 
 def _cmd_psm(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "tumor", "out")
-    spec = sampling.PatchSpec(cfg.patch_size, cfg.sigma_is_stddev)
     ooi = _load_mask(args.ooi)
     tumor = _load_mask(args.tumor)
-    s_organ = sampling.psm_from_gain(sampling.gain_map(ooi, spec), cfg.mu)
-    s_tumor = sampling.psm_from_gain(sampling.gain_map(tumor, spec), cfg.mu)
+    s_organ = sampling.psm_from_gain(sampling.gain_map(ooi, cfg.patch), cfg.mu)
+    s_tumor = sampling.psm_from_gain(sampling.gain_map(tumor, cfg.patch), cfg.mu)
     final = sampling.combine_psm(s_organ, s_tumor, cfg.lam)
     _write_float(final.grid, args.out)
     return 0
@@ -268,6 +249,8 @@ def _cmd_psm(args, cfg: PipelineConfig) -> int:
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
     _require(args, "psm", "seed")
+    if args.patch_dir:
+        _require(args, "image")  # before the centers file is written
     grid = _load_probability(args.psm)
     data = grid.data / np.sum(grid.data, dtype=np.float64)  # undo float32 quantization
     smap = sampling.SamplingMap(grid.with_data(data))
@@ -279,13 +262,11 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     }
     _emit_json(payload, args.out)
     if args.patch_dir:
-        _require(args, "image")
         image = _load_grid(args.image)
-        spec = sampling.PatchSpec(cfg.patch_size, cfg.sigma_is_stddev)
         out_dir = Path(args.patch_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, c in enumerate(centers):
-            patch = extract_patch(image, c, spec.size, pad=args.pad)
+            patch = extract_patch(image, c, cfg.patch.size, pad=args.pad)
             _write_float(patch, out_dir / f"patch_{i:04d}.nii")
     return 0
 
@@ -294,8 +275,7 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
     ct = _load_grid(args.ct)
     band = _load_mask(args.wall)
-    noise = sslmask.NoiseSpec(cfg.noise_mean, cfg.noise_stddev, args.seed)
-    masked = sslmask.mask_bowel_wall(ct, band, noise)
+    masked = sslmask.mask_bowel_wall(ct, band, replace(cfg.noise, seed=args.seed))
     _write_float(masked, args.out)
     return 0
 
@@ -320,16 +300,27 @@ def _metric_case(paths, cfg: PipelineConfig) -> metrics.MetricReport:
     return metrics.seg_metrics(gt, pred, cfg.nsd_tol_mm, cfg.hd_penalty_mm)
 
 
+def _read_manifest(path) -> list:
+    """(case_id, (gt, pred)) per nonblank JSON line of a cohort manifest."""
+    cases = []
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} line {n}: not valid JSON ({exc})") from None
+        if not (isinstance(rec, dict) and "case_id" in rec
+                and isinstance(rec.get("gt"), str) and isinstance(rec.get("pred"), str)):
+            raise UsageError(f"{path} line {n}: need a JSON object with case_id, gt and pred paths")
+        cases.append((str(rec["case_id"]), (rec["gt"], rec["pred"])))
+    return cases
+
+
 def _cmd_metrics(args, cfg: PipelineConfig) -> int:
     if args.cohort:
         _require(args, "out")
-        cases = []
-        for line in Path(args.cohort).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            cases.append((str(rec["case_id"]), (rec["gt"], rec["pred"])))
+        cases = _read_manifest(args.cohort)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(lambda c: _metric_case(c[1], cfg), cases))
         pairs = [(case_id, report) for (case_id, _), report in zip(cases, reports)]
@@ -355,8 +346,7 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         spec = replace(spec, seed=args.seed)
     ct, labels, tumor = phantom.gen_phantom(spec)
     _write_float(ct, args.out_ct)
-    meta = volio.VolumeMeta.for_grid(labels, "uint8", _fmt(args.out_labels))
-    volio.write_volume(labels, meta, args.out_labels)
+    volio.write_volume(labels, volio.VolumeMeta.for_grid(labels, "uint8"), args.out_labels)
     _write_mask(tumor, args.out_tumor)
     return 0
 
@@ -392,26 +382,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts")
     p.add_argument("--word")
     p.add_argument("--out")
-    p.add_argument("--set-ts", dest="set_ts", type=_parse_labels)
-    p.add_argument("--set-word", dest="set_word", type=_parse_labels)
-    p.add_argument("--dilate-times", dest="dilate_times", type=int)
-    p.add_argument("--elem", choices=("face6", "full26"))
 
     p = stage("wall", "bowel-wall band from an undilated OOI mask")
     p.add_argument("--ooi")
     p.add_argument("--out")
-    p.add_argument("--r-out", dest="r_out", type=int)
-    p.add_argument("--r-in", dest="r_in", type=int)
-    p.add_argument("--elem", choices=("face6", "full26"))
 
     p = stage("psm", "combined sampling map from OOI and tumor masks")
     p.add_argument("--ooi")
     p.add_argument("--tumor")
     p.add_argument("--out")
-    p.add_argument("--patch-size", dest="patch_size", type=_parse_size)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--sigma-is-stddev", dest="sigma_is_stddev", action="store_true")
 
     p = stage("sample", "draw seeded patch centers from a sampling map")
     p.add_argument("--psm")
@@ -421,23 +400,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", help="volume to cut patches from")
     p.add_argument("--patch-dir", dest="patch_dir", help="directory for patch volumes")
     p.add_argument("--pad", type=float, default=0.0)
-    p.add_argument("--patch-size", dest="patch_size", type=_parse_size)
 
     p = stage("ssl-mask", "replace bowel-wall voxels with seeded noise")
     p.add_argument("--ct")
     p.add_argument("--wall")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--noise-mean", dest="noise_mean", type=float)
-    p.add_argument("--noise-std", dest="noise_stddev", type=float)
 
     p = stage("loss", "dice / cross-entropy / focalized loss report")
     p.add_argument("--gt")
     p.add_argument("--pred")
     p.add_argument("--ooi")
     p.add_argument("--out")
-    p.add_argument("--dice-eps", dest="dice_eps", type=float)
-    p.add_argument("--ce-eps", dest="ce_eps", type=float)
 
     p = stage("metrics", "segmentation metric report for one case or a cohort")
     p.add_argument("--gt")
@@ -445,8 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--cohort", help="JSON-lines manifest of {case_id, gt, pred}")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--nsd-tol", dest="nsd_tol_mm", type=float)
-    p.add_argument("--hd-penalty", dest="hd_penalty_mm", type=float)
 
     p = stage("phantom", "generate a synthetic phantom from a spec JSON")
     p.add_argument("--spec")
@@ -455,6 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-labels", dest="out_labels")
     p.add_argument("--out-tumor", dest="out_tumor")
 
+    for flag, dest, kwargs, stages in _CONFIG_FLAGS:
+        for name in stages:
+            sub.choices[name].add_argument(flag, dest=dest, help=f"config {dest}", **kwargs)
     return parser
 
 

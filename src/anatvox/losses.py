@@ -27,8 +27,8 @@ class LossConfig:
             if not (0.0 < v <= 1e-2):
                 raise ValueError(f"{name} must be in (0, 1e-2], got {v}")
         for name in ("dice_weight", "ce_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:  # written so that NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _as_float_pair(gt: VoxelGrid, pred: VoxelGrid):

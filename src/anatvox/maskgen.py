@@ -13,6 +13,7 @@ scheme and should be checked against the tool release actually used.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ from .morphology import FACE6, StructElem, boundary_band, dilate, elem_from_name
 DEFAULT_SET_TS = frozenset({6, 55, 56, 57})
 # stomach, duodenum, colon, intestine, rectum (WORD codes)
 DEFAULT_SET_WORD = frozenset({5, 9, 10, 11, 13})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -38,14 +43,15 @@ class OrganConfig:
     wall_r_in: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "set_ts", frozenset(int(v) for v in self.set_ts))
-        object.__setattr__(self, "set_word", frozenset(int(v) for v in self.set_word))
-        if not self.set_ts or not self.set_word:
-            raise ValueError("organ indicator sets must be nonempty")
-        if self.dilate_times < 0:
-            raise ValueError("dilate_times must be >= 0")
-        if self.wall_r_out < 0 or self.wall_r_in < 0:
-            raise ValueError("wall band radii must be >= 0")
+        for name in ("set_ts", "set_word"):
+            codes = frozenset(getattr(self, name))
+            if not codes or not all(_is_int(v) for v in codes):
+                raise ValueError(f"{name} must be a nonempty set of integer label codes")
+            object.__setattr__(self, name, frozenset(int(v) for v in codes))
+        for name in ("dilate_times", "wall_r_out", "wall_r_in"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrganConfig":
@@ -54,10 +60,6 @@ class OrganConfig:
         if unknown:
             raise ValueError(f"unknown organ config keys: {sorted(unknown)}")
         kwargs = dict(obj)
-        if "set_ts" in kwargs:
-            kwargs["set_ts"] = frozenset(kwargs["set_ts"])
-        if "set_word" in kwargs:
-            kwargs["set_word"] = frozenset(kwargs["set_word"])
         if "elem" in kwargs:
             kwargs["elem"] = elem_from_name(kwargs["elem"])
         return cls(**kwargs)

@@ -14,6 +14,7 @@ lookup over the flat z-major order with a seeded generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class PatchSpec:
     sigma_is_stddev: bool = False
 
     def __post_init__(self):
-        size = tuple(int(s) for s in self.size)
-        if len(size) != 3 or any(s < 1 for s in size):
-            raise ValueError(f"patch size must be 3 integers >= 1, got {self.size}")
-        object.__setattr__(self, "size", size)
+        size = tuple(self.size)
+        if len(size) != 3 or not all(isinstance(s, numbers.Integral) and s >= 1 for s in size):
+            raise ValueError(f"patch size must be 3 integers >= 1, got {self.size!r}")
+        object.__setattr__(self, "size", tuple(int(s) for s in size))
 
     @property
     def variances(self) -> tuple[float, float, float]:

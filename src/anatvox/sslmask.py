@@ -6,6 +6,7 @@ Gaussian noise and scores reconstructions with a mean-reduced L1 distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stddev < 0:
-            raise ValueError(f"stddev must be >= 0, got {self.stddev}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"noise mean must be finite, got {self.mean}")
+        if not 0 <= self.stddev < math.inf:  # written so that NaN fails too
+            raise ValueError(f"noise stddev must be finite and >= 0, got {self.stddev}")
 
 
 def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> VoxelGrid:

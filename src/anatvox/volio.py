@@ -107,7 +107,8 @@ def _encode_payload(grid: VoxelGrid, datatype: str, path) -> bytes:
     else:
         cast = data.astype(target)
         back = cast.astype(data.dtype)
-        if not np.array_equal(back, data):
+        # the NaN-aware comparison copies the data, so it runs only when the plain one fails
+        if not (np.array_equal(back, data) or np.array_equal(back, data, equal_nan=True)):
             raise ValueError(
                 f"{path}: datatype {datatype} cannot losslessly represent the grid data"
             )

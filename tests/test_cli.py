@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid
@@ -239,3 +241,120 @@ def test_sample_with_patch_outputs(workdir):
     assert len(patches) == 3
     p, _ = read_volume(patches[0])
     assert p.data.shape == (4, 8, 8)
+
+
+# Malformed config values, each wrong in its own way: out of range, an unknown
+# key, a wrong JSON type, or a number that is not an integer. A list is a
+# stage's argv with a flag; a dict is a config file given to `ooi`.
+BAD_CONFIGS = [
+    ["psm", "--mu", "0"],
+    ["psm", "--lambda", "2"],
+    ["ssl-mask", "--noise-std", "-1"],
+    ["metrics", "--nsd-tol", "-1"],
+    ["metrics", "--hd-penalty", "nan"],
+    ["ooi", "--dilate-times", "-1"],
+    ["wall", "--r-out", "-2"],
+    ["loss", "--dice-eps", "0"],
+    {"organ": {"typo": 1}},
+    {"organ": {"dilate_times": "x"}},
+    {"patch_size": 5},
+    {"organ": {"set_ts": 6}},
+    {"nsd_tol_mm": None},
+    {"organ": {"dilate_times": 1.5}},
+    {"sigma_is_stddev": "false"},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIGS, ids=json.dumps)
+def test_bad_config_value_exits_2_before_any_stage(bad, tmp_path, capsys):
+    argv = bad
+    if isinstance(bad, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        argv = ["ooi", "--config", str(tmp_path / "cfg.json")]
+    assert run([*argv, "--print-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_flag_over_a_malformed_block_names_the_block(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"organ": 5}))
+    assert run(["ooi", "--config", str(tmp_path / "cfg.json"), "--dilate-times", "1", "--print-config"]) == 2
+    assert "organ must be a JSON object" in capsys.readouterr().err
+
+
+DEFAULT_JSON = PipelineConfig().to_json()
+CONFIG_PATHS = [(key,) for key in DEFAULT_JSON] + [
+    (block, key) for block, sub in DEFAULT_JSON.items() if isinstance(sub, dict) for key in sub
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+def test_any_json_value_at_any_config_key_is_accepted_or_exits_2(tmp_path, capsys, path, value):
+    obj = {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
+    (tmp_path / "cfg.json").write_text(json.dumps(obj))
+    rc = run(["psm", "--config", str(tmp_path / "cfg.json"), "--print-config"])
+    out, err = capsys.readouterr()
+    assert rc in (0, 2)
+    if rc == 0:  # what is accepted prints back as itself
+        printed = json.loads(out)
+        assert printed == PipelineConfig.from_json(printed).to_json()
+    else:
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("stage", ["ct", "mask"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_voxels_rejected_at_load(workdir, stage, bad, capsys):
+    ct, _ = read_volume(workdir / "ct.nii")
+    data = ct.data.copy()
+    data[3, 4, 5] = bad
+    write_volume(VoxelGrid(data, ct.spacing), VolumeMeta.for_grid(ct, "float32"), workdir / "bad.nii")
+    if stage == "ct":
+        argv = ["ssl-mask", "--ct", str(workdir / "bad.nii"), "--wall", str(workdir / "tumor.nii"),
+                "--seed", "1", "--out", str(workdir / "masked.nii")]
+    else:  # a float mask file: NaN must not read as True
+        argv = ["metrics", "--gt", str(workdir / "bad.nii"), "--pred", str(workdir / "tumor.nii")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "bad.nii" in err and "non-finite" in err
+    assert not (workdir / "masked.nii").exists()
+
+
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"case_id": "b", "gt": "g.nii"}', "JSON object"),
+        ('{"case_id": "b", "pred": "p.nii"}', "JSON object"),
+        ('{"gt": "g.nii", "pred": "p.nii"}', "JSON object"),
+        ('{"case_id": "b", "gt": 3, "pred": "p.nii"}', "JSON object"),
+    ],
+)
+def test_bad_manifest_line_names_the_line(workdir, line, problem, capsys):
+    tumor = str(workdir / "tumor.nii")
+    good = json.dumps({"case_id": "a", "gt": tumor, "pred": tumor})
+    manifest = workdir / "cases.jsonl"
+    manifest.write_text(f"{good}\n\n{line}\n")
+    rc = run(["metrics", "--cohort", str(manifest), "--out", str(workdir / "c.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{manifest} line 3:" in err and problem in err
+    assert not (workdir / "c.jsonl").exists()
+
+
+def test_patch_dir_without_image_writes_nothing(workdir):
+    rc = run(
+        [
+            "sample", "--psm", str(workdir / "tumor.nii"), "--count", "2", "--seed", "1",
+            "--out", str(workdir / "c.json"), "--patch-dir", str(workdir / "patches"),
+        ]
+    )
+    assert rc == 2
+    assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()

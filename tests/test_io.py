@@ -148,6 +148,17 @@ def test_lossy_write_rejected(tmp_path, rng):
         write_volume(big, VolumeMeta(big.dims, ANISO, "int16"), tmp_path / "y.nii")
 
 
+def test_nan_float_write_round_trips_but_not_into_integers(tmp_path):
+    data = np.zeros((2, 2, 2), dtype=np.float32)
+    data[0, 1, 1] = np.nan
+    g = VoxelGrid(data, ANISO)
+    write_volume(g, VolumeMeta(g.dims, ANISO, "float32"), tmp_path / "f.nii")
+    g2, _ = read_volume(tmp_path / "f.nii")
+    assert np.array_equal(g2.data, data, equal_nan=True)
+    with pytest.raises(ValueError, match="losslessly"), np.errstate(invalid="ignore"):
+        write_volume(g, VolumeMeta(g.dims, ANISO, "uint8"), tmp_path / "u.nii")
+
+
 def test_binary_float_values_may_narrow(tmp_path):
     # float grid holding only {0, 1} is losslessly representable as uint8
     g = VoxelGrid(np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=np.float32), ANISO)

@@ -30,6 +30,8 @@ def test_loss_config_validation():
         LossConfig(ce_eps=0.1)
     with pytest.raises(ValueError):
         LossConfig(dice_weight=-1.0)
+    with pytest.raises(ValueError):
+        LossConfig(ce_weight=float("nan"))
 
 
 def test_soft_dice_perfect_prediction_is_zero(rng):

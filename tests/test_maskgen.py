@@ -43,6 +43,9 @@ def test_organ_config_validation_and_json():
         OrganConfig(set_ts=frozenset())
     with pytest.raises(ValueError):
         OrganConfig(dilate_times=-1)
+    for bad in ({"dilate_times": 1.5}, {"wall_r_in": True}, {"set_word": frozenset({"5"})}):
+        with pytest.raises(ValueError):
+            OrganConfig(**bad)
     cfg = OrganConfig.from_json(
         {"set_ts": [1, 2], "set_word": [3], "dilate_times": 2, "elem": "full26",
          "wall_r_out": 2, "wall_r_in": 1}

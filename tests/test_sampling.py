@@ -37,6 +37,8 @@ def test_patch_spec_rejects_bad_size():
         PatchSpec((0, 4, 4))
     with pytest.raises(ValueError):
         PatchSpec((4, 4))
+    with pytest.raises(ValueError):  # a fractional size is not rounded
+        PatchSpec((4.5, 4, 4))
 
 
 def test_gain_of_empty_mask_is_zero():

@@ -12,8 +12,9 @@ def _image(rng, shape=(6, 6, 6)):
 
 
 def test_noise_spec_rejects_negative_stddev():
-    with pytest.raises(ValueError):
-        NoiseSpec(stddev=-1.0)
+    for bad in ({"stddev": -1.0}, {"stddev": float("nan")}, {"stddev": float("inf")}, {"mean": float("nan")}):
+        with pytest.raises(ValueError):
+            NoiseSpec(**bad)
 
 
 def test_empty_band_is_identity(rng):
