@@ -153,6 +153,21 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
     return VoxelGrid(out, grid.spacing)
 
 
+def bounding_box(mask: np.ndarray, grow=(0, 0, 0)) -> tuple[slice, ...] | None:
+    """Per-axis slices of the true voxels' bounding box, or None if there are none.
+
+    Each axis is grown by ``grow`` voxels on both sides and clipped to the grid.
+    """
+    box = []
+    for axis, g in enumerate(grow):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hit = np.flatnonzero(np.any(mask, axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(max(int(hit[0]) - g, 0), min(int(hit[-1]) + 1 + g, mask.shape[axis])))
+    return tuple(box)
+
+
 def to_bool(grid: VoxelGrid) -> VoxelGrid:
     """Nonzero voxels as a boolean mask (uint8 label files round-trip here)."""
     if grid.data.dtype == np.bool_:

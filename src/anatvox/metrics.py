@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry
+from .grid import VoxelGrid, bounding_box, require_same_geometry
 from .morphology import FACE6, erode_mask
 
 _INF = float("inf")
@@ -172,8 +172,11 @@ def seg_metrics(
 
     dice = 2.0 * inter / (n_gt + n_pr)
 
-    surf_gt = surface_voxels(gt)
-    surf_pr = surface_voxels(pred)
+    # Out-of-grid voxels are background, so the box of gt | pred holds every
+    # surface voxel with the same classification, and every distance between them.
+    box = bounding_box(gt.data | pred.data)
+    surf_gt = surface_voxels(gt.with_data(gt.data[box]))
+    surf_pr = surface_voxels(pred.with_data(pred.data[box]))
     dist_to_gt = edt(surf_gt).data
     dist_to_pr = edt(surf_pr).data
     d_gt = dist_to_pr[surf_gt.data]

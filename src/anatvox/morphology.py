@@ -53,6 +53,8 @@ FULL26 = StructElem("full26")
 
 
 def elem_from_name(name: str) -> StructElem:
+    if not isinstance(name, str):
+        raise ValueError(f"structuring element name must be a string, got {name!r}")
     return StructElem(name.lower())
 
 
@@ -86,7 +88,10 @@ def _axis_pass(out: np.ndarray, src: np.ndarray, axis: int, erode: bool) -> None
 def _iterate(mask: np.ndarray, elem: StructElem, times: int, erode: bool) -> np.ndarray:
     _check_mask(mask, times)
     out = mask.copy()
-    for _ in range(times):
+    # A step changes any mask that is neither empty nor full, and every voxel
+    # lies within sum(shape) face steps of every other voxel and of the outside
+    # of the grid, so by then dilation and erosion have reached a fixed point.
+    for _ in range(min(times, sum(mask.shape))):
         for axis in range(3):
             # The face-6 cross reads the step's input on every axis. The
             # full-26 cube is the product of three axis segments, so each of

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry
+from .grid import VoxelGrid, bounding_box, require_same_geometry
 
 PSM_SUM_TOL = 1e-9
 
@@ -89,12 +89,18 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
 
     Each pass adds the weighted in-grid neighbors along one axis, so the mask
     is in effect zero-padded and the gain is exactly 0 wherever no interest
-    voxel falls inside the box.
+    voxel falls inside the box. The passes therefore run only on the mask's
+    bounding box grown by the patch radii: every term the box leaves out
+    adds ``k * 0.0``, so the field is bitwise the same as passes over the grid.
     """
     if interest.data.dtype != np.bool_:
         raise ValueError("interest map must be boolean")
-    acc = interest.data.astype(np.float64)
     radii = patch.radii
+    out = np.zeros(interest.data.shape)
+    box = bounding_box(interest.data, radii)
+    if box is None:
+        return GainField(interest.with_data(out), patch)
+    acc = interest.data[box].astype(np.float64)
     variances = patch.variances
     for axis in (0, 1, 2):
         r = radii[axis]
@@ -105,13 +111,14 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
         for i, t in enumerate(range(-r, r + 1)):
             if abs(t) >= n:
                 continue
-            # nxt[v] += k[i] * acc[v + t] wherever v + t is inside the grid
+            # nxt[v] += k[i] * acc[v + t] wherever v + t is inside the box
             dst = lead + (slice(max(-t, 0), n - max(t, 0)),)
             src = lead + (slice(max(t, 0), n - max(-t, 0)),)
             nxt[dst] += k[i] * acc[src]
         acc = nxt
     acc *= patch.norm_const
-    return GainField(interest.with_data(acc), patch)
+    out[box] = acc
+    return GainField(interest.with_data(out), patch)
 
 
 def psm_from_gain(gain: GainField, mu: float = 1.0) -> SamplingMap:

@@ -293,7 +293,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
 def test_any_json_value_at_any_config_key_is_accepted_or_exits_2(tmp_path, capsys, path, value):
     obj = {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
@@ -358,3 +358,20 @@ def test_patch_dir_without_image_writes_nothing(workdir):
     )
     assert rc == 2
     assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
+
+
+def test_huge_repeat_counts_stop_at_the_fixed_point(tmp_path):
+    # Any morphology on a 4x8x8 grid is at its fixed point after 4 + 8 + 8 = 20
+    # steps, so a count of 10^12 must finish and write the bytes of a count of 20.
+    labels = np.zeros((4, 8, 8), dtype=np.uint8)
+    labels[1, 2:5, 3:7] = 1
+    grid = VoxelGrid(labels, Spacing(2.0, 1.0, 1.0))
+    write_volume(grid, VolumeMeta.for_grid(grid), tmp_path / "labels.nii")
+    written = {}
+    for times in ("1000000000000", "20"):
+        ooi, wall = tmp_path / f"ooi{times}.nii", tmp_path / f"wall{times}.nii"
+        assert _ooi(tmp_path, ooi.name, times=times) == 0
+        argv = ["wall", "--ooi", str(ooi), "--r-out", times, "--r-in", times, "--out", str(wall)]
+        assert run(argv) == 0
+        written[times] = (ooi.read_bytes(), wall.read_bytes())
+    assert written["1000000000000"] == written["20"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, extract_patch, make_grid, to_bool
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, make_grid, to_bool
 
 from conftest import ISO
 
@@ -79,3 +79,17 @@ def test_to_bool_from_labels():
     b = to_bool(g)
     assert b.data.dtype == np.bool_
     assert int(b.data.sum()) == 1
+
+
+def test_bounding_box_grows_and_clips():
+    m = np.zeros((5, 6, 7), dtype=bool)
+    assert bounding_box(m) is None
+    assert bounding_box(m, (2, 2, 2)) is None
+    m[1, 2, 3] = m[2, 4, 3] = True
+    assert bounding_box(m) == (slice(1, 3), slice(2, 5), slice(3, 4))
+    assert bounding_box(m, (1, 0, 2)) == (slice(0, 4), slice(2, 5), slice(1, 6))
+    assert bounding_box(m, (9, 9, 9)) == (slice(0, 5), slice(0, 6), slice(0, 7))
+    m[:] = False
+    m[4, 5, 6] = True  # the far corner: growth clips at the high ends
+    assert bounding_box(m, (1, 1, 1)) == (slice(3, 5), slice(4, 6), slice(5, 7))
+    assert np.array_equal(m[bounding_box(m)], np.ones((1, 1, 1), dtype=bool))

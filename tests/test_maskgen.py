@@ -55,6 +55,9 @@ def test_organ_config_validation_and_json():
     assert cfg.to_json()["elem"] == "full26"
     with pytest.raises(ValueError):
         OrganConfig.from_json({"set_ts": [1], "set_word": [1], "bogus": 3})
+    for bad in (5, None, ["face6"]):
+        with pytest.raises(ValueError):
+            OrganConfig.from_json({"elem": bad})
 
 
 def test_build_ooi_empty_word_source(rng):

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatvox.grid import Dims, Spacing, VoxelGrid, make_grid
 from anatvox.losses import LossConfig, soft_dice_loss
@@ -149,6 +152,20 @@ def test_metrics_symmetry_and_pr_re_swap(rng):
         assert a.precision == b.recall and a.recall == b.precision
 
 
+def _surface_oracle(y: np.ndarray, p: np.ndarray, spacing: Spacing, tol: float) -> tuple[float, float]:
+    """NSD and HD95 from all-pairs distances between the two full-grid surfaces."""
+    sy = surface_voxels(bool_grid(y, spacing)).data
+    sp = surface_voxels(bool_grid(p, spacing)).data
+    d_p = directed_surface_distances(sp, sy, spacing)
+    d_y = directed_surface_distances(sy, sp, spacing)
+    nsd_ref = ((d_p <= tol).sum() + (d_y <= tol).sum()) / (d_p.size + d_y.size)
+
+    def rank95(d):
+        return float(np.sort(d)[math.ceil(0.95 * d.size) - 1])
+
+    return nsd_ref, max(rank95(d_p), rank95(d_y))
+
+
 def test_nsd_hd95_match_all_pairs_oracle(rng):
     for _ in range(10):
         shape = tuple(int(v) for v in rng.integers(3, 13, 3))
@@ -158,17 +175,30 @@ def test_nsd_hd95_match_all_pairs_oracle(rng):
             continue
         tol = 4.0
         r = seg_metrics(VoxelGrid(y, ANISO), VoxelGrid(p, ANISO), nsd_tol_mm=tol)
+        nsd_ref, hd_ref = _surface_oracle(y, p, ANISO, tol)
+        assert r.nsd == pytest.approx(nsd_ref, abs=1e-12)
+        assert r.hd95_mm == pytest.approx(hd_ref, abs=1e-9)
 
-        sy = surface_voxels(bool_grid(y, ANISO)).data
-        sp = surface_voxels(bool_grid(p, ANISO)).data
-        d_p = directed_surface_distances(sp, sy, ANISO)
-        d_y = directed_surface_distances(sy, sp, ANISO)
-        nsd_ref = ((d_p <= tol).sum() + (d_y <= tol).sum()) / (d_p.size + d_y.size)
 
-        def rank95(d):
-            return float(np.sort(d)[math.ceil(0.95 * d.size) - 1])
+@st.composite
+def padded_mask_pairs(draw):
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    y = draw(arrays(np.bool_, shape))
+    p = draw(arrays(np.bool_, shape))
+    pads = tuple(draw(st.tuples(st.integers(0, 4), st.integers(0, 4))) for _ in range(3))
+    return y, p, pads
 
-        hd_ref = max(rank95(d_p), rank95(d_y))
+
+@settings(max_examples=200)
+@given(pair=padded_mask_pairs())
+def test_seg_metrics_ignore_zero_padding(pair):
+    # seg_metrics crops to the box of gt | pred, so empty margins change nothing
+    y, p, pads = pair
+    r = seg_metrics(VoxelGrid(y, ANISO), VoxelGrid(p, ANISO))
+    yp, pp = np.pad(y, pads), np.pad(p, pads)
+    assert seg_metrics(VoxelGrid(yp, ANISO), VoxelGrid(pp, ANISO)) == r
+    if y.any() and p.any():
+        nsd_ref, hd_ref = _surface_oracle(yp, pp, ANISO, 4.0)
         assert r.nsd == pytest.approx(nsd_ref, abs=1e-12)
         assert r.hd95_mm == pytest.approx(hd_ref, abs=1e-9)
 

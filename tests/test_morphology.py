@@ -13,6 +13,7 @@ from anatvox.morphology import (
     boundary_band,
     dilate,
     dilate_mask,
+    elem_from_name,
     erode,
     erode_mask,
 )
@@ -135,7 +136,7 @@ def test_packed_equals_naive_across_word_boundaries(rng, nx):
             assert np.array_equal(erode_mask(mask, elem, t), erode_naive(mask, elem, t))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     mask=arrays(np.bool_, st.tuples(*[st.integers(1, 6)] * 3)),
     elem=st.sampled_from([FACE6, FULL26]),
@@ -145,6 +146,31 @@ def test_morphology_equals_naive_oracle_on_small_axes(mask, elem, times):
     # size-1 axes have no in-grid neighbor on either side
     assert np.array_equal(dilate_mask(mask, elem, times), dilate_naive(mask, elem, times))
     assert np.array_equal(erode_mask(mask, elem, times), erode_naive(mask, elem, times))
+
+
+@settings(max_examples=200)
+@given(
+    mask=arrays(np.bool_, st.tuples(*[st.integers(1, 5)] * 3)),
+    elem=st.sampled_from([FACE6, FULL26]),
+    extra=st.integers(1, 4),
+)
+def test_repeats_past_sum_of_shape_change_nothing(mask, elem, extra):
+    # by sum(shape) steps dilation is empty or full and erosion is empty
+    cap = sum(mask.shape)
+    for op, oracle in ((dilate_mask, dilate_naive), (erode_mask, erode_naive)):
+        at_cap = op(mask, elem, cap)
+        assert np.array_equal(at_cap, oracle(mask, elem, cap))
+        assert np.array_equal(op(mask, elem, cap + extra), at_cap)
+        assert np.array_equal(oracle(mask, elem, cap + extra), at_cap)
+
+
+def test_elem_name_must_be_a_string():
+    assert elem_from_name("FULL26") == FULL26
+    for bad in (5, None, b"face6", ["face6"]):
+        with pytest.raises(ValueError):
+            elem_from_name(bad)
+    with pytest.raises(ValueError):
+        elem_from_name("cross")
 
 
 def test_boundary_band_cube_shell():

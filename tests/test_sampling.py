@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatvox.grid import Dims, VoxelGrid, make_grid
 from anatvox.sampling import (
@@ -13,7 +16,7 @@ from anatvox.sampling import (
     psm_from_gain,
 )
 
-from conftest import ISO, bool_grid, gain_at_naive, random_mask
+from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, random_mask
 
 
 def test_patch_spec_derived_quantities():
@@ -94,6 +97,58 @@ def test_gain_separable_matches_naive_everywhere(rng):
                         assert g[z, y, x] == 0.0
                     else:
                         assert g[z, y, x] == pytest.approx(ref, rel=1e-9)
+
+
+@st.composite
+def boxed_masks(draw):
+    """A random mask filling a random sub-box of a random grid, faces included."""
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    lo = [draw(st.integers(0, n - 1)) for n in shape]
+    hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(map(slice, lo, hi))] = draw(arrays(np.bool_, tuple(b - a for a, b in zip(lo, hi))))
+    return mask
+
+
+@settings(max_examples=300)
+@given(
+    mask=boxed_masks(),
+    size=st.tuples(*[st.integers(1, 30)] * 3),
+    stddev=st.booleans(),
+)
+def test_gain_map_bitwise_equals_full_grid_passes(mask, size, stddev):
+    # patch radii reach up to 15 voxels, past every axis of the grid
+    o = bool_grid(mask, ANISO)
+    spec = PatchSpec(size, sigma_is_stddev=stddev)
+    g = gain_map(o, spec).grid.data
+    assert g.dtype == np.float64 and g.shape == mask.shape
+    assert np.array_equal(g, gain_map_full(o, spec))
+
+
+def _face_and_corner_masks(shape):
+    nz, ny, nx = shape
+    yield np.zeros(shape, dtype=bool)
+    for axis in range(3):
+        for end in (0, shape[axis] - 1):
+            m = np.zeros(shape, dtype=bool)
+            index = [slice(1, n - 1) for n in shape]
+            index[axis] = end
+            m[tuple(index)] = True  # a face's plane without its rim
+            yield m
+    for z in (0, nz - 1):
+        for y in (0, ny - 1):
+            for x in (0, nx - 1):
+                m = np.zeros(shape, dtype=bool)
+                m[z, y, x] = True
+                yield m
+
+
+@pytest.mark.parametrize("size", [(1, 1, 1), (4, 6, 8), (9, 20, 3), (40, 40, 40)])
+def test_gain_map_on_faces_and_corners_equals_full_grid_passes(size):
+    spec = PatchSpec(size)
+    for mask in _face_and_corner_masks((7, 9, 11)):
+        o = bool_grid(mask)
+        assert np.array_equal(gain_map(o, spec).grid.data, gain_map_full(o, spec))
 
 
 def test_psm_uniform_for_zero_gain():
