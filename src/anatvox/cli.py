@@ -31,6 +31,7 @@ import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
 from .grid import VoxelGrid, extract_patch, to_bool
+from .jsoncheck import overlay_json
 from .losses import LossConfig, af_loss, cross_entropy_loss, soft_dice_loss
 
 
@@ -63,10 +64,7 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, obj) -> "PipelineConfig":
         """Config from a JSON object shaped like ``to_json``'s; absent keys keep their defaults."""
-        default = cls().to_json()
-        _check_json(obj, default, "config")
-        j = {k: {**v, **obj.get(k, {})} if isinstance(v, dict) else obj.get(k, v)
-             for k, v in default.items()}
+        j = overlay_json(obj, cls().to_json(), "config")
         return cls(
             organ=maskgen.OrganConfig.from_json(j["organ"]),
             patch=sampling.PatchSpec(tuple(j["patch_size"]), j["sigma_is_stddev"]),
@@ -90,29 +88,6 @@ class PipelineConfig:
             "nsd_tol_mm": self.nsd_tol_mm,
             "hd_penalty_mm": self.hd_penalty_mm,
         }
-
-
-def _json_kind(value) -> str:
-    """JSON type name of a config value; the config's lists all hold numbers."""
-    if isinstance(value, list):
-        return "list of numbers" if all(_json_kind(v) == "number" for v in value) else "list"
-    kinds = {bool: "bool", int: "number", float: "number", str: "string", dict: "object"}
-    return kinds.get(type(value), "null")
-
-
-def _check_json(obj, schema: dict, where: str) -> None:
-    """Raise unless ``obj`` is a JSON object whose keys and value types are ``schema``'s."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{where} must be a JSON object, got {json.dumps(obj)}")
-    unknown = set(obj) - set(schema)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    for key, value in obj.items():
-        if isinstance(schema[key], dict):
-            _check_json(value, schema[key], key)
-        elif _json_kind(value) != _json_kind(schema[key]):
-            want = _json_kind(schema[key])
-            raise TypeError(f"{key} must be a JSON {want}, got {json.dumps(value)}")
 
 
 def _int_list(value: str) -> list[int]:
@@ -141,11 +116,19 @@ _CONFIG_FLAGS = (
 )
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(value: str, low: int) -> int:
     n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return n
+
+
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _seed(value: str) -> int:
+    return _int_at_least(value, 0)
 
 
 def _load_grid(path) -> VoxelGrid:
@@ -243,6 +226,7 @@ def _cmd_psm(args, cfg: PipelineConfig) -> int:
     s_organ = sampling.psm_from_gain(sampling.gain_map(ooi, cfg.patch), cfg.mu)
     s_tumor = sampling.psm_from_gain(sampling.gain_map(tumor, cfg.patch), cfg.mu)
     final = sampling.combine_psm(s_organ, s_tumor, cfg.lam)
+    del s_organ, s_tumor  # so that only the final map is alive while it is written
     _write_float(final.grid, args.out)
     return 0
 
@@ -339,11 +323,11 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         raise FileNotFoundError(f"phantom spec not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
+        if args.seed is not None and isinstance(obj, dict):  # else from_json names the bad spec
+            obj["seed"] = args.seed
         spec = phantom.PhantomSpec.from_json(obj)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad phantom spec {path}: {exc}") from None
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     ct, labels, tumor = phantom.gen_phantom(spec)
     _write_float(ct, args.out_ct)
     volio.write_volume(labels, volio.VolumeMeta.for_grid(labels, "uint8"), args.out_labels)
@@ -395,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = stage("sample", "draw seeded patch centers from a sampling map")
     p.add_argument("--psm")
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.add_argument("--image", help="volume to cut patches from")
     p.add_argument("--patch-dir", dest="patch_dir", help="directory for patch volumes")
@@ -404,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = stage("ssl-mask", "replace bowel-wall voxels with seeded noise")
     p.add_argument("--ct")
     p.add_argument("--wall")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
 
     p = stage("loss", "dice / cross-entropy / focalized loss report")
@@ -422,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = stage("phantom", "generate a synthetic phantom from a spec JSON")
     p.add_argument("--spec")
-    p.add_argument("--seed", type=int, help="override the seed in the spec")
+    p.add_argument("--seed", type=_seed, help="override the seed in the spec")
     p.add_argument("--out-ct", dest="out_ct")
     p.add_argument("--out-labels", dest="out_labels")
     p.add_argument("--out-tumor", dest="out_tumor")

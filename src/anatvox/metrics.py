@@ -43,83 +43,69 @@ class MetricReport:
 # Exact Euclidean distance transform
 # ---------------------------------------------------------------------------
 
-def _envelope_1d(f: list, step: float) -> list:
-    """Lower envelope of parabolas y(i) = f[q] + (step * (i - q))^2.
+def _envelope_pass(sq: np.ndarray, axis: int, step: float) -> None:
+    """In place along ``axis``: sq[i] becomes min over q of sq[q] + (step * (i - q))^2.
 
-    Sites with f = inf never touch the envelope and are skipped, so lines
-    with no finite entry come back all-inf.
+    The Felzenszwalb-Huttenlocher lower envelope of parabolas, run one
+    position at a time with every line of the axis handled at once. Sites
+    with sq = inf never enter an envelope, so a line without one stays inf.
     """
-    n = len(f)
+    f = np.moveaxis(sq, axis, 0)
+    n, m = f.shape[0], f[0].size
     w2 = step * step
-    out = [_INF] * n
-    v = [0] * n
-    z = [0.0] * (n + 1)
-    k = -1
+    v = np.empty((n, m), np.int32)  # per line, the envelope's vertices bottom-up
+    h = np.empty((n, m))  # their values sq[v]
+    z = np.empty((n + 1, m))  # z[k]: where vertex k starts to lie lowest
+    top = np.full(m, -1, np.intp)  # each line's top vertex; -1 when none
     for q in range(n):
-        fq = f[q]
-        if fq == _INF:
-            continue
-        fq += w2 * q * q
-        while k >= 0:
-            p = v[k]
-            s = (fq - (f[p] + w2 * p * p)) / (2.0 * w2 * (q - p))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        if k < 0:
-            k = 0
-            v[0] = q
-            z[0] = -_INF
-        else:
-            k += 1
-            v[k] = q
-            z[k] = s
-        z[k + 1] = _INF
-    if k < 0:
-        return out
-    k = 0
+        site = f[q] < _INF
+        live = np.flatnonzero(site)
+        fq = f[q][site]
+        lifted = fq + w2 * q * q
+        k = top[live]
+        start = np.full(live.size, -_INF)  # where q starts to lie lowest; -inf once all are popped
+        todo = np.flatnonzero(k >= 0)
+        while todo.size:
+            lines, kk = live[todo], k[todo]
+            p = v[kk, lines]
+            cross = (lifted[todo] - (h[kk, lines] + w2 * p * p)) / (2.0 * w2 * (q - p))
+            pop = cross <= z[kk, lines]
+            start[todo[~pop]] = cross[~pop]
+            todo = todo[pop]
+            k[todo] -= 1
+            todo = todo[k[todo] >= 0]
+        k += 1
+        v[k, live] = q
+        h[k, live] = fq
+        z[k, live] = start
+        z[k + 1, live] = _INF
+        top[live] = k
+    has = (top >= 0).reshape(f.shape[1:])  # a line without sites stays inf
+    lines = np.flatnonzero(has)
+    k = np.zeros(lines.size, np.intp)
     for i in range(n):
-        while z[k + 1] < i:
-            k += 1
-        d = (i - v[k]) * step
-        out[i] = d * d + f[v[k]]
-    return out
-
-
-def _envelope_pass(sq: np.ndarray, axis: int, step: float) -> np.ndarray:
-    moved = np.moveaxis(sq, axis, -1)
-    shape = moved.shape
-    flat = np.ascontiguousarray(moved).reshape(-1, shape[-1])
-    for r in range(flat.shape[0]):
-        row = flat[r]
-        if np.all(np.isinf(row)):
-            continue
-        flat[r] = _envelope_1d(row.tolist(), step)
-    return np.moveaxis(flat.reshape(shape), -1, axis)
+        ahead = np.flatnonzero(z[k + 1, lines] < i)
+        while ahead.size:
+            k[ahead] += 1
+            ahead = ahead[z[k[ahead] + 1, lines[ahead]] < i]
+        d = (i - v[k, lines]) * step
+        f[i][has] = d * d + h[k, lines]
 
 
 def edt(mask: VoxelGrid) -> VoxelGrid:
     """Distance in mm from every voxel to the nearest true voxel.
 
-    Exact under anisotropic spacing: a vectorized two-sweep pass along x
-    gives the 1D distances, then parabolic lower envelopes along y and z
-    fold in the remaining axes. An empty mask yields +inf everywhere (the
-    one documented infinity in the package).
+    Exact under anisotropic spacing: squared distances start at 0 on the
+    mask and inf elsewhere, and one lower-envelope pass each along x, y and
+    z folds in that axis. An empty mask yields +inf everywhere (the one
+    documented infinity in the package).
     """
     if mask.data.dtype != np.bool_:
         raise ValueError("edt requires a boolean grid")
-    sz, sy, sx = mask.spacing.zyx
-    d = np.where(mask.data, 0.0, _INF)
-    nx = d.shape[2]
-    for i in range(1, nx):
-        np.minimum(d[:, :, i], d[:, :, i - 1] + sx, out=d[:, :, i])
-    for i in range(nx - 2, -1, -1):
-        np.minimum(d[:, :, i], d[:, :, i + 1] + sx, out=d[:, :, i])
-    sq = d * d
-    sq = _envelope_pass(sq, 1, sy)
-    sq = _envelope_pass(sq, 0, sz)
-    return mask.with_data(np.sqrt(sq))
+    sq = np.where(mask.data, 0.0, _INF)
+    for axis in (2, 1, 0):
+        _envelope_pass(sq, axis, mask.spacing.zyx[axis])
+    return mask.with_data(np.sqrt(sq, out=sq))
 
 
 def surface_voxels(mask: VoxelGrid) -> VoxelGrid:
@@ -177,10 +163,9 @@ def seg_metrics(
     box = bounding_box(gt.data | pred.data)
     surf_gt = surface_voxels(gt.with_data(gt.data[box]))
     surf_pr = surface_voxels(pred.with_data(pred.data[box]))
-    dist_to_gt = edt(surf_gt).data
-    dist_to_pr = edt(surf_pr).data
-    d_gt = dist_to_pr[surf_gt.data]
-    d_pr = dist_to_gt[surf_pr.data]
+    # each distance grid is dropped before the next EDT allocates its own
+    d_pr = edt(surf_gt).data[surf_pr.data]
+    d_gt = edt(surf_pr).data[surf_gt.data]
 
     nsd = (int(np.count_nonzero(d_pr <= nsd_tol_mm)) + int(np.count_nonzero(d_gt <= nsd_tol_mm))) / (
         d_pr.size + d_gt.size

@@ -12,14 +12,21 @@ only moves intensities and distractor placement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Coord, Dims, Spacing, VoxelGrid
+from .jsoncheck import overlay_json
 
 ARC_HALF_ANGLE = 0.75 * math.pi  # 270 degree arc
 _MAJOR_RADIUS_FRACTION = 0.6
+_REGIONS = ("background", "lumen", "wall", "tumor", "organ")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -28,8 +35,8 @@ class TissueStats:
     stddev: float
 
     def __post_init__(self):
-        if self.stddev < 0:
-            raise ValueError("tissue stddev must be >= 0")
+        if not (math.isfinite(self.mean) and 0 <= self.stddev < math.inf):
+            raise ValueError(f"tissue mean must be finite and stddev finite and >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -48,42 +55,41 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tube_radius_mm <= 0 or self.tumor_radius_mm <= 0:
-            raise ValueError("tube and tumor radii must be positive")
+        if not (0 < self.tube_radius_mm < math.inf and 0 < self.tumor_radius_mm < math.inf):
+            raise ValueError("tube and tumor radii must be positive and finite")
         if not (0 < self.wall_thickness_mm < self.tube_radius_mm):
             raise ValueError("wall thickness must be in (0, tube_radius)")
-        if not (0 <= self.n_distractors <= 250):
-            raise ValueError("n_distractors must be in [0, 250]")
+        if not (_is_int(self.n_distractors) and 0 <= self.n_distractors <= 250):
+            raise ValueError(f"n_distractors must be an integer in [0, 250], got {self.n_distractors!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PhantomSpec":
-        known = {
-            "dims", "spacing", "tube_radius_mm", "wall_thickness_mm",
-            "tumor_radius_mm", "n_distractors", "intensity", "seed",
+    def from_json(cls, obj) -> "PhantomSpec":
+        """Spec from a JSON object shaped like ``to_json``'s; absent keys keep their defaults."""
+        j = overlay_json(obj, cls().to_json(), "phantom spec")
+        return cls(
+            dims=Dims(*j["dims"]),
+            spacing=Spacing(*(float(v) for v in j["spacing"])),
+            tube_radius_mm=float(j["tube_radius_mm"]),
+            wall_thickness_mm=float(j["wall_thickness_mm"]),
+            tumor_radius_mm=float(j["tumor_radius_mm"]),
+            n_distractors=j["n_distractors"],
+            seed=j["seed"],
+            **{region: TissueStats(*(float(v) for v in pair)) for region, pair in j["intensity"].items()},
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "dims": list(self.dims.shape),
+            "spacing": list(self.spacing.zyx),
+            "tube_radius_mm": self.tube_radius_mm,
+            "wall_thickness_mm": self.wall_thickness_mm,
+            "tumor_radius_mm": self.tumor_radius_mm,
+            "n_distractors": self.n_distractors,
+            "intensity": {r: [getattr(self, r).mean, getattr(self, r).stddev] for r in _REGIONS},
+            "seed": self.seed,
         }
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown phantom spec keys: {sorted(unknown)}")
-        kwargs = {}
-        if "dims" in obj:
-            kwargs["dims"] = Dims(*(int(v) for v in obj["dims"]))
-        if "spacing" in obj:
-            kwargs["spacing"] = Spacing(*(float(v) for v in obj["spacing"]))
-        for key in ("tube_radius_mm", "wall_thickness_mm", "tumor_radius_mm"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
-        if "n_distractors" in obj:
-            kwargs["n_distractors"] = int(obj["n_distractors"])
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        intensity = obj.get("intensity", {})
-        regions = {"background", "lumen", "wall", "tumor", "organ"}
-        bad = set(intensity) - regions
-        if bad:
-            raise ValueError(f"unknown phantom intensity keys: {sorted(bad)}")
-        for region, pair in intensity.items():
-            kwargs[region] = TissueStats(float(pair[0]), float(pair[1]))
-        return cls(**kwargs)
 
 
 def _grid_coords_mm(spec: PhantomSpec):

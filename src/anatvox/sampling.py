@@ -59,12 +59,6 @@ class PatchSpec:
 
 
 @dataclass
-class GainField:
-    grid: VoxelGrid
-    patch: PatchSpec
-
-
-@dataclass
 class SamplingMap:
     """Per-voxel probability of being chosen as a patch center."""
 
@@ -84,7 +78,7 @@ def _axis_kernel(radius: int, variance: float) -> np.ndarray:
     return np.exp(-(t * t) / (2.0 * variance))
 
 
-def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
+def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
     """Gain field of an interest mask: three separable truncated-Gaussian passes.
 
     Each pass adds the weighted in-grid neighbors along one axis, so the mask
@@ -99,7 +93,7 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
     out = np.zeros(interest.data.shape)
     box = bounding_box(interest.data, radii)
     if box is None:
-        return GainField(interest.with_data(out), patch)
+        return interest.with_data(out)
     acc = interest.data[box].astype(np.float64)
     variances = patch.variances
     for axis in (0, 1, 2):
@@ -118,10 +112,10 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> GainField:
         acc = nxt
     acc *= patch.norm_const
     out[box] = acc
-    return GainField(interest.with_data(out), patch)
+    return interest.with_data(out)
 
 
-def psm_from_gain(gain: GainField, mu: float = 1.0) -> SamplingMap:
+def psm_from_gain(gain: VoxelGrid, mu: float = 1.0) -> SamplingMap:
     """Blend the gain field with the uniform map and renormalize.
 
     s_i = (g_i / mu + 1/n) / sum_j (g_j / mu + 1/n). Every probability is
@@ -129,11 +123,10 @@ def psm_from_gain(gain: GainField, mu: float = 1.0) -> SamplingMap:
     """
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    g = gain.grid.data.astype(np.float64)
-    n = g.size
-    shat = g / mu + 1.0 / n
-    s = shat / np.sum(shat, dtype=np.float64)
-    return SamplingMap(gain.grid.with_data(s))
+    s = gain.data.astype(np.float64, copy=False) / mu
+    s += 1.0 / s.size
+    s /= np.sum(s, dtype=np.float64)
+    return SamplingMap(gain.with_data(s))
 
 
 def combine_psm(s_organ: SamplingMap, s_tumor: SamplingMap, lam: float) -> SamplingMap:
@@ -141,7 +134,8 @@ def combine_psm(s_organ: SamplingMap, s_tumor: SamplingMap, lam: float) -> Sampl
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_same_geometry(s_organ.grid, s_tumor.grid)
-    mixed = (1.0 - lam) * s_organ.grid.data + lam * s_tumor.grid.data
+    mixed = s_organ.grid.data * (1.0 - lam)
+    mixed += lam * s_tumor.grid.data
     return SamplingMap(s_organ.grid.with_data(mixed))
 
 

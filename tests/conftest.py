@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from anatvox.grid import Spacing, VoxelGrid
 from anatvox.morphology import StructElem
@@ -15,6 +16,13 @@ settings.load_profile("anatvox")
 
 ISO = Spacing(1.0, 1.0, 1.0)
 ANISO = Spacing(5.0, 0.78, 0.78)
+
+# any JSON value, for fuzzing the config and phantom-spec readers
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from anatvox.metrics import seg_metrics, surface_voxels, edt
 from anatvox.morphology import FACE6, FULL26, dilate_mask, erode_mask
 from anatvox.phantom import PhantomSpec, arc_params, gen_phantom
 from anatvox.sampling import (
-    GainField,
     PatchSpec,
     SamplingMap,
     combine_psm,
@@ -77,7 +76,7 @@ def test_criterion_01_separable_gain_matches_naive_oracle():
         mask = random_mask(rng, shape, float(rng.uniform(0.1, 0.5)))
         spec = PatchSpec(tuple(int(d) for d in rng.integers(2, 9, 3)))
         grid = VoxelGrid(mask, ISO)
-        got = gain_map(grid, spec).grid.data
+        got = gain_map(grid, spec).data
         ref = _gain_direct_3d(mask, spec)
         zero = ref == 0.0
         assert np.all(got[zero] == 0.0)
@@ -102,13 +101,13 @@ def test_criterion_02_psm_algebra():
     rng = np.random.default_rng(202)
     for mu in (0.5, 1.0, 2.0):
         g = rng.random((6, 6, 6)) * 3.0
-        s = psm_from_gain(GainField(VoxelGrid(g, ISO), PatchSpec((2, 2, 2))), mu=mu).grid.data
+        s = psm_from_gain(VoxelGrid(g, ISO), mu=mu).grid.data
         n = g.size
         expected = (g / mu + 1.0 / n) / (g.sum() / mu + 1.0)
         assert np.abs(s - expected).max() <= 1e-12
 
     zero = psm_from_gain(
-        GainField(make_grid(Dims(4, 4, 4), ISO, 0.0, dtype=np.float64), PatchSpec((2, 2, 2))),
+        make_grid(Dims(4, 4, 4), ISO, 0.0, dtype=np.float64),
         mu=1.0,
     )
     assert np.all(zero.grid.data == 1.0 / 64)

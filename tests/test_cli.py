@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid
 from anatvox.volio import VolumeMeta, read_volume, write_volume
+
+from conftest import JSON_VALUES
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
 
@@ -155,6 +159,13 @@ def test_usage_errors_exit_2(workdir):
     assert run(["sample", "--psm", str(workdir / "tumor.nii"), "--count", "5"]) == 2  # no seed
     assert run(["metrics", "--cohort", str(workdir / "cases.jsonl"), "--out", str(workdir / "c.jsonl"),
                 "--jobs", "0"]) == 2
+    # a negative seed is a usage error, not numpy's "expected non-negative integer"
+    assert run(["sample", "--psm", str(workdir / "tumor.nii"), "--seed", "-1"]) == 2
+    assert run(["ssl-mask", "--ct", str(workdir / "ct.nii"), "--wall", str(workdir / "tumor.nii"),
+                "--seed", "-1", "--out", str(workdir / "m.nii")]) == 2
+    assert run(["phantom", "--spec", str(workdir / "spec.json"), "--seed", "-1", "--out-ct", str(workdir / "c.nii"),
+                "--out-labels", str(workdir / "l.nii"), "--out-tumor", str(workdir / "t.nii")]) == 2
+    assert not (workdir / "m.nii").exists() and not (workdir / "c.nii").exists()
 
 
 def test_missing_input_exit_1(workdir):
@@ -282,15 +293,48 @@ def test_flag_over_a_malformed_block_names_the_block(tmp_path, capsys):
     assert "organ must be a JSON object" in capsys.readouterr().err
 
 
+BAD_PHANTOM_SPECS = [
+    [],
+    {"intensity": []},
+    {"intensity": {"wall": [1]}},
+    {"seed": 1.5},
+    {"seed": "7"},
+    {"seed": -1},
+    {"dims": [16.9, 96, 96]},
+    {"n_distractors": True},
+    {"tumor_radius_mm": math.nan},
+    {"intensity": {"wall": [math.nan, 0.05]}},
+    {"intensity": {"tumor": [0.8, math.inf]}},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_PHANTOM_SPECS, ids=json.dumps)
+def test_bad_phantom_spec_exits_2(bad, tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps(bad))
+    out = [str(tmp_path / f) for f in ("ct.nii", "labels.nii", "tumor.nii")]
+    argv = ["phantom", "--spec", str(tmp_path / "spec.json"), "--out-ct", out[0], "--out-labels", out[1],
+            "--out-tumor", out[2]]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad phantom spec") and err.count("\n") == 1
+    assert not any(Path(f).exists() for f in out)
+
+
+def test_phantom_seed_flag_overlays_the_spec(workdir):
+    d = workdir / "seeded"
+    d.mkdir()
+    (d / "spec.json").write_text(json.dumps({**SPEC, "seed": "not a seed"}))
+    rc = run(["phantom", "--spec", str(d / "spec.json"), "--seed", "7", "--out-ct", str(d / "ct.nii"),
+              "--out-labels", str(d / "labels.nii"), "--out-tumor", str(d / "tumor.nii")])
+    assert rc == 0  # the flag replaces the spec's seed before the spec is checked
+    for name in ("ct.nii", "labels.nii", "tumor.nii"):  # workdir's phantom was made with seed 7
+        assert (d / name).read_bytes() == (workdir / name).read_bytes()
+
+
 DEFAULT_JSON = PipelineConfig().to_json()
 CONFIG_PATHS = [(key,) for key in DEFAULT_JSON] + [
     (block, key) for block, sub in DEFAULT_JSON.items() if isinstance(sub, dict) for key in sub
 ]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
-    max_leaves=8,
-)
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])

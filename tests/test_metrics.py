@@ -58,6 +58,35 @@ def test_edt_matches_brute_force_anisotropic(rng):
             assert np.abs(got - ref).max() <= 1e-9
 
 
+@st.composite
+def edt_cases(draw):
+    shape = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill == "random":
+        mask = draw(arrays(np.bool_, shape))
+        # blank whole lines along one axis, so some lines of a pass hold no site
+        axis = draw(st.integers(0, 2))
+        keep = draw(arrays(np.bool_, shape[:axis] + shape[axis + 1:]))
+        mask &= np.expand_dims(keep, axis)
+    else:
+        mask = np.full(shape, fill == "full")
+    spacing = Spacing(*draw(st.tuples(*[st.floats(0.05, 20.0)] * 3)))
+    return mask, spacing
+
+
+@settings(max_examples=300)
+@given(case=edt_cases())
+def test_edt_matches_brute_force_on_any_mask(case):
+    mask, spacing = case
+    before = mask.copy()
+    got = edt(VoxelGrid(mask, spacing)).data
+    assert np.array_equal(mask, before)  # the input grid is not written through
+    if mask.any():
+        assert np.abs(got - brute_edt(mask, spacing)).max() <= 1e-9
+    else:
+        assert np.all(np.isinf(got))
+
+
 def test_edt_spacing_scale_equivariance(rng):
     mask = random_mask(rng, (6, 6, 6), 0.2)
     base = edt(VoxelGrid(mask, ANISO)).data

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.maskgen import bowel_wall
@@ -15,6 +17,8 @@ from anatvox.phantom import (
     gen_phantom,
     tumor_center_voxel,
 )
+
+from conftest import JSON_VALUES
 
 SMALL = PhantomSpec(dims=Dims(24, 64, 64), spacing=Spacing(2.0, 1.0, 1.0), seed=7)
 
@@ -124,6 +128,30 @@ def test_from_json_round_trip_and_unknown_keys():
         PhantomSpec.from_json({"tube_radius": 7.0})
     with pytest.raises(ValueError):
         PhantomSpec.from_json({"intensity": {"bone": [1, 0.1]}})
+
+
+def test_to_json_round_trips():
+    assert PhantomSpec.from_json(SMALL.to_json()) == SMALL
+    assert PhantomSpec.from_json({}) == PhantomSpec()
+    assert PhantomSpec.from_json({"dims": (24, 64, 64), "spacing": (2.0, 1, 1), "seed": 7}) == SMALL
+
+
+SPEC_JSON = PhantomSpec().to_json()
+SPEC_PATHS = [(key,) for key in SPEC_JSON] + [("intensity", region) for region in SPEC_JSON["intensity"]]
+
+
+@settings(max_examples=300)
+@given(path=st.sampled_from(SPEC_PATHS), value=JSON_VALUES)
+def test_any_json_value_at_any_spec_key_is_accepted_or_rejected_cleanly(path, value):
+    obj = {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
+    try:
+        spec = PhantomSpec.from_json(obj)
+    except (ValueError, TypeError, OverflowError):
+        return
+    j = spec.to_json()
+    assert PhantomSpec.from_json(j) == spec
+    reals = [*j["spacing"], j["tube_radius_mm"], j["tumor_radius_mm"], *sum(j["intensity"].values(), [])]
+    assert all(math.isfinite(v) for v in reals)
 
 
 def test_region_intensities_separate():

@@ -47,7 +47,7 @@ def test_patch_spec_rejects_bad_size():
 def test_gain_of_empty_mask_is_zero():
     o = make_grid(Dims(5, 5, 5), ISO, False)
     g = gain_map(o, PatchSpec((4, 4, 4)))
-    assert np.all(g.grid.data == 0.0)
+    assert np.all(g.data == 0.0)
 
 
 def test_gain_single_voxel_center_equals_norm_const():
@@ -55,7 +55,7 @@ def test_gain_single_voxel_center_equals_norm_const():
     o.data[4, 4, 4] = True
     spec = PatchSpec((6, 6, 6))
     g = gain_map(o, spec)
-    assert g.grid.data[4, 4, 4] == pytest.approx(spec.norm_const, rel=1e-12)
+    assert g.data[4, 4, 4] == pytest.approx(spec.norm_const, rel=1e-12)
     assert gain_at_naive(o, spec, (4, 4, 4)) == pytest.approx(spec.norm_const, rel=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_gain_full_mask_center_equals_truncated_kernel_mass():
                 mass += math.exp(-0.5 * (dz * dz / vz + dy * dy / vy + dx * dx / vx))
     mass *= spec.norm_const
     g = gain_map(o, spec)
-    assert g.grid.data[5, 5, 5] == pytest.approx(mass, rel=1e-12)
+    assert g.data[5, 5, 5] == pytest.approx(mass, rel=1e-12)
 
 
 def test_gain_zero_outside_reach(rng):
@@ -79,16 +79,16 @@ def test_gain_zero_outside_reach(rng):
     o.data[0, 0, 0] = True
     spec = PatchSpec((4, 4, 4))
     g = gain_map(o, spec)
-    assert g.grid.data[0, 0, 6] == 0.0
+    assert g.data[0, 0, 6] == 0.0
     assert gain_at_naive(o, spec, (0, 0, 6)) == 0.0
-    assert np.all(g.grid.data >= 0.0)
+    assert np.all(g.data >= 0.0)
 
 
 def test_gain_separable_matches_naive_everywhere(rng):
     for _ in range(3):
         o = bool_grid(random_mask(rng, (6, 7, 5), 0.3))
         spec = PatchSpec(tuple(int(d) for d in rng.integers(2, 8, 3)))
-        g = gain_map(o, spec).grid.data
+        g = gain_map(o, spec).data
         for z in range(6):
             for y in range(7):
                 for x in range(5):
@@ -120,7 +120,7 @@ def test_gain_map_bitwise_equals_full_grid_passes(mask, size, stddev):
     # patch radii reach up to 15 voxels, past every axis of the grid
     o = bool_grid(mask, ANISO)
     spec = PatchSpec(size, sigma_is_stddev=stddev)
-    g = gain_map(o, spec).grid.data
+    g = gain_map(o, spec).data
     assert g.dtype == np.float64 and g.shape == mask.shape
     assert np.array_equal(g, gain_map_full(o, spec))
 
@@ -148,7 +148,7 @@ def test_gain_map_on_faces_and_corners_equals_full_grid_passes(size):
     spec = PatchSpec(size)
     for mask in _face_and_corner_masks((7, 9, 11)):
         o = bool_grid(mask)
-        assert np.array_equal(gain_map(o, spec).grid.data, gain_map_full(o, spec))
+        assert np.array_equal(gain_map(o, spec).data, gain_map_full(o, spec))
 
 
 def test_psm_uniform_for_zero_gain():
@@ -160,19 +160,17 @@ def test_psm_uniform_for_zero_gain():
 def test_psm_two_voxel_hand_case():
     # gains (0, 1), mu=1: intermediate (0.5, 1.5) normalizes to (0.25, 0.75)
     gain_grid = VoxelGrid(np.array([[[0.0, 1.0]]]), ISO)
-    from anatvox.sampling import GainField
-
-    s = psm_from_gain(GainField(gain_grid, PatchSpec((1, 1, 2))), mu=1.0)
+    s = psm_from_gain(gain_grid, mu=1.0)
     assert s.grid.data[0, 0, 0] == pytest.approx(0.25, abs=1e-15)
     assert s.grid.data[0, 0, 1] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_psm_algebraic_identity(rng):
-    from anatvox.sampling import GainField
-
     for mu in (0.5, 1.0, 3.0):
         g = rng.random((4, 5, 6)) * 2.0
-        s = psm_from_gain(GainField(VoxelGrid(g, ISO), PatchSpec((2, 2, 2))), mu=mu)
+        before = g.copy()
+        s = psm_from_gain(VoxelGrid(g, ISO), mu=mu)
+        assert np.array_equal(g, before)  # the float64 gain is read, not overwritten
         n = g.size
         gbar = g.sum()
         expected = (g / mu + 1.0 / n) / (gbar / mu + 1.0)
@@ -181,10 +179,8 @@ def test_psm_algebraic_identity(rng):
 
 
 def test_psm_monotone_in_gain(rng):
-    from anatvox.sampling import GainField
-
     g = rng.random((3, 3, 3))
-    s = psm_from_gain(GainField(VoxelGrid(g, ISO), PatchSpec((2, 2, 2))), mu=1.0).grid.data
+    s = psm_from_gain(VoxelGrid(g, ISO), mu=1.0).grid.data
     flat_g = g.ravel()
     flat_s = s.ravel()
     order = np.argsort(flat_g)
