@@ -143,17 +143,12 @@ def _load_mask(path) -> VoxelGrid:
     return to_bool(_load_grid(path))
 
 
-def _load_probability(path) -> VoxelGrid:
-    grid = _load_grid(path)
-    return grid.with_data(grid.data.astype(np.float64))
-
-
 def _write_mask(mask: VoxelGrid, path) -> None:
     volio.write_volume(mask, volio.VolumeMeta.for_grid(mask, "uint8"), path)
 
 
 def _write_float(grid: VoxelGrid, path) -> None:
-    out = grid.with_data(grid.data.astype(np.float32))
+    out = grid.with_data(grid.data.astype(np.float32, copy=False))
     volio.write_volume(out, volio.VolumeMeta.for_grid(out, "float32"), path)
 
 
@@ -235,9 +230,10 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     _require(args, "psm", "seed")
     if args.patch_dir:
         _require(args, "image")  # before the centers file is written
-    grid = _load_probability(args.psm)
-    data = grid.data / np.sum(grid.data, dtype=np.float64)  # undo float32 quantization
-    smap = sampling.SamplingMap(grid.with_data(data))
+    grid = _load_grid(args.psm)
+    grid = grid.with_data(grid.data.astype(np.float64))
+    grid.data /= np.sum(grid.data)  # undo float32 quantization
+    smap = sampling.SamplingMap(grid)
     centers = sampling.draw_centers(smap, args.count, args.seed)
     payload = {
         "count": args.count,
@@ -267,7 +263,7 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
 def _cmd_loss(args, cfg: PipelineConfig) -> int:
     _require(args, "gt", "pred", "ooi")
     gt = _load_mask(args.gt)
-    pred = _load_probability(args.pred)
+    pred = _load_grid(args.pred)
     ooi = _load_mask(args.ooi)
     report = {
         "dice_loss": soft_dice_loss(gt, pred, cfg.loss),

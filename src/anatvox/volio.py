@@ -27,6 +27,7 @@ The raw format is <name>.raw (little-endian voxels, z slowest) next to
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +42,8 @@ MAGIC = b"n+1\x00"
 
 DATATYPES = {"uint8": 2, "int16": 4, "int32": 8, "float32": 16}
 _CODE_TO_NAME = {v: k for k, v in DATATYPES.items()}
-_NP_DTYPES = {
-    "uint8": np.dtype("<u1"),
-    "int16": np.dtype("<i2"),
-    "int32": np.dtype("<i4"),
-    "float32": np.dtype("<f4"),
-}
-_BITPIX = {"uint8": 8, "int16": 16, "int32": 32, "float32": 32}
+_NP_DTYPES = {"uint8": np.dtype("<u1"), "int16": np.dtype("<i2"),
+              "int32": np.dtype("<i4"), "float32": np.dtype("<f4")}
 
 
 class VolumeFormatError(ValueError):
@@ -98,21 +94,21 @@ def _natural_datatype(dtype: np.dtype) -> str:
     return "float32"
 
 
-def _encode_payload(grid: VoxelGrid, datatype: str, path) -> bytes:
-    """Grid data as little-endian bytes, refusing any lossy conversion."""
+def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
+    """Grid data in the little-endian ``datatype``, refusing any lossy conversion.
+
+    Data already of that dtype is returned as it is, without a copy.
+    """
     data = grid.data
-    target = _NP_DTYPES[datatype]
-    if data.dtype == np.bool_:
-        cast = data.astype(target)
-    else:
-        cast = data.astype(target)
+    cast = data.astype(_NP_DTYPES[datatype], copy=False)
+    if cast is not data:
         back = cast.astype(data.dtype)
         # the NaN-aware comparison copies the data, so it runs only when the plain one fails
         if not (np.array_equal(back, data) or np.array_equal(back, data, equal_nan=True)):
             raise ValueError(
                 f"{path}: datatype {datatype} cannot losslessly represent the grid data"
             )
-    return np.ascontiguousarray(cast).tobytes()
+    return cast
 
 
 # ---------------------------------------------------------------------------
@@ -127,89 +123,81 @@ def _build_header(meta: VolumeMeta) -> bytes:
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<8h", hdr, 40, 3, dims.nx, dims.ny, dims.nz, 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, DATATYPES[meta.datatype])
-    struct.pack_into("<h", hdr, 72, _BITPIX[meta.datatype])
+    struct.pack_into("<h", hdr, 72, 8 * _NP_DTYPES[meta.datatype].itemsize)
     if not meta.raw_header:
         # fresh header: pixdim[0] is the qform handedness flag, units are mm
         struct.pack_into("<f", hdr, 76, 1.0)
         hdr[123] = 2
     struct.pack_into("<3f", hdr, 80, meta.spacing.sx, meta.spacing.sy, meta.spacing.sz)
-    struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))
-    struct.pack_into("<f", hdr, 112, meta.scl_slope)
-    struct.pack_into("<f", hdr, 116, meta.scl_inter)
+    struct.pack_into("<3f", hdr, 108, VOX_OFFSET, meta.scl_slope, meta.scl_inter)
     hdr[344:348] = MAGIC
     return bytes(hdr)
 
 
-def _write_nifti(grid: VoxelGrid, meta: VolumeMeta, path: Path) -> None:
-    payload = _encode_payload(grid, meta.datatype, path)
-    header = _build_header(meta)
+def _write_nifti(payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
+        fh.write(_build_header(meta).ljust(VOX_OFFSET, b"\x00"))
         fh.write(payload)
+
+
+def _read_payload(path: Path, offset: int, datatype: str, dims: Dims, exact: bool) -> np.ndarray:
+    """Voxels at ``offset``, read once the file size shows them all (``exact``: and no more)."""
+    dtype = _NP_DTYPES[datatype]
+    held, expected = max(path.stat().st_size - offset, 0), dims.n * dtype.itemsize
+    if held < expected or (exact and held > expected):
+        raise CorruptFileError(f"{path}: payload is {held} bytes, expected {expected}")
+    return np.fromfile(path, dtype=dtype, count=dims.n, offset=offset).reshape(dims.shape)
 
 
 def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
     with open(path, "rb") as fh:
         hdr = fh.read(HEADER_SIZE)
-        if len(hdr) < HEADER_SIZE:
-            raise CorruptFileError(f"{path}: file shorter than a NIfTI-1 header")
-        (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
-        if sizeof_hdr != HEADER_SIZE:
-            (swapped,) = struct.unpack_from(">i", hdr, 0)
-            if swapped == HEADER_SIZE:
-                raise VolumeFormatError(
-                    f"{path}: big-endian (byte-swapped) NIfTI-1 is not supported"
-                )
-            raise VolumeFormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, not 348")
-        if hdr[344:348] != MAGIC:
-            raise VolumeFormatError(f"{path}: magic is {hdr[344:348]!r}, not 'n+1'")
-        dim = struct.unpack_from("<8h", hdr, 40)
-        if not (1 <= dim[0] <= 7):
-            raise VolumeFormatError(f"{path}: implausible dim[0] = {dim[0]}")
-        sizes = list(dim[1 : 1 + dim[0]])
-        if any(s != 1 for s in sizes[3:]):
-            raise VolumeFormatError(f"{path}: only 3D volumes are supported, dim = {dim}")
-        sizes = (sizes + [1, 1, 1])[:3]
-        if any(s < 1 for s in sizes):
-            raise VolumeFormatError(f"{path}: non-positive dimension in {sizes}")
-        nx, ny, nz = sizes
+    if len(hdr) < HEADER_SIZE:
+        raise CorruptFileError(f"{path}: file shorter than a NIfTI-1 header")
+    (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
+    if sizeof_hdr != HEADER_SIZE:
+        (swapped,) = struct.unpack_from(">i", hdr, 0)
+        if swapped == HEADER_SIZE:
+            raise VolumeFormatError(f"{path}: big-endian (byte-swapped) NIfTI-1 is not supported")
+        raise VolumeFormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, not 348")
+    if hdr[344:348] != MAGIC:
+        raise VolumeFormatError(f"{path}: magic is {hdr[344:348]!r}, not 'n+1'")
+    dim = struct.unpack_from("<8h", hdr, 40)
+    if not (1 <= dim[0] <= 7):
+        raise VolumeFormatError(f"{path}: implausible dim[0] = {dim[0]}")
+    sizes = list(dim[1 : 1 + dim[0]])
+    if any(s != 1 for s in sizes[3:]):
+        raise VolumeFormatError(f"{path}: only 3D volumes are supported, dim = {dim}")
+    nx, ny, nz = (sizes + [1, 1, 1])[:3]
+    pixdim = struct.unpack_from("<8f", hdr, 76)
+    try:
+        dims, spacing = Dims(nz, ny, nx), Spacing(pixdim[3], pixdim[2], pixdim[1])
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: bad dim {dim} or pixdim {pixdim[1:4]}: {exc}") from None
 
-        (code,) = struct.unpack_from("<h", hdr, 70)
-        if code not in _CODE_TO_NAME:
-            raise UnsupportedDatatypeError(f"{path}: unsupported datatype code {code}")
-        datatype = _CODE_TO_NAME[code]
+    (code,) = struct.unpack_from("<h", hdr, 70)
+    if code not in _CODE_TO_NAME:
+        raise UnsupportedDatatypeError(f"{path}: unsupported datatype code {code}")
+    datatype = _CODE_TO_NAME[code]
 
-        pixdim = struct.unpack_from("<8f", hdr, 76)
-        try:
-            spacing = Spacing(float(pixdim[3]), float(pixdim[2]), float(pixdim[1]))
-        except ValueError as exc:
-            raise VolumeFormatError(f"{path}: bad pixdim {pixdim[1:4]}: {exc}") from None
+    vox_offset, scl_slope, scl_inter = struct.unpack_from("<3f", hdr, 108)
+    if not all(map(math.isfinite, (vox_offset, scl_slope, scl_inter))):
+        raise VolumeFormatError(f"{path}: non-finite vox_offset, scl_slope or scl_inter")
+    if vox_offset < HEADER_SIZE:
+        raise VolumeFormatError(f"{path}: vox_offset {vox_offset} inside the header")
 
-        (vox_offset,) = struct.unpack_from("<f", hdr, 108)
-        offset = int(vox_offset)
-        if offset < HEADER_SIZE:
-            raise VolumeFormatError(f"{path}: vox_offset {vox_offset} inside the header")
-        scl_slope, scl_inter = struct.unpack_from("<2f", hdr, 112)
-
-        fh.seek(offset)
-        np_dtype = _NP_DTYPES[datatype]
-        expected = nx * ny * nz * np_dtype.itemsize
-        payload = fh.read(expected)
-        if len(payload) < expected:
-            raise CorruptFileError(
-                f"{path}: payload truncated ({len(payload)} of {expected} bytes)"
-            )
-
-    arr = np.frombuffer(payload, dtype=np_dtype).reshape(nz, ny, nx).copy()
-    scl_slope, scl_inter = float(scl_slope), float(scl_inter)
+    arr = _read_payload(path, int(vox_offset), datatype, dims, exact=False)
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
-        arr = (arr.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
+        try:
+            with np.errstate(over="raise"):
+                arr = (arr.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
+        except FloatingPointError:
+            raise VolumeFormatError(f"{path}: scl_slope/scl_inter overflow float32") from None
         datatype = "float32"
         # data is now in scaled units; writing it back must not rescale
         scl_slope, scl_inter = 0.0, 0.0
     meta = VolumeMeta(
-        Dims(nz, ny, nx), spacing, datatype,
+        dims, spacing, datatype,
         scl_slope=scl_slope, scl_inter=scl_inter,
         source_format="nifti1", raw_header=hdr,
     )
@@ -225,15 +213,11 @@ def _sidecar_paths(path: Path) -> tuple[Path, Path]:
     return stem.with_suffix(".raw"), stem.with_suffix(".json")
 
 
-def _write_rawjson(grid: VoxelGrid, meta: VolumeMeta, path: Path) -> None:
+def _write_rawjson(payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
     raw_path, json_path = _sidecar_paths(path)
-    payload = _encode_payload(grid, meta.datatype, path)
     raw_path.write_bytes(payload)
-    sidecar = {
-        "dims": list(meta.dims.shape),
-        "spacing": list(meta.spacing.zyx),
-        "datatype": meta.datatype,
-    }
+    sidecar = {"dims": list(meta.dims.shape), "spacing": list(meta.spacing.zyx),
+               "datatype": meta.datatype}
     json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -241,59 +225,52 @@ def _read_rawjson(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
     raw_path, json_path = _sidecar_paths(path)
     try:
         sidecar = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
         raise VolumeFormatError(f"{json_path}: invalid JSON sidecar: {exc}") from None
-    unknown = set(sidecar) - {"dims", "spacing", "datatype"}
-    if unknown:
-        raise VolumeFormatError(f"{json_path}: unknown sidecar keys {sorted(unknown)}")
+    if not (isinstance(sidecar, dict) and set(sidecar) == {"dims", "spacing", "datatype"}
+            and _json_triple(sidecar["dims"], int)
+            and _json_triple(sidecar["spacing"], (int, float))
+            and isinstance(sidecar["datatype"], str)):
+        raise VolumeFormatError(f"{json_path}: sidecar must hold exactly dims (3 integers), "
+                                "spacing (3 numbers) and datatype (a string)")
     try:
-        dims = Dims(*(int(v) for v in sidecar["dims"]))
-        spacing = Spacing(*(float(v) for v in sidecar["spacing"]))
-        datatype = str(sidecar["datatype"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dims, spacing = Dims(*sidecar["dims"]), Spacing(*map(float, sidecar["spacing"]))
+    except (ValueError, OverflowError) as exc:
         raise VolumeFormatError(f"{json_path}: bad sidecar: {exc}") from None
+    datatype = sidecar["datatype"]
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"{json_path}: unsupported datatype {datatype!r}")
+    arr = _read_payload(raw_path, 0, datatype, dims, exact=True)
+    return VoxelGrid(arr, spacing), VolumeMeta(dims, spacing, datatype, source_format="rawjson")
 
-    np_dtype = _NP_DTYPES[datatype]
-    expected = dims.n * np_dtype.itemsize
-    payload = raw_path.read_bytes()
-    if len(payload) != expected:
-        raise CorruptFileError(
-            f"{raw_path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=np_dtype).reshape(dims.shape).copy()
-    meta = VolumeMeta(dims, spacing, datatype, source_format="rawjson")
-    return VoxelGrid(arr, spacing), meta
+
+def _json_triple(value, kind) -> bool:
+    """True for a list of 3 JSON values of ``kind``; true and false are not numbers."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, kind) and not isinstance(v, bool) for v in value))
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 
+_WRITERS = {".nii": _write_nifti, ".raw": _write_rawjson, ".json": _write_rawjson}
+_READERS = {".nii": _read_nifti, ".raw": _read_rawjson, ".json": _read_rawjson}
+
+
 def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
     """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}."""
     path = Path(path)
     if meta.dims != grid.dims:
         raise ValueError(f"{path}: metadata dims {meta.dims} do not match grid {grid.dims}")
-    if path.suffix == ".nii":
-        _write_nifti(grid, meta, path)
-    elif path.suffix in (".raw", ".json"):
-        _write_rawjson(grid, meta, path)
-    else:
+    if path.suffix not in _WRITERS:
         raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
+    _WRITERS[path.suffix](_encode_payload(grid, meta.datatype, path), meta, path)
 
 
 def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:
     """Read a volume; the format is chosen by extension (.nii or .raw/.json)."""
     path = Path(path)
-    if path.suffix == ".nii":
-        if not path.exists():
-            raise FileNotFoundError(f"volume not found: {path}")
-        return _read_nifti(path)
-    if path.suffix in (".raw", ".json"):
-        raw_path, json_path = _sidecar_paths(path)
-        if not raw_path.exists() or not json_path.exists():
-            raise FileNotFoundError(f"missing raw/json pair for {path}")
-        return _read_rawjson(path)
-    raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
+    if path.suffix not in _READERS:
+        raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
+    return _READERS[path.suffix](path)

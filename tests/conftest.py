@@ -153,3 +153,51 @@ def gain_map_full(interest: VoxelGrid, patch: PatchSpec) -> np.ndarray:
         acc = nxt
     acc *= patch.norm_const
     return acc
+
+
+# Full-grid losses: each widens the whole prediction to float64 and builds
+# its terms as full-size arrays. The oracle for losses' chunked scorer.
+
+def _float_pair_full(gt: VoxelGrid, pred: VoxelGrid):
+    assert gt.data.dtype == np.bool_ and gt.data.shape == pred.data.shape
+    p = pred.data.astype(np.float64, copy=False)
+    assert p.min() >= 0.0 and p.max() <= 1.0
+    return gt.data.astype(np.float64), p
+
+
+def soft_dice_loss_full(gt, pred, cfg) -> float:
+    y, p = _float_pair_full(gt, pred)
+    inter = float(np.sum(p * y))
+    union = float(np.sum(p) + np.sum(y))
+    return 1.0 - (2.0 * inter + cfg.dice_eps) / (union + cfg.dice_eps)
+
+
+def cross_entropy_loss_full(gt, pred, cfg) -> float:
+    y, p = _float_pair_full(gt, pred)
+    pc = np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps)
+    ll = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
+    return float(-np.mean(ll))
+
+
+def combined_loss_full(gt, pred, cfg) -> float:
+    dice = soft_dice_loss_full(gt, pred, cfg)
+    return cfg.dice_weight * dice + cfg.ce_weight * cross_entropy_loss_full(gt, pred, cfg)
+
+
+def af_loss_full(gt, pred, organ, cfg) -> float:
+    return combined_loss_full(gt, pred.with_data(pred.data * organ.data), cfg)
+
+
+def soft_dice_grad_full(gt, pred, cfg) -> np.ndarray:
+    y, p = _float_pair_full(gt, pred)
+    num = 2.0 * float(np.sum(p * y)) + cfg.dice_eps
+    den = float(np.sum(p) + np.sum(y)) + cfg.dice_eps
+    return (num - 2.0 * y * den) / (den * den)
+
+
+def cross_entropy_grad_full(gt, pred, cfg) -> np.ndarray:
+    y, p = _float_pair_full(gt, pred)
+    pc = np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps)
+    g = (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size
+    active = (p > cfg.ce_eps) & (p < 1.0 - cfg.ce_eps)
+    return np.where(active, g, 0.0)

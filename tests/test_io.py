@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from anatvox.cli import run
 from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.volio import (
     CorruptFileError,
@@ -14,7 +21,7 @@ from anatvox.volio import (
     write_volume,
 )
 
-from conftest import ANISO
+from conftest import ANISO, JSON_VALUES
 
 
 @pytest.mark.parametrize(
@@ -215,3 +222,180 @@ def test_missing_file_errors(tmp_path):
         read_volume(tmp_path / "none.raw")
     with pytest.raises(ValueError):
         read_volume(tmp_path / "none.weird")
+
+
+def _cli_rejects(path) -> None:
+    """A stage reading the volume exits 1 with one error line that names the file."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run(["wall", "--ooi", str(path), "--out", str(path.with_name("wall_out.nii"))])
+    text = err.getvalue()
+    assert rc == 1
+    assert text.startswith("error: ") and text.count("\n") == 1 and path.stem in text
+
+
+def _int16_nifti(tmp_path, name="probe.nii"):
+    g = VoxelGrid(np.arange(24, dtype=np.int16).reshape(2, 3, 4), ANISO)
+    path = tmp_path / name
+    write_volume(g, VolumeMeta.for_grid(g), path)
+    return path
+
+
+@pytest.mark.parametrize("offset,value", [
+    (108, math.inf), (108, -math.inf), (108, math.nan),  # vox_offset
+    (112, math.nan), (112, math.inf),  # scl_slope
+    (116, math.nan), (116, -math.inf),  # scl_inter
+    (112, 3e38),  # finite, but slope * 23 overflows float32
+])
+def test_non_finite_or_overflowing_header_floats_rejected(tmp_path, offset, value):
+    path = _int16_nifti(tmp_path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VolumeFormatError, match="probe.nii"):
+        read_volume(path)
+    _cli_rejects(path)
+
+
+def test_huge_header_dims_on_a_short_file_allocate_nothing(tmp_path):
+    path = _int16_nifti(tmp_path)
+    blob = bytearray(path.read_bytes()[:400])
+    struct.pack_into("<8h", blob, 40, 3, 32767, 32767, 32767, 1, 1, 1, 1)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFileError):
+            read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    _cli_rejects(path)
+
+
+_SIDECAR_OK = {"dims": [2, 3, 4], "spacing": [1.0, 1.0, 1.0], "datatype": "uint8"}
+
+
+_BAD_SIDECARS = {
+    "float-dims": b'{"dims": [2.7, 3, 4], "spacing": [1, 1, 1], "datatype": "uint8"}',
+    "bool-dims": b'{"dims": [true, 3, 4], "spacing": [1, 1, 1], "datatype": "uint8"}',
+    "string-dims": b'{"dims": "234", "spacing": [1, 1, 1], "datatype": "uint8"}',
+    "overflowing-dims": b'{"dims": [1e400, 3, 4], "spacing": [1, 1, 1], "datatype": "uint8"}',
+    "two-dims": b'{"dims": [2, 3], "spacing": [1, 1, 1], "datatype": "uint8"}',
+    "string-spacing": b'{"dims": [2, 3, 4], "spacing": "111", "datatype": "uint8"}',
+    "bool-spacing": b'{"dims": [2, 3, 4], "spacing": [1, 1, false], "datatype": "uint8"}',
+    "infinite-spacing": b'{"dims": [2, 3, 4], "spacing": [1e400, 1, 1], "datatype": "uint8"}',
+    "huge-int-spacing":
+        b'{"dims": [2, 3, 4], "spacing": [1' + b"0" * 400 + b', 1, 1], "datatype": "uint8"}',
+    "int-datatype": b'{"dims": [2, 3, 4], "spacing": [1, 1, 1], "datatype": 2}',
+    "non-utf8": b'{"dims": [2, 3, 4], "spacing": [1, 1, 1], "datatype": "uint8\xff"}',
+    "missing-key": b'{"dims": [2, 3, 4], "spacing": [1, 1, 1]}',
+    "list": b"[2, 3, 4]",
+    "number": b"3",
+    "deep-nesting": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("sidecar", _BAD_SIDECARS.values(), ids=_BAD_SIDECARS.keys())
+def test_malformed_sidecar_rejected(tmp_path, sidecar):
+    (tmp_path / "v.raw").write_bytes(bytes(24))
+    (tmp_path / "v.json").write_bytes(sidecar)
+    with pytest.raises(VolumeFormatError, match="v.json"):
+        read_volume(tmp_path / "v.raw")
+    _cli_rejects(tmp_path / "v.raw")
+
+
+def _packed(fmt, elements):
+    count = struct.calcsize(fmt) // struct.calcsize("<" + fmt[-1])
+    typed = st.lists(elements, min_size=count, max_size=count).map(lambda v: struct.pack(fmt, *v))
+    return typed | st.binary(min_size=struct.calcsize(fmt), max_size=struct.calcsize(fmt))
+
+
+_F32 = st.floats(width=32)
+# every header field the reader honours, at its offset, as typed values or as any bytes
+_HEADER_EDITS = st.one_of(
+    st.tuples(st.just(0), _packed("<i", st.just(348) | st.integers(-2**31, 2**31 - 1))),
+    st.tuples(st.just(40), _packed("<8h", st.integers(0, 8) | st.integers(-2**15, 2**15 - 1))),
+    st.tuples(st.just(70), _packed("<h", st.sampled_from([2, 4, 8, 16, 64]))),
+    st.tuples(st.just(72), _packed("<h", st.integers(-2**15, 2**15 - 1))),
+    st.tuples(st.just(76), _packed("<8f", st.floats(0.5, 2, width=32) | _F32)),
+    st.tuples(st.just(108), _packed("<f", st.floats(340, 420, width=32) | _F32)),
+    st.tuples(st.just(112), _packed("<f", _F32)),
+    st.tuples(st.just(116), _packed("<f", _F32)),
+    st.tuples(st.just(344), st.binary(min_size=4, max_size=4) | st.just(b"n+1\x00")),
+)
+
+
+def _expected_voxels(blob, meta):
+    """What the header says the voxels are, decoded independently of the reader."""
+    code = struct.unpack_from("<h", blob, 70)[0]
+    dtype = {2: "<u1", 4: "<i2", 8: "<i4", 16: "<f4"}[code]
+    vox_offset, slope, inter = struct.unpack_from("<3f", blob, 108)
+    raw = np.frombuffer(blob, dtype, count=meta.dims.n, offset=int(vox_offset))
+    if slope != 0 and (slope, inter) != (1, 0):
+        raw = raw.astype(np.float32) * np.float32(slope) + np.float32(inter)
+    return raw.reshape(meta.dims.shape)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_HEADER_EDITS, max_size=3),
+       size=st.none() | st.integers(0, 600))
+def test_fuzzed_nifti_reads_exactly_or_fails_cleanly(tmp_path, edits, size):
+    path = _int16_nifti(tmp_path)
+    blob = bytearray(path.read_bytes())
+    for offset, field in edits:
+        blob[offset : offset + len(field)] = field
+    if size is not None:  # truncated or oversized payload
+        blob = blob[:size] + bytes(max(size - len(blob), 0))
+    path.write_bytes(bytes(blob))
+    try:
+        grid, meta = read_volume(path)
+    except VolumeFormatError:
+        _cli_rejects(path)
+        return
+    dim = struct.unpack_from("<8h", blob, 40)
+    assert (list(dim[1 : 1 + dim[0]]) + [1, 1, 1])[:3] == [meta.dims.nx, meta.dims.ny, meta.dims.nz]
+    assert grid.data.dtype == np.dtype(meta.datatype)
+    assert np.array_equal(grid.data, _expected_voxels(bytes(blob), meta), equal_nan=True)
+
+
+_SIDECARS = st.one_of(
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.tuples(st.sampled_from(["dims", "spacing", "datatype", "extra"]), JSON_VALUES)
+    .map(lambda kv: json.dumps({**_SIDECAR_OK, kv[0]: kv[1]}).encode()),
+    st.lists(st.integers(-2, 2**70) | st.floats() | st.booleans(), max_size=4)
+    .map(lambda dims: json.dumps({**_SIDECAR_OK, "dims": dims}).encode()),
+    st.binary(max_size=80),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sidecar=_SIDECARS, payload=st.binary(max_size=40) | st.just(bytes(range(24))))
+def test_fuzzed_sidecar_reads_exactly_or_fails_cleanly(tmp_path, sidecar, payload):
+    (tmp_path / "v.raw").write_bytes(payload)
+    (tmp_path / "v.json").write_bytes(sidecar)
+    try:
+        grid, meta = read_volume(tmp_path / "v.raw")
+    except VolumeFormatError:
+        _cli_rejects(tmp_path / "v.raw")
+        return
+    assert list(grid.data.shape) == json.loads(sidecar)["dims"]
+    assert grid.data.tobytes() == payload
+
+
+def test_read_allocates_one_array_and_write_none(tmp_path, rng):
+    g = VoxelGrid(rng.standard_normal((32, 64, 64)).astype(np.float32), ANISO)
+    for name in ("big.nii", "big.raw"):
+        fmt = "nifti1" if name.endswith(".nii") else "rawjson"
+        tracemalloc.start()
+        try:
+            write_volume(g, VolumeMeta.for_grid(g, source_format=fmt), tmp_path / name)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            g2, _ = read_volume(tmp_path / name)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g2.data, g.data)
+        assert write_peak < 0.5 * g.data.nbytes
+        assert read_peak < 1.5 * g.data.nbytes

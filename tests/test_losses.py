@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from anatvox import losses
 from anatvox.grid import Dims, VoxelGrid, make_grid
 from anatvox.losses import (
     LossConfig,
@@ -14,7 +19,17 @@ from anatvox.losses import (
     soft_dice_loss,
 )
 
-from conftest import ISO, bool_grid, random_mask
+from conftest import (
+    ISO,
+    af_loss_full,
+    bool_grid,
+    combined_loss_full,
+    cross_entropy_grad_full,
+    cross_entropy_loss_full,
+    random_mask,
+    soft_dice_grad_full,
+    soft_dice_loss_full,
+)
 
 CFG = LossConfig()
 
@@ -175,3 +190,67 @@ def test_loss_weights_apply():
     cfg = LossConfig(dice_weight=2.0, ce_weight=0.5)
     expected = 2.0 * soft_dice_loss(y, p, cfg) + 0.5 * cross_entropy_loss(y, p, cfg)
     assert combined_loss(y, p, cfg) == expected
+
+
+def _mask_of(kind, rng, shape):
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "full":
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape) < 0.4
+
+
+def _assert_matches_full_grid_oracle(y, p, o, cfg):
+    # The scorer adds its chunk sums in numpy's own pairwise order, so it
+    # reproduces the full-grid sums bit for bit, not just within 1e-12.
+    assert soft_dice_loss(y, p, cfg) == soft_dice_loss_full(y, p, cfg)
+    assert cross_entropy_loss(y, p, cfg) == cross_entropy_loss_full(y, p, cfg)
+    assert combined_loss(y, p, cfg) == combined_loss_full(y, p, cfg)
+    assert af_loss(y, p, o, cfg) == af_loss_full(y, p, o, cfg)
+    assert np.array_equal(soft_dice_grad(y, p, cfg), soft_dice_grad_full(y, p, cfg))
+    assert np.array_equal(cross_entropy_grad(y, p, cfg), cross_entropy_grad_full(y, p, cfg))
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)),
+    dtype=st.sampled_from(["float32", "float64", "uint8"]),
+    gt_kind=st.sampled_from(["random", "empty", "full"]),
+    organ_kind=st.sampled_from(["random", "empty", "full"]),
+    chunk=st.sampled_from([128, 200, 1 << 14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_losses_match_the_full_grid_oracle(shape, dtype, gt_kind, organ_kind, chunk, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == "uint8":
+        pred = (rng.random(shape) < 0.5).astype(np.uint8)
+    else:
+        pred = rng.random(shape).astype(dtype)
+        pred[rng.random(shape) < 0.2] = 0.0
+        pred[rng.random(shape) < 0.2] = 1.0
+    y = bool_grid(_mask_of(gt_kind, rng, shape))
+    o = bool_grid(_mask_of(organ_kind, rng, shape))
+    cfg = LossConfig(dice_weight=float(rng.uniform(0, 2)), ce_weight=float(rng.uniform(0, 2)))
+    with mock.patch.object(losses, "_CHUNK", chunk):  # several chunks on small grids
+        _assert_matches_full_grid_oracle(y, VoxelGrid(pred, ISO), o, cfg)
+
+
+def test_losses_match_the_full_grid_oracle_over_many_chunks(rng):
+    shape = (21, 64, 97)  # ~8 chunks of the default size, of uneven length
+    y = bool_grid(random_mask(rng, shape, 0.3))
+    o = bool_grid(random_mask(rng, shape, 0.7))
+    p = VoxelGrid(rng.random(shape).astype(np.float32), ISO)
+    _assert_matches_full_grid_oracle(y, p, o, CFG)
+
+
+def test_af_loss_allocates_less_than_one_float64_grid(rng):
+    shape = (32, 128, 128)
+    y = bool_grid(random_mask(rng, shape, 0.3))
+    o = bool_grid(random_mask(rng, shape, 0.7))
+    p = VoxelGrid(rng.random(shape, dtype=np.float32), ISO)
+    tracemalloc.start()
+    try:
+        af_loss(y, p, o, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.size * 8
