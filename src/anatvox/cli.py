@@ -32,7 +32,7 @@ import numpy as np
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
 from .grid import VoxelGrid, extract_patch, to_bool
 from .jsoncheck import overlay_json
-from .losses import LossConfig, af_loss, cross_entropy_loss, soft_dice_loss
+from .losses import LossConfig, loss_report
 
 
 class UsageError(ValueError):
@@ -123,6 +123,13 @@ def _int_at_least(value: str, low: int) -> int:
     return n
 
 
+def _finite_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return x
+
+
 def _positive_int(value: str) -> int:
     return _int_at_least(value, 1)
 
@@ -153,11 +160,28 @@ def _write_float(grid: VoxelGrid, path) -> None:
 
 
 def _emit_json(obj, out_path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _emit_text(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+# One center as json.dumps(indent=2) writes it inside the "centers" list.
+_CENTER_ROW = "    [\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _centers_json(count: int, seed: int, centers: np.ndarray) -> str:
+    """The text ``_emit_json`` writes for {count, seed, centers}, byte for byte.
+
+    ``json.dumps(indent=2)`` runs the pure-Python encoder, which is slow on
+    many rows; one ``%`` template per center writes the same text.
+    """
+    rows = ",\n".join([_CENTER_ROW] * len(centers)) % tuple(centers.ravel().tolist())
+    return '{\n  "centers": [\n%s\n  ],\n  "count": %d,\n  "seed": %d\n}\n' % (rows, count, seed)
 
 
 def _require(args, *names) -> None:
@@ -218,11 +242,7 @@ def _cmd_psm(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "tumor", "out")
     ooi = _load_mask(args.ooi)
     tumor = _load_mask(args.tumor)
-    s_organ = sampling.psm_from_gain(sampling.gain_map(ooi, cfg.patch), cfg.mu)
-    s_tumor = sampling.psm_from_gain(sampling.gain_map(tumor, cfg.patch), cfg.mu)
-    final = sampling.combine_psm(s_organ, s_tumor, cfg.lam)
-    del s_organ, s_tumor  # so that only the final map is alive while it is written
-    _write_float(final.grid, args.out)
+    _write_float(sampling.mixed_psm(ooi, tumor, cfg.patch, cfg.mu, cfg.lam), args.out)
     return 0
 
 
@@ -235,12 +255,7 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     grid.data /= np.sum(grid.data)  # undo float32 quantization
     smap = sampling.SamplingMap(grid)
     centers = sampling.draw_centers(smap, args.count, args.seed)
-    payload = {
-        "count": args.count,
-        "seed": args.seed,
-        "centers": centers.tolist(),
-    }
-    _emit_json(payload, args.out)
+    _emit_text(_centers_json(args.count, args.seed, centers), args.out)
     if args.patch_dir:
         image = _load_grid(args.image)
         out_dir = Path(args.patch_dir)
@@ -265,12 +280,7 @@ def _cmd_loss(args, cfg: PipelineConfig) -> int:
     gt = _load_mask(args.gt)
     pred = _load_grid(args.pred)
     ooi = _load_mask(args.ooi)
-    report = {
-        "dice_loss": soft_dice_loss(gt, pred, cfg.loss),
-        "ce_loss": cross_entropy_loss(gt, pred, cfg.loss),
-        "af_loss": af_loss(gt, pred, ooi, cfg.loss),
-    }
-    _emit_json(report, args.out)
+    _emit_json(loss_report(gt, pred, ooi, cfg.loss), args.out)
     return 0
 
 
@@ -379,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--image", help="volume to cut patches from")
     p.add_argument("--patch-dir", dest="patch_dir", help="directory for patch volumes")
-    p.add_argument("--pad", type=float, default=0.0)
+    p.add_argument("--pad", type=_finite_float, default=0.0, help="value of patch voxels outside the image")
 
     p = stage("ssl-mask", "replace bowel-wall voxels with seeded noise")
     p.add_argument("--ct")
@@ -428,6 +438,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (FileNotFoundError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -128,7 +128,8 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
     Output voxel k maps to grid coordinate center - size//2 + k. For even
     sizes the center is the high-index voxel of the central pair. The center
     must lie inside the grid; the patch itself may hang over any border, and
-    those reads yield ``pad``.
+    those reads yield ``pad``, which must read back unchanged from the grid's
+    dtype (so -1 or 0.5 is refused for a uint8 grid, not wrapped or truncated).
     """
     size = tuple(int(s) for s in size)
     if len(size) != 3 or any(s <= 0 for s in size):
@@ -139,7 +140,15 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
         raise ValueError(f"patch center {center} outside grid dims {dims}")
 
     start = [c - s // 2 for c, s in zip(center, size)]
-    out = np.full(size, pad, dtype=grid.data.dtype)
+    dtype = grid.data.dtype
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            fill = np.array(pad).astype(dtype).item()
+    except (OverflowError, TypeError, ValueError):
+        fill = None
+    if not (fill == pad or (fill != fill and pad != pad)):  # NaN may pad a float grid
+        raise ValueError(f"pad {pad!r} is not representable as {dtype}")
+    out = np.full(size, fill, dtype=dtype)
     src = []
     dst = []
     for st, s, n in zip(start, size, dims.shape):

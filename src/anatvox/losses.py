@@ -106,6 +106,18 @@ def af_loss(
     return cfg.dice_weight * (1.0 - num / den) + cfg.ce_weight * ce
 
 
+def loss_report(
+    gt: VoxelGrid, pred: VoxelGrid, organ: VoxelGrid, cfg: LossConfig = LossConfig()
+) -> dict:
+    """{dice_loss, ce_loss, af_loss} from two passes, bitwise equal to the three calls."""
+    num, den, ce = _score(gt, pred, cfg)
+    return {
+        "dice_loss": 1.0 - num / den,
+        "ce_loss": ce,
+        "af_loss": af_loss(gt, pred, organ, cfg),
+    }
+
+
 def soft_dice_grad(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """Analytic d(soft_dice_loss)/dP, same shape as the prediction."""
     num, den, _ = _score(gt, pred, cfg)

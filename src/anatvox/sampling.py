@@ -78,24 +78,21 @@ def _axis_kernel(radius: int, variance: float) -> np.ndarray:
     return np.exp(-(t * t) / (2.0 * variance))
 
 
-def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
-    """Gain field of an interest mask: three separable truncated-Gaussian passes.
+def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
+    """Float64 gain field of a boolean mask array: three separable truncated-Gaussian passes.
 
-    Each pass adds the weighted in-grid neighbors along one axis, so the mask
-    is in effect zero-padded and the gain is exactly 0 wherever no interest
-    voxel falls inside the box. The passes therefore run only on the mask's
-    bounding box grown by the patch radii: every term the box leaves out
-    adds ``k * 0.0``, so the field is bitwise the same as passes over the grid.
+    Each pass adds the weighted neighbors inside the array along one axis, so
+    the mask is in effect zero-padded. The gain is exactly 0 wherever no mask
+    voxel falls inside the patch box, so the passes run only on the mask's
+    bounding box grown by the patch radii: every term the box leaves out adds
+    ``k * 0.0``, so the field is bitwise the same as passes over the array.
     """
-    if interest.data.dtype != np.bool_:
-        raise ValueError("interest map must be boolean")
-    radii = patch.radii
-    out = np.zeros(interest.data.shape)
-    box = bounding_box(interest.data, radii)
+    out = np.zeros(mask.shape)
+    box = bounding_box(mask, patch.radii)
     if box is None:
-        return interest.with_data(out)
-    acc = interest.data[box].astype(np.float64)
-    variances = patch.variances
+        return out
+    acc = mask[box].astype(np.float64)
+    radii, variances = patch.radii, patch.variances
     for axis in (0, 1, 2):
         r = radii[axis]
         n = acc.shape[axis]
@@ -112,7 +109,18 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
         acc = nxt
     acc *= patch.norm_const
     out[box] = acc
-    return interest.with_data(out)
+    return out
+
+
+def _require_mask(grid: VoxelGrid) -> None:
+    if grid.data.dtype != np.bool_:
+        raise ValueError("interest map must be boolean")
+
+
+def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
+    """Gain field of an interest mask, as a float64 grid; its cost scales with the mask's box."""
+    _require_mask(interest)
+    return interest.with_data(_gain(interest.data, patch))
 
 
 def psm_from_gain(gain: VoxelGrid, mu: float = 1.0) -> SamplingMap:
@@ -137,6 +145,46 @@ def combine_psm(s_organ: SamplingMap, s_tumor: SamplingMap, lam: float) -> Sampl
     mixed = s_organ.grid.data * (1.0 - lam)
     mixed += lam * s_tumor.grid.data
     return SamplingMap(s_organ.grid.with_data(mixed))
+
+
+def mixed_psm(
+    ooi: VoxelGrid, tumor: VoxelGrid, patch: PatchSpec, mu: float = 1.0, lam: float = 0.33
+) -> VoxelGrid:
+    """``combine_psm`` of the two masks' ``psm_from_gain`` maps, as a float32 grid.
+
+    Off the box of ``ooi | tumor`` grown by the patch radii both gains are 0,
+    so each map is the constant (1/n) / Z there. The maps are built in float64
+    on that box only, with Z = box sum + (n - box size) / n, and mixed in
+    ``combine_psm``'s operand order into a grid filled with the mixed
+    constant. Z rounds unlike a full-grid sum, so a value may differ from the
+    reference in its last float64 bits; stored, it is within float32 rounding.
+    """
+    if not mu > 0:
+        raise ValueError(f"mu must be > 0, got {mu}")
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    require_same_geometry(ooi, tumor)
+    _require_mask(ooi)
+    _require_mask(tumor)
+    n = ooi.data.size
+    # an empty union leaves an empty box, so both maps are their constant
+    box = bounding_box(ooi.data | tumor.data, patch.radii) or (slice(0, 0),) * 3
+
+    def part(mask: VoxelGrid):  # (map on the box, map off the box)
+        s = _gain(mask.data[box], patch)
+        s /= mu
+        s += 1.0 / n
+        z = np.sum(s, dtype=np.float64) + (n - s.size) * (1.0 / n)
+        s /= z
+        return s, (1.0 / n) / z
+
+    s_o, c_o = part(ooi)
+    s_t, c_t = part(tumor)
+    out = np.full(ooi.data.shape, c_o * (1.0 - lam) + lam * c_t, dtype=np.float32)
+    s_o *= 1.0 - lam
+    s_o += lam * s_t
+    out[box] = s_o
+    return ooi.with_data(out)
 
 
 def draw_centers(s: SamplingMap, count: int, seed: int) -> np.ndarray:

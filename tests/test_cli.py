@@ -1,12 +1,15 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from anatvox import sampling
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid
 from anatvox.volio import VolumeMeta, read_volume, write_volume
@@ -419,3 +422,76 @@ def test_huge_repeat_counts_stop_at_the_fixed_point(tmp_path):
         assert run(argv) == 0
         written[times] = (ooi.read_bytes(), wall.read_bytes())
     assert written["1000000000000"] == written["20"]
+
+
+def _sample_argv(workdir, *extra):
+    return ["sample", "--psm", str(workdir / "tumor.nii"), "--count", "3", "--seed", "1", *extra]
+
+
+@pytest.mark.parametrize("pad", ["-1", "300", "0.5", "1e300"])
+def test_pad_the_image_dtype_cannot_hold_exits_1(workdir, pad, capsys):
+    argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "labels.nii"),
+                        "--patch-dir", str(workdir / "patches"), "--patch-size", "4,8,8", "--pad", pad)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "uint8" in err
+    assert not list((workdir / "patches").iterdir())
+
+
+@pytest.mark.parametrize("pad", ["nan", "inf", "-inf"])
+def test_non_finite_pad_exits_2(workdir, pad):
+    argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "ct.nii"),
+                        "--patch-dir", str(workdir / "patches"), f"--pad={pad}")
+    assert run(argv) == 2
+    assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
+
+
+def test_uint8_image_is_padded_with_a_value_it_holds(workdir):
+    # patches as tall as the grid hang over its z faces, so every patch holds pad voxels
+    argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "labels.nii"),
+                        "--patch-dir", str(workdir / "patches"), "--patch-size", "48,8,8", "--pad", "7")
+    assert run(argv) == 0
+    for path in sorted((workdir / "patches").iterdir()):
+        patch, _ = read_volume(path)
+        assert np.any(patch.data == 7.0)
+
+
+# 2**59 float64 uniforms are 4 EiB, beyond any address space, so the allocation
+# fails at once (MemoryError) whatever the overcommit policy; from 2**60 on numpy
+# refuses the size before it allocates (ValueError).
+@pytest.mark.parametrize("count", [2**59, 2**61])
+def test_unallocatable_count_exits_1_with_one_line(workdir, count, capsys):
+    assert run(["sample", "--psm", str(workdir / "tumor.nii"), "--count", str(count), "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _centers_text(count, seed, centers) -> str:
+    payload = {"count": count, "seed": seed, "centers": centers.tolist()}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    centers=arrays(np.int64, st.tuples(st.integers(1, 64), st.just(3)), elements=st.integers(0, 10**6)),
+    seed=st.integers(0, 2**70),
+)
+def test_centers_text_is_the_json_dumps_text(tmp_path, capsys, centers, seed):
+    psm = VoxelGrid(np.ones((2, 3, 4), dtype=np.float32), Spacing(1.0, 1.0, 1.0))
+    write_volume(psm, VolumeMeta.for_grid(psm), tmp_path / "psm.nii")
+    argv = ["sample", "--psm", str(tmp_path / "psm.nii"), "--count", str(len(centers)), "--seed", str(seed)]
+    capsys.readouterr()
+    with mock.patch.object(sampling, "draw_centers", return_value=centers):
+        assert run([*argv, "--out", str(tmp_path / "c.json")]) == 0
+        assert run(argv) == 0
+    want = _centers_text(len(centers), seed, centers)
+    assert (tmp_path / "c.json").read_bytes() == want.encode()
+    assert capsys.readouterr().out == want
+
+
+def test_drawn_centers_text_is_the_json_dumps_text(workdir, capsys):
+    argv = ["sample", "--psm", str(workdir / "labels.nii"), "--count", "500", "--seed", "9"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    centers = np.array(json.loads(text)["centers"])
+    assert centers.shape == (500, 3) and text == _centers_text(500, 9, centers)

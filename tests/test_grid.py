@@ -66,6 +66,21 @@ def test_extract_patch_center_outside_rejected():
         extract_patch(g, (0, -1, 0), (3, 3, 3))
 
 
+def test_extract_patch_pad_must_read_back_from_the_grid_dtype():
+    labels = VoxelGrid(np.ones((3, 3, 3), dtype=np.uint8), ISO)
+    for bad in (-1, -1.0, 256, 300.0, 0.5, float("nan"), float("inf"), 2**70):
+        with pytest.raises(ValueError, match="uint8"):
+            extract_patch(labels, (0, 0, 0), (3, 3, 3), pad=bad)
+    p = extract_patch(labels, (0, 0, 0), (3, 3, 3), pad=255.0)
+    assert p.data.dtype == np.uint8 and p.data[0, 0, 0] == 255 and p.data[2, 2, 2] == 1
+    ct = make_grid(Dims(3, 3, 3), ISO, 1.0)  # float32
+    for bad in (0.1, 1e300):  # rounded, and overflowing to inf
+        with pytest.raises(ValueError, match="float32"):
+            extract_patch(ct, (0, 0, 0), (3, 3, 3), pad=bad)
+    assert np.isnan(extract_patch(ct, (0, 0, 0), (3, 3, 3), pad=float("nan")).data[0, 0, 0])
+    assert extract_patch(ct, (0, 0, 0), (3, 3, 3), pad=-1024).data[0, 0, 0] == -1024.0
+
+
 def test_extract_patch_interior_idempotent(rng):
     g = VoxelGrid(rng.random((8, 8, 8)).astype(np.float32), ISO)
     p1 = extract_patch(g, np.array([4, 4, 4]), (3, 3, 3), pad=0.0)

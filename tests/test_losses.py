@@ -15,6 +15,7 @@ from anatvox.losses import (
     combined_loss,
     cross_entropy_grad,
     cross_entropy_loss,
+    loss_report,
     soft_dice_grad,
     soft_dice_loss,
 )
@@ -240,6 +241,38 @@ def test_losses_match_the_full_grid_oracle_over_many_chunks(rng):
     o = bool_grid(random_mask(rng, shape, 0.7))
     p = VoxelGrid(rng.random(shape).astype(np.float32), ISO)
     _assert_matches_full_grid_oracle(y, p, o, CFG)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)),
+    dtype=st.sampled_from(["float32", "float64", "uint8"]),
+    gt_kind=st.sampled_from(["random", "empty", "full"]),
+    organ_kind=st.sampled_from(["random", "empty", "full"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_report_is_the_three_calls(shape, dtype, gt_kind, organ_kind, seed):
+    rng = np.random.default_rng(seed)
+    pred = rng.random(shape)
+    p = VoxelGrid((pred < 0.5).astype(np.uint8) if dtype == "uint8" else pred.astype(dtype), ISO)
+    y = bool_grid(_mask_of(gt_kind, rng, shape))
+    o = bool_grid(_mask_of(organ_kind, rng, shape))
+    cfg = LossConfig(dice_weight=float(rng.uniform(0, 2)), ce_weight=float(rng.uniform(0, 2)))
+    with mock.patch.object(losses, "_CHUNK", 128):  # several chunks on small grids
+        report = loss_report(y, p, o, cfg)
+        calls = {
+            "dice_loss": soft_dice_loss(y, p, cfg),
+            "ce_loss": cross_entropy_loss(y, p, cfg),
+            "af_loss": af_loss(y, p, o, cfg),
+        }
+    assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in calls.items()}
+
+
+def test_loss_report_scores_twice(rng):
+    y, o = (bool_grid(random_mask(rng, (4, 5, 6))) for _ in range(2))
+    p = VoxelGrid(rng.random((4, 5, 6)), ISO)
+    with mock.patch.object(losses, "_score", wraps=losses._score) as score:
+        loss_report(y, p, o, CFG)
+    assert score.call_count == 2
 
 
 def test_af_loss_allocates_less_than_one_float64_grid(rng):

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anatvox.grid import Dims, VoxelGrid, make_grid
+from anatvox.maskgen import OrganConfig, build_ooi
+from anatvox.phantom import PhantomSpec, gen_phantom
 from anatvox.sampling import (
     PatchSpec,
     SamplingMap,
     combine_psm,
     draw_centers,
     gain_map,
+    mixed_psm,
     psm_from_gain,
 )
 
@@ -102,7 +105,11 @@ def test_gain_separable_matches_naive_everywhere(rng):
 @st.composite
 def boxed_masks(draw):
     """A random mask filling a random sub-box of a random grid, faces included."""
-    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    return draw(_boxed_mask(draw(st.tuples(*[st.integers(1, 12)] * 3))))
+
+
+@st.composite
+def _boxed_mask(draw, shape):
     lo = [draw(st.integers(0, n - 1)) for n in shape]
     hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
     mask = np.zeros(shape, dtype=bool)
@@ -226,6 +233,62 @@ def test_combine_psm_rejects_bad_lambda_and_shape():
         combine_psm(a, a, -0.1)
     with pytest.raises(ValueError):
         combine_psm(a, b, 0.5)
+
+
+def _reference_psm(ooi, tumor, spec, mu, lam) -> np.ndarray:
+    s_organ = psm_from_gain(gain_map(ooi, spec), mu)
+    s_tumor = psm_from_gain(gain_map(tumor, spec), mu)
+    return combine_psm(s_organ, s_tumor, lam).grid.data
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two random masks of one grid in their own sub-boxes; either may be empty."""
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    return tuple(
+        np.zeros(shape, dtype=bool) if draw(st.integers(0, 3)) == 0 else draw(_boxed_mask(shape))
+        for _ in range(2)
+    )
+
+
+@settings(max_examples=300)
+@given(
+    masks=mask_pairs(),
+    size=st.tuples(*[st.integers(1, 30)] * 3),
+    stddev=st.booleans(),
+    lam=st.sampled_from([0.0, 0.33, 1.0]),
+    mu=st.sampled_from([0.3, 1.0, 2.0]),
+)
+def test_mixed_psm_within_float32_rounding_of_the_reference(masks, size, stddev, lam, mu):
+    # patch radii reach up to 15 voxels, past every axis of the grid
+    ooi, tumor = (bool_grid(m, ANISO) for m in masks)
+    spec = PatchSpec(size, sigma_is_stddev=stddev)
+    got = mixed_psm(ooi, tumor, spec, mu, lam)
+    want = _reference_psm(ooi, tumor, spec, mu, lam)
+    assert got.data.dtype == np.float32 and got.data.shape == want.shape and got.spacing == ANISO
+    rel = np.abs(got.data.astype(np.float64) - want) / want
+    assert rel.max() <= 2.0**-24 + 1e-12
+
+
+def test_mixed_psm_is_the_stored_reference_on_the_criterion_11_phantom():
+    spec = {"dims": [64, 96, 96], "spacing": [5.0, 0.78, 0.78], "seed": 7}
+    _, labels, tumor = gen_phantom(PhantomSpec.from_json(spec))
+    ooi = build_ooi(labels, labels, OrganConfig(set_ts=frozenset({1}), set_word=frozenset({1}), dilate_times=3))
+    spec = PatchSpec((8, 24, 24))
+    want = _reference_psm(ooi, tumor, spec, 1.0, 0.33).astype(np.float32)
+    assert np.array_equal(mixed_psm(ooi, tumor, spec, 1.0, 0.33).data, want)
+
+
+def test_mixed_psm_rejects_bad_arguments():
+    o = make_grid(Dims(3, 3, 3), ISO, False)
+    spec = PatchSpec((2, 2, 2))
+    for mu, lam in ((0.0, 0.5), (-1.0, 0.5), (float("nan"), 0.5), (1.0, 1.5), (1.0, -0.1), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            mixed_psm(o, o, spec, mu, lam)
+    with pytest.raises(ValueError):
+        mixed_psm(o, make_grid(Dims(3, 3, 4), ISO, False), spec)
+    with pytest.raises(ValueError):
+        mixed_psm(o, make_grid(Dims(3, 3, 3), ISO, 0.0), spec)
 
 
 def test_sampling_map_validation():
