@@ -6,7 +6,6 @@ surface-distance metrics, and a synthetic phantom for end-to-end checks.
 """
 
 from .grid import (
-    Coord,
     Dims,
     Spacing,
     VoxelGrid,
@@ -41,7 +40,7 @@ from .volio import VolumeMeta, read_volume, write_volume
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coord", "Dims", "Spacing", "VoxelGrid",
+    "Dims", "Spacing", "VoxelGrid",
     "extract_patch", "make_grid", "to_bool",
     "LossConfig", "af_loss", "combined_loss",
     "cross_entropy_grad", "cross_entropy_loss", "soft_dice_grad", "soft_dice_loss",

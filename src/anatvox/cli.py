@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, to_bool
+from .grid import VoxelGrid, extract_patch, pad_value, to_bool
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -150,8 +150,8 @@ def _load_mask(path) -> VoxelGrid:
     return to_bool(_load_grid(path))
 
 
-def _write_mask(mask: VoxelGrid, path) -> None:
-    volio.write_volume(mask, volio.VolumeMeta.for_grid(mask, "uint8"), path)
+def _write_uint8(grid: VoxelGrid, path) -> None:
+    volio.write_volume(grid, volio.VolumeMeta.for_grid(grid, "uint8"), path)
 
 
 def _write_float(grid: VoxelGrid, path) -> None:
@@ -226,7 +226,7 @@ def _cmd_ooi(args, cfg: PipelineConfig) -> int:
     ts = _load_grid(args.ts)
     word = _load_grid(args.word)
     ooi = maskgen.build_ooi(ts, word, cfg.organ)
-    _write_mask(ooi, args.out)
+    _write_uint8(ooi, args.out)
     return 0
 
 
@@ -234,7 +234,7 @@ def _cmd_wall(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "out")
     ooi = _load_mask(args.ooi)
     band = maskgen.bowel_wall(ooi, cfg.organ.elem, cfg.organ.wall_r_out, cfg.organ.wall_r_in)
-    _write_mask(band, args.out)
+    _write_uint8(band, args.out)
     return 0
 
 
@@ -252,12 +252,19 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
         _require(args, "image")  # before the centers file is written
     grid = _load_grid(args.psm)
     grid = grid.with_data(grid.data.astype(np.float64))
-    grid.data /= np.sum(grid.data)  # undo float32 quantization
+    total = np.sum(grid.data)
+    if not (grid.data.min() >= 0 and total > 0):
+        raise ValueError(f"{args.psm}: a sampling map needs voxels >= 0 and a positive sum")
+    grid.data /= total  # undo float32 quantization
     smap = sampling.SamplingMap(grid)
     centers = sampling.draw_centers(smap, args.count, args.seed)
+    if args.patch_dir:  # every check on the image comes before the first write
+        image = _load_grid(args.image)
+        if image.dims != grid.dims:
+            raise ValueError(f"{args.image}: dims {image.dims} differ from the sampling map's {grid.dims}")
+        pad_value(args.pad, image.data.dtype)
     _emit_text(_centers_json(args.count, args.seed, centers), args.out)
     if args.patch_dir:
-        image = _load_grid(args.image)
         out_dir = Path(args.patch_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, c in enumerate(centers):
@@ -336,21 +343,9 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         raise UsageError(f"bad phantom spec {path}: {exc}") from None
     ct, labels, tumor = phantom.gen_phantom(spec)
     _write_float(ct, args.out_ct)
-    volio.write_volume(labels, volio.VolumeMeta.for_grid(labels, "uint8"), args.out_labels)
-    _write_mask(tumor, args.out_tumor)
+    _write_uint8(labels, args.out_labels)
+    _write_uint8(tumor, args.out_tumor)
     return 0
-
-
-_DISPATCH = {
-    "ooi": _cmd_ooi,
-    "wall": _cmd_wall,
-    "psm": _cmd_psm,
-    "sample": _cmd_sample,
-    "ssl-mask": _cmd_ssl_mask,
-    "loss": _cmd_loss,
-    "metrics": _cmd_metrics,
-    "phantom": _cmd_phantom,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,8 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def stage(name, help_text):
+    def stage(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="pipeline config JSON; flags override it")
         p.add_argument(
             "--print-config", action="store_true",
@@ -368,21 +364,21 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = stage("ooi", "merge two multi-organ label volumes into an OOI mask")
+    p = stage("ooi", _cmd_ooi, "merge two multi-organ label volumes into an OOI mask")
     p.add_argument("--ts")
     p.add_argument("--word")
     p.add_argument("--out")
 
-    p = stage("wall", "bowel-wall band from an undilated OOI mask")
+    p = stage("wall", _cmd_wall, "bowel-wall band from an undilated OOI mask")
     p.add_argument("--ooi")
     p.add_argument("--out")
 
-    p = stage("psm", "combined sampling map from OOI and tumor masks")
+    p = stage("psm", _cmd_psm, "combined sampling map from OOI and tumor masks")
     p.add_argument("--ooi")
     p.add_argument("--tumor")
     p.add_argument("--out")
 
-    p = stage("sample", "draw seeded patch centers from a sampling map")
+    p = stage("sample", _cmd_sample, "draw seeded patch centers from a sampling map")
     p.add_argument("--psm")
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=_seed)
@@ -391,26 +387,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch-dir", dest="patch_dir", help="directory for patch volumes")
     p.add_argument("--pad", type=_finite_float, default=0.0, help="value of patch voxels outside the image")
 
-    p = stage("ssl-mask", "replace bowel-wall voxels with seeded noise")
+    p = stage("ssl-mask", _cmd_ssl_mask, "replace bowel-wall voxels with seeded noise")
     p.add_argument("--ct")
     p.add_argument("--wall")
     p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
 
-    p = stage("loss", "dice / cross-entropy / focalized loss report")
+    p = stage("loss", _cmd_loss, "dice / cross-entropy / focalized loss report")
     p.add_argument("--gt")
     p.add_argument("--pred")
     p.add_argument("--ooi")
     p.add_argument("--out")
 
-    p = stage("metrics", "segmentation metric report for one case or a cohort")
+    p = stage("metrics", _cmd_metrics, "segmentation metric report for one case or a cohort")
     p.add_argument("--gt")
     p.add_argument("--pred")
     p.add_argument("--out")
     p.add_argument("--cohort", help="JSON-lines manifest of {case_id, gt, pred}")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
-    p = stage("phantom", "generate a synthetic phantom from a spec JSON")
+    p = stage("phantom", _cmd_phantom, "generate a synthetic phantom from a spec JSON")
     p.add_argument("--spec")
     p.add_argument("--seed", type=_seed, help="override the seed in the spec")
     p.add_argument("--out-ct", dest="out_ct")
@@ -434,7 +430,7 @@ def run(argv=None) -> int:
         if args.print_config:
             sys.stdout.write(json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n")
             return 0
-        return _DISPATCH[args.cmd](args, cfg)
+        return args.handler(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Canonical 3D voxel grid types and element-wise operations.
+"""Canonical 3D voxel grid types, the shared integer and boolean-mask checks, and grid operations.
 
 Axis order is (z, y, x) everywhere, z slowest, matching slice-stacked CT
 storage. Grids are treated as immutable after construction: every public
@@ -7,9 +7,23 @@ operation returns a new grid and never writes through its inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a size, count or code."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_bool(*arrays: np.ndarray) -> None:
+    """Refuse any of ``arrays`` that is not a boolean mask."""
+    for a in arrays:
+        if a.dtype != np.bool_:
+            raise ValueError(f"expected a boolean mask, got dtype {a.dtype}")
+
 
 @dataclass(frozen=True)
 class Dims:
@@ -22,7 +36,7 @@ class Dims:
     def __post_init__(self):
         for name in ("nz", "ny", "nx"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v <= 0:
+            if not (is_int(v) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
     @property
@@ -51,19 +65,6 @@ class Spacing:
     @property
     def zyx(self) -> tuple[float, float, float]:
         return (float(self.sz), float(self.sy), float(self.sx))
-
-
-@dataclass(frozen=True)
-class Coord:
-    """Integer voxel index (z, y, x)."""
-
-    z: int
-    y: int
-    x: int
-
-    @property
-    def zyx(self) -> tuple[int, int, int]:
-        return (int(self.z), int(self.y), int(self.x))
 
 
 @dataclass
@@ -140,7 +141,16 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
         raise ValueError(f"patch center {center} outside grid dims {dims}")
 
     start = [c - s // 2 for c, s in zip(center, size)]
-    dtype = grid.data.dtype
+    out = np.full(size, pad_value(pad, grid.data.dtype), dtype=grid.data.dtype)
+    # the center is inside the grid, so the patch overlaps it on every axis
+    src = tuple(slice(max(st, 0), min(st + s, n)) for st, s, n in zip(start, size, dims.shape))
+    dst = tuple(slice(sl.start - st, sl.stop - st) for sl, st in zip(src, start))
+    out[dst] = grid.data[src]
+    return VoxelGrid(out, grid.spacing)
+
+
+def pad_value(pad, dtype):
+    """``pad`` as a ``dtype`` scalar; refused unless it reads back unchanged."""
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             fill = np.array(pad).astype(dtype).item()
@@ -148,18 +158,7 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
         fill = None
     if not (fill == pad or (fill != fill and pad != pad)):  # NaN may pad a float grid
         raise ValueError(f"pad {pad!r} is not representable as {dtype}")
-    out = np.full(size, fill, dtype=dtype)
-    src = []
-    dst = []
-    for st, s, n in zip(start, size, dims.shape):
-        lo = max(st, 0)
-        hi = min(st + s, n)
-        if lo >= hi:
-            return VoxelGrid(out, grid.spacing)
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - st, hi - st))
-    out[tuple(dst)] = grid.data[tuple(src)]
-    return VoxelGrid(out, grid.spacing)
+    return fill
 
 
 def bounding_box(mask: np.ndarray, grow=(0, 0, 0)) -> tuple[slice, ...] | None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry
+from .grid import VoxelGrid, require_bool, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ _CHUNK = 1 << 14
 def _check(gt: VoxelGrid, pred: VoxelGrid, organ: VoxelGrid | None = None) -> None:
     masks = (gt,) if organ is None else (gt, organ)
     require_same_geometry(pred, *masks)
-    if any(m.data.dtype != np.bool_ for m in masks):
-        raise ValueError("ground truth and organ mask must be boolean grids")
+    require_bool(*(m.data for m in masks))
     if not (pred.data.min() >= 0 and pred.data.max() <= 1):  # written so that NaN fails too
         raise ValueError("prediction values must lie in [0, 1]")
 
@@ -77,6 +76,11 @@ def _score(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig, organ: VoxelGrid | N
     return float(num), float(den), float(-ll / p_all.size)
 
 
+def _weighted(cfg: LossConfig, num: float, den: float, ce: float) -> float:
+    """The Dice + CE training loss from ``_score``'s terms."""
+    return cfg.dice_weight * (1.0 - num / den) + cfg.ce_weight * ce
+
+
 def soft_dice_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> float:
     """1 - (2 * sum(P*Y) + eps) / (sum(P) + sum(Y) + eps)."""
     num, den, _ = _score(gt, pred, cfg)
@@ -90,8 +94,7 @@ def cross_entropy_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossCon
 
 def combined_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> float:
     """Weighted sum of soft Dice and cross-entropy (the plain training loss)."""
-    num, den, ce = _score(gt, pred, cfg)
-    return cfg.dice_weight * (1.0 - num / den) + cfg.ce_weight * ce
+    return _weighted(cfg, *_score(gt, pred, cfg))
 
 
 def af_loss(
@@ -102,8 +105,7 @@ def af_loss(
     Only the prediction is multiplied by the mask; ground truth outside the
     mask still counts, which penalizes any mask that misses true lesion.
     """
-    num, den, ce = _score(gt, pred, cfg, organ)
-    return cfg.dice_weight * (1.0 - num / den) + cfg.ce_weight * ce
+    return _weighted(cfg, *_score(gt, pred, cfg, organ))
 
 
 def loss_report(

@@ -13,22 +13,17 @@ scheme and should be checked against the tool release actually used.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry
+from .grid import VoxelGrid, is_int, require_same_geometry
 from .morphology import FACE6, StructElem, boundary_band, dilate, elem_from_name
 
 # stomach, small bowel, duodenum, colon (TotalSegmentator v1 codes)
 DEFAULT_SET_TS = frozenset({6, 55, 56, 57})
 # stomach, duodenum, colon, intestine, rectum (WORD codes)
 DEFAULT_SET_WORD = frozenset({5, 9, 10, 11, 13})
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -45,12 +40,12 @@ class OrganConfig:
     def __post_init__(self):
         for name in ("set_ts", "set_word"):
             codes = frozenset(getattr(self, name))
-            if not codes or not all(_is_int(v) for v in codes):
+            if not codes or not all(is_int(v) for v in codes):
                 raise ValueError(f"{name} must be a nonempty set of integer label codes")
             object.__setattr__(self, name, frozenset(int(v) for v in codes))
         for name in ("dilate_times", "wall_r_out", "wall_r_in"):
             v = getattr(self, name)
-            if not (_is_int(v) and v >= 0):
+            if not (is_int(v) and v >= 0):
                 raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
     @classmethod

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import VoxelGrid, bounding_box, require_same_geometry
+from .grid import VoxelGrid, bounding_box, require_bool, require_same_geometry
 from .morphology import FACE6, erode_mask
 
 _INF = float("inf")
@@ -100,8 +100,7 @@ def edt(mask: VoxelGrid) -> VoxelGrid:
     z folds in that axis. An empty mask yields +inf everywhere (the one
     documented infinity in the package).
     """
-    if mask.data.dtype != np.bool_:
-        raise ValueError("edt requires a boolean grid")
+    require_bool(mask.data)
     sq = np.where(mask.data, 0.0, _INF)
     for axis in (2, 1, 0):
         _envelope_pass(sq, axis, mask.spacing.zyx[axis])
@@ -110,8 +109,7 @@ def edt(mask: VoxelGrid) -> VoxelGrid:
 
 def surface_voxels(mask: VoxelGrid) -> VoxelGrid:
     """True voxels with a face-6 neighbor that is background or out of bounds."""
-    if mask.data.dtype != np.bool_:
-        raise ValueError("surface_voxels requires a boolean grid")
+    require_bool(mask.data)
     m = mask.data
     return mask.with_data(m & ~erode_mask(m, FACE6, 1))
 
@@ -141,8 +139,7 @@ def seg_metrics(
     exactly one mask is empty, HD95 is pinned to ``hd_penalty_mm``.
     """
     require_same_geometry(gt, pred)
-    if gt.data.dtype != np.bool_ or pred.data.dtype != np.bool_:
-        raise ValueError("seg_metrics requires boolean grids")
+    require_bool(gt.data, pred.data)
 
     n_gt = int(np.count_nonzero(gt.data))
     n_pr = int(np.count_nonzero(pred.data))
@@ -197,5 +194,7 @@ def cohort_lines(cases: Iterable[tuple[str, MetricReport]]) -> list[str]:
 
 
 def write_cohort_report(path, cases: Iterable[tuple[str, MetricReport]]) -> None:
+    """Write ``cohort_lines``; the file is created only once they are all built."""
+    text = "\n".join(cohort_lines(cases)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(cohort_lines(cases)) + "\n")
+        fh.write(text)

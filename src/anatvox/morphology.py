@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid
+from .grid import VoxelGrid, require_bool
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def elem_from_name(name: str) -> StructElem:
 
 
 def _check_mask(mask: np.ndarray, times: int) -> None:
-    if mask.dtype != np.bool_:
-        raise ValueError("morphology requires a boolean mask")
+    require_bool(mask)
     if mask.ndim != 3:
         raise ValueError("morphology requires a 3D mask")
     if times < 0:

@@ -12,21 +12,16 @@ only moves intensities and distractor placement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Coord, Dims, Spacing, VoxelGrid
+from .grid import Dims, Spacing, VoxelGrid, is_int
 from .jsoncheck import overlay_json
 
 ARC_HALF_ANGLE = 0.75 * math.pi  # 270 degree arc
 _MAJOR_RADIUS_FRACTION = 0.6
 _REGIONS = ("background", "lumen", "wall", "tumor", "organ")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,9 +54,9 @@ class PhantomSpec:
             raise ValueError("tube and tumor radii must be positive and finite")
         if not (0 < self.wall_thickness_mm < self.tube_radius_mm):
             raise ValueError("wall thickness must be in (0, tube_radius)")
-        if not (_is_int(self.n_distractors) and 0 <= self.n_distractors <= 250):
+        if not (is_int(self.n_distractors) and 0 <= self.n_distractors <= 250):
             raise ValueError(f"n_distractors must be an integer in [0, 250], got {self.n_distractors!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @classmethod
@@ -135,16 +130,12 @@ def centerline_distance(spec: PhantomSpec) -> np.ndarray:
     return np.where(in_arc, d_arc, d_end)
 
 
-def tumor_center_voxel(spec: PhantomSpec) -> Coord:
-    """Tumor center: mid-arc, inner wall, snapped to the nearest voxel."""
+def tumor_center_voxel(spec: PhantomSpec) -> tuple[int, int, int]:
+    """Tumor center as a (z, y, x) voxel: mid-arc, inner wall, snapped to the nearest voxel."""
     (cz, cy, cx), radius = arc_params(spec)
     r_c = spec.tube_radius_mm - 0.75 * spec.wall_thickness_mm
     sz, sy, sx = spec.spacing.zyx
-    return Coord(
-        int(round(cz / sz)),
-        int(round(cy / sy)),
-        int(round((cx + radius - r_c) / sx)),
-    )
+    return (round(cz / sz), round(cy / sy), round((cx + radius - r_c) / sx))
 
 
 def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
@@ -161,11 +152,10 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
     labels = np.zeros(spec.dims.shape, dtype=np.uint8)
     labels[colon] = 1
 
-    tc = tumor_center_voxel(spec)
+    tz, ty, tx = tumor_center_voxel(spec)
     z, y, x = _grid_coords_mm(spec)
     sz, sy, sx = spec.spacing.zyx
-    d_tumor = np.sqrt((z - tc.z * sz) ** 2 + (y - tc.y * sy) ** 2 + (x - tc.x * sx) ** 2)
-    tumor = d_tumor <= spec.tumor_radius_mm
+    tumor = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
 
     rng = np.random.default_rng(spec.seed)
 
@@ -183,7 +173,7 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
         ) <= 1.0
         labels[inside & (labels == 0)] = 2 + k
 
-    ct = np.empty(spec.dims.shape, dtype=np.float64)
+    ct = np.empty(spec.dims.shape, dtype=np.float32)  # each draw is rounded once, as it is stored
     regions = [
         (labels == 0, spec.background),
         (lumen, spec.lumen),
@@ -196,5 +186,4 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
         if count:
             ct[mask] = rng.normal(stats.mean, stats.stddev, count)
 
-    ct_grid = VoxelGrid(ct.astype(np.float32), spec.spacing)
-    return ct_grid, VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)
+    return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -14,12 +14,11 @@ lookup over the flat z-major order with a seeded generator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, bounding_box, require_same_geometry
+from .grid import VoxelGrid, bounding_box, is_int, require_bool, require_same_geometry
 
 PSM_SUM_TOL = 1e-9
 
@@ -38,7 +37,7 @@ class PatchSpec:
 
     def __post_init__(self):
         size = tuple(self.size)
-        if len(size) != 3 or not all(isinstance(s, numbers.Integral) and s >= 1 for s in size):
+        if len(size) != 3 or not all(is_int(s) and s >= 1 for s in size):
             raise ValueError(f"patch size must be 3 integers >= 1, got {self.size!r}")
         object.__setattr__(self, "size", tuple(int(s) for s in size))
 
@@ -112,14 +111,9 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     return out
 
 
-def _require_mask(grid: VoxelGrid) -> None:
-    if grid.data.dtype != np.bool_:
-        raise ValueError("interest map must be boolean")
-
-
 def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
     """Gain field of an interest mask, as a float64 grid; its cost scales with the mask's box."""
-    _require_mask(interest)
+    require_bool(interest.data)
     return interest.with_data(_gain(interest.data, patch))
 
 
@@ -164,8 +158,7 @@ def mixed_psm(
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_same_geometry(ooi, tumor)
-    _require_mask(ooi)
-    _require_mask(tumor)
+    require_bool(ooi.data, tumor.data)
     n = ooi.data.size
     # an empty union leaves an empty box, so both maps are their constant
     box = bounding_box(ooi.data | tumor.data, patch.radii) or (slice(0, 0),) * 3

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_same_geometry
+from .grid import VoxelGrid, require_bool, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     noise is not truncated; float images keep their dtype.
     """
     require_same_geometry(image, band)
-    if band.data.dtype != np.bool_:
-        raise ValueError("mask must be a boolean grid")
+    require_bool(band.data)
     out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
     count = int(np.count_nonzero(band.data))
     if count:
@@ -60,8 +59,7 @@ def l1_recon_loss(image: VoxelGrid, recon: VoxelGrid, restrict_to: VoxelGrid | N
     if restrict_to is None:
         return float(np.mean(diff))
     require_same_geometry(image, restrict_to)
-    if restrict_to.data.dtype != np.bool_:
-        raise ValueError("restrict_to must be a boolean grid")
+    require_bool(restrict_to.data)
     if not np.any(restrict_to.data):
         raise ValueError("restrict_to mask is empty")
     return float(np.mean(diff[restrict_to.data]))

@@ -40,10 +40,9 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
 
-DATATYPES = {"uint8": 2, "int16": 4, "int32": 8, "float32": 16}
-_CODE_TO_NAME = {v: k for k, v in DATATYPES.items()}
-_NP_DTYPES = {"uint8": np.dtype("<u1"), "int16": np.dtype("<i2"),
-              "int32": np.dtype("<i4"), "float32": np.dtype("<f4")}
+# each supported datatype: its NIfTI-1 code and its little-endian numpy dtype
+DATATYPES = {"uint8": (2, np.dtype("<u1")), "int16": (4, np.dtype("<i2")),
+             "int32": (8, np.dtype("<i4")), "float32": (16, np.dtype("<f4"))}
 
 
 class VolumeFormatError(ValueError):
@@ -77,11 +76,11 @@ class VolumeMeta:
             raise ValueError(f"unknown source format {self.source_format!r}")
 
     @classmethod
-    def for_grid(cls, grid: VoxelGrid, datatype: str | None = None,
-                 source_format: str = "nifti1") -> "VolumeMeta":
+    def for_grid(cls, grid: VoxelGrid, datatype: str | None = None) -> "VolumeMeta":
+        """Metadata to write ``grid`` with; the writer picks the format by the path's suffix."""
         if datatype is None:
             datatype = _natural_datatype(grid.data.dtype)
-        return cls(grid.dims, grid.spacing, datatype, source_format=source_format)
+        return cls(grid.dims, grid.spacing, datatype)
 
 
 def _natural_datatype(dtype: np.dtype) -> str:
@@ -100,7 +99,7 @@ def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
     Data already of that dtype is returned as it is, without a copy.
     """
     data = grid.data
-    cast = data.astype(_NP_DTYPES[datatype], copy=False)
+    cast = data.astype(DATATYPES[datatype][1], copy=False)
     if cast is not data:
         back = cast.astype(data.dtype)
         # the NaN-aware comparison copies the data, so it runs only when the plain one fails
@@ -122,8 +121,8 @@ def _build_header(meta: VolumeMeta) -> bytes:
     dims = meta.dims
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<8h", hdr, 40, 3, dims.nx, dims.ny, dims.nz, 1, 1, 1, 1)
-    struct.pack_into("<h", hdr, 70, DATATYPES[meta.datatype])
-    struct.pack_into("<h", hdr, 72, 8 * _NP_DTYPES[meta.datatype].itemsize)
+    code, dtype = DATATYPES[meta.datatype]
+    struct.pack_into("<2h", hdr, 70, code, 8 * dtype.itemsize)
     if not meta.raw_header:
         # fresh header: pixdim[0] is the qform handedness flag, units are mm
         struct.pack_into("<f", hdr, 76, 1.0)
@@ -142,7 +141,7 @@ def _write_nifti(payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
 
 def _read_payload(path: Path, offset: int, datatype: str, dims: Dims, exact: bool) -> np.ndarray:
     """Voxels at ``offset``, read once the file size shows them all (``exact``: and no more)."""
-    dtype = _NP_DTYPES[datatype]
+    dtype = DATATYPES[datatype][1]
     held, expected = max(path.stat().st_size - offset, 0), dims.n * dtype.itemsize
     if held < expected or (exact and held > expected):
         raise CorruptFileError(f"{path}: payload is {held} bytes, expected {expected}")
@@ -176,9 +175,9 @@ def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
         raise VolumeFormatError(f"{path}: bad dim {dim} or pixdim {pixdim[1:4]}: {exc}") from None
 
     (code,) = struct.unpack_from("<h", hdr, 70)
-    if code not in _CODE_TO_NAME:
+    datatype = next((name for name, (c, _) in DATATYPES.items() if c == code), None)
+    if datatype is None:
         raise UnsupportedDatatypeError(f"{path}: unsupported datatype code {code}")
-    datatype = _CODE_TO_NAME[code]
 
     vox_offset, scl_slope, scl_inter = struct.unpack_from("<3f", hdr, 108)
     if not all(map(math.isfinite, (vox_offset, scl_slope, scl_inter))):
@@ -261,8 +260,9 @@ _READERS = {".nii": _read_nifti, ".raw": _read_rawjson, ".json": _read_rawjson}
 def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
     """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}."""
     path = Path(path)
-    if meta.dims != grid.dims:
-        raise ValueError(f"{path}: metadata dims {meta.dims} do not match grid {grid.dims}")
+    if (meta.dims, meta.spacing) != (grid.dims, grid.spacing):
+        raise ValueError(f"{path}: metadata dims/spacing {meta.dims}/{meta.spacing} "
+                         f"do not match grid {grid.dims}/{grid.spacing}")
     if path.suffix not in _WRITERS:
         raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
     _WRITERS[path.suffix](_encode_payload(grid, meta.datatype, path), meta, path)

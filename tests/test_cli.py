@@ -435,7 +435,7 @@ def test_pad_the_image_dtype_cannot_hold_exits_1(workdir, pad, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "uint8" in err
-    assert not list((workdir / "patches").iterdir())
+    assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
 
 
 @pytest.mark.parametrize("pad", ["nan", "inf", "-inf"])
@@ -495,3 +495,38 @@ def test_drawn_centers_text_is_the_json_dumps_text(workdir, capsys):
     text = capsys.readouterr().out
     centers = np.array(json.loads(text)["centers"])
     assert centers.shape == (500, 3) and text == _centers_text(500, 9, centers)
+
+
+@pytest.mark.parametrize("fill", [-1.0 / 64, 0.0])
+def test_map_without_a_positive_distribution_exits_1(tmp_path, fill, capsys):
+    # a map of negative voxels would turn positive when divided by its negative sum
+    psm = VoxelGrid(np.full((4, 4, 4), fill, dtype=np.float32), Spacing(1.0, 1.0, 1.0))
+    write_volume(psm, VolumeMeta.for_grid(psm), tmp_path / "psm.nii")
+    argv = ["sample", "--psm", str(tmp_path / "psm.nii"), "--seed", "1", "--out", str(tmp_path / "c.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "psm.nii" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("image", ["nan", "wrong_dims"])
+def test_a_bad_image_leaves_no_centers_or_patches(workdir, image, capsys):
+    ct, _ = read_volume(workdir / "ct.nii")
+    data = ct.data.copy()
+    data[3, 4, 5] = np.nan
+    bad = ct.with_data(data if image == "nan" else ct.data[:-1])  # or one z slice short
+    write_volume(bad, VolumeMeta.for_grid(bad), workdir / "bad.nii")
+    argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "bad.nii"),
+                        "--patch-dir", str(workdir / "patches"))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad.nii" in err
+    assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
+
+
+def test_empty_cohort_leaves_no_report(workdir, capsys):
+    manifest = workdir / "cases.jsonl"
+    manifest.write_text("\n")
+    assert run(["metrics", "--cohort", str(manifest), "--out", str(workdir / "c.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: cohort is empty\n"
+    assert not (workdir / "c.jsonl").exists()

@@ -37,8 +37,7 @@ def test_round_trip_bit_exact(tmp_path, rng, dtype, datatype, ext):
         data = rng.integers(info.min, info.max, (4, 5, 6)).astype(dtype)
     g = VoxelGrid(data, ANISO)
     path = tmp_path / f"vol{ext}"
-    fmt = "nifti1" if ext == ".nii" else "rawjson"
-    write_volume(g, VolumeMeta.for_grid(g, datatype, fmt), path)
+    write_volume(g, VolumeMeta.for_grid(g, datatype), path)
     g2, meta = read_volume(path)
     assert np.array_equal(g.data, g2.data)
     assert g2.data.dtype == dtype
@@ -155,6 +154,16 @@ def test_lossy_write_rejected(tmp_path, rng):
         write_volume(big, VolumeMeta(big.dims, ANISO, "int16"), tmp_path / "y.nii")
 
 
+@pytest.mark.parametrize("ext", [".nii", ".raw"])
+def test_metadata_that_disagrees_with_the_grid_is_refused(tmp_path, ext):
+    g = VoxelGrid(np.zeros((2, 3, 4), dtype=np.float32), ANISO)
+    for meta in (VolumeMeta(Dims(2, 3, 5), ANISO, "float32"),
+                 VolumeMeta(g.dims, Spacing(1.0, 1.0, 1.0), "float32")):
+        with pytest.raises(ValueError, match="do not match"):
+            write_volume(g, meta, tmp_path / f"v{ext}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_nan_float_write_round_trips_but_not_into_integers(tmp_path):
     data = np.zeros((2, 2, 2), dtype=np.float32)
     data[0, 1, 1] = np.nan
@@ -194,7 +203,7 @@ def test_sform_bytes_preserved_read_write(tmp_path, rng):
 
 def test_rawjson_sidecar_schema(tmp_path, rng):
     g = VoxelGrid(rng.standard_normal((4, 5, 6)).astype(np.float32), Spacing(5.0, 0.78, 0.78))
-    write_volume(g, VolumeMeta.for_grid(g, source_format="rawjson"), tmp_path / "v.raw")
+    write_volume(g, VolumeMeta.for_grid(g), tmp_path / "v.raw")
     sidecar = json.loads((tmp_path / "v.json").read_text())
     assert sidecar == {
         "dims": [4, 5, 6],
@@ -208,7 +217,7 @@ def test_rawjson_sidecar_schema(tmp_path, rng):
 
 def test_rawjson_size_mismatch(tmp_path, rng):
     g = VoxelGrid(rng.standard_normal((3, 3, 3)).astype(np.float32), ANISO)
-    write_volume(g, VolumeMeta.for_grid(g, source_format="rawjson"), tmp_path / "v.raw")
+    write_volume(g, VolumeMeta.for_grid(g), tmp_path / "v.raw")
     payload = (tmp_path / "v.raw").read_bytes()
     (tmp_path / "v.raw").write_bytes(payload[:-4])
     with pytest.raises(CorruptFileError):
@@ -386,10 +395,9 @@ def test_fuzzed_sidecar_reads_exactly_or_fails_cleanly(tmp_path, sidecar, payloa
 def test_read_allocates_one_array_and_write_none(tmp_path, rng):
     g = VoxelGrid(rng.standard_normal((32, 64, 64)).astype(np.float32), ANISO)
     for name in ("big.nii", "big.raw"):
-        fmt = "nifti1" if name.endswith(".nii") else "rawjson"
         tracemalloc.start()
         try:
-            write_volume(g, VolumeMeta.for_grid(g, source_format=fmt), tmp_path / name)
+            write_volume(g, VolumeMeta.for_grid(g), tmp_path / name)
             write_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             g2, _ = read_volume(tmp_path / name)

@@ -126,9 +126,7 @@ def test_iteration_additivity(rng):
 
 
 @pytest.mark.parametrize("nx", [3, 13, 63, 64, 65, 100, 128, 130])
-def test_packed_equals_naive_across_word_boundaries(rng, nx):
-    # The name dates from the bit-packed path; this checks the boolean path
-    # against the oracle on x axes of length 3-130.
+def test_boolean_path_equals_naive_on_long_x_axes(rng, nx):
     mask = random_mask(rng, (4, 5, nx), 0.35)
     for elem in (FACE6, FULL26):
         for t in (1, 2, 3):

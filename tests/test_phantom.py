@@ -69,9 +69,10 @@ def test_tumor_centroid_distance_in_range():
 def test_tumor_center_is_a_wall_voxel():
     _, labels, tumor = gen_phantom(SMALL)
     c = tumor_center_voxel(SMALL)
+    assert len(c) == 3 and all(type(v) is int for v in c)
     dist = centerline_distance(SMALL)
-    assert labels.data[c.z, c.y, c.x] == 1
-    assert SMALL.tube_radius_mm - SMALL.wall_thickness_mm <= dist[c.z, c.y, c.x] <= SMALL.tube_radius_mm
+    assert labels.data[c] == 1
+    assert SMALL.tube_radius_mm - SMALL.wall_thickness_mm <= dist[c] <= SMALL.tube_radius_mm
     wall = (labels.data == 1) & (dist >= SMALL.tube_radius_mm - SMALL.wall_thickness_mm)
     assert int((tumor.data & wall).sum()) > 0
 
