@@ -184,6 +184,14 @@ def _centers_json(count: int, seed: int, centers: np.ndarray) -> str:
     return '{\n  "centers": [\n%s\n  ],\n  "count": %d,\n  "seed": %d\n}\n' % (rows, count, seed)
 
 
+def _parse_json(data: bytes, where: str):
+    """``data`` as JSON; bad UTF-8, bad JSON or too deep nesting is a UsageError naming ``where``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{where}: not valid JSON ({exc})") from None
+
+
 def _require(args, *names) -> None:
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
@@ -194,15 +202,13 @@ def _effective_config(args) -> PipelineConfig:
     """The config file's JSON object with the given flags written over it, validated once."""
     obj = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed config {path}: {exc}") from None
+            data = Path(args.config).read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read config: {exc}") from None
+        obj = _parse_json(data, f"config {args.config}")
         if not isinstance(obj, dict):
-            raise UsageError(f"config {path} must be a JSON object")
+            raise UsageError(f"config {args.config} must be a JSON object")
     for _, dest, _, _ in _CONFIG_FLAGS:
         value = getattr(args, dest, None)
         if value is None:
@@ -260,12 +266,14 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     centers = sampling.draw_centers(smap, args.count, args.seed)
     if args.patch_dir:  # every check on the image comes before the first write
         image = _load_grid(args.image)
-        if image.dims != grid.dims:
-            raise ValueError(f"{args.image}: dims {image.dims} differ from the sampling map's {grid.dims}")
+        if image.data.shape != grid.data.shape:
+            raise ValueError(f"{args.image}: shape {image.data.shape} is not the map's {grid.data.shape}")
         pad_value(args.pad, image.data.dtype)
+        out_dir = Path(args.patch_dir)  # its nearest existing ancestor must be a directory
+        if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+            raise ValueError(f"{out_dir}: --patch-dir is not a directory and cannot be made one")
     _emit_text(_centers_json(args.count, args.seed, centers), args.out)
     if args.patch_dir:
-        out_dir = Path(args.patch_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, c in enumerate(centers):
             patch = extract_patch(image, c, cfg.patch.size, pad=args.pad)
@@ -300,13 +308,10 @@ def _metric_case(paths, cfg: PipelineConfig) -> metrics.MetricReport:
 def _read_manifest(path) -> list:
     """(case_id, (gt, pred)) per nonblank JSON line of a cohort manifest."""
     cases = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path} line {n}: not valid JSON ({exc})") from None
+        rec = _parse_json(line, f"{path} line {n}")
         if not (isinstance(rec, dict) and "case_id" in rec
                 and isinstance(rec.get("gt"), str) and isinstance(rec.get("pred"), str)):
             raise UsageError(f"{path} line {n}: need a JSON object with case_id, gt and pred paths")
@@ -331,16 +336,13 @@ def _cmd_metrics(args, cfg: PipelineConfig) -> int:
 
 def _cmd_phantom(args, cfg: PipelineConfig) -> int:
     _require(args, "spec", "out_ct", "out_labels", "out_tumor")
-    path = Path(args.spec)
-    if not path.exists():
-        raise FileNotFoundError(f"phantom spec not found: {path}")
+    obj = _parse_json(Path(args.spec).read_bytes(), f"bad phantom spec {args.spec}")
+    if args.seed is not None and isinstance(obj, dict):  # else from_json names the bad spec
+        obj["seed"] = args.seed
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        if args.seed is not None and isinstance(obj, dict):  # else from_json names the bad spec
-            obj["seed"] = args.seed
         spec = phantom.PhantomSpec.from_json(obj)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(f"bad phantom spec {path}: {exc}") from None
+        raise UsageError(f"bad phantom spec {args.spec}: {exc}") from None
     ct, labels, tumor = phantom.gen_phantom(spec)
     _write_float(ct, args.out_ct)
     _write_uint8(labels, args.out_labels)

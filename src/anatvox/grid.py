@@ -84,11 +84,6 @@ class VoxelGrid:
             raise ValueError(f"grid data must be 3D, got shape {self.data.shape}")
         self.data = np.ascontiguousarray(self.data)
 
-    @property
-    def dims(self) -> Dims:
-        nz, ny, nx = self.data.shape
-        return Dims(nz, ny, nx)
-
     def copy(self) -> "VoxelGrid":
         return VoxelGrid(self.data.copy(), self.spacing)
 
@@ -136,14 +131,14 @@ def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
     if len(size) != 3 or any(s <= 0 for s in size):
         raise ValueError(f"patch size must be 3 positive integers, got {size}")
     center = tuple(int(c) for c in center)
-    dims = grid.dims
-    if len(center) != 3 or not all(0 <= c < n for c, n in zip(center, dims.shape)):
-        raise ValueError(f"patch center {center} outside grid dims {dims}")
+    shape = grid.data.shape
+    if len(center) != 3 or not all(0 <= c < n for c, n in zip(center, shape)):
+        raise ValueError(f"patch center {center} outside grid shape {shape}")
 
     start = [c - s // 2 for c, s in zip(center, size)]
     out = np.full(size, pad_value(pad, grid.data.dtype), dtype=grid.data.dtype)
     # the center is inside the grid, so the patch overlaps it on every axis
-    src = tuple(slice(max(st, 0), min(st + s, n)) for st, s, n in zip(start, size, dims.shape))
+    src = tuple(slice(max(st, 0), min(st + s, n)) for st, s, n in zip(start, size, shape))
     dst = tuple(slice(sl.start - st, sl.stop - st) for sl, st in zip(src, start))
     out[dst] = grid.data[src]
     return VoxelGrid(out, grid.spacing)

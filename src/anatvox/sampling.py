@@ -93,14 +93,12 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     acc = mask[box].astype(np.float64)
     radii, variances = patch.radii, patch.variances
     for axis in (0, 1, 2):
-        r = radii[axis]
         n = acc.shape[axis]
+        r = min(radii[axis], n - 1)  # a tap |t| >= n lands nowhere in the box
         k = _axis_kernel(r, variances[axis])
         lead = (slice(None),) * axis
         nxt = np.zeros_like(acc)
         for i, t in enumerate(range(-r, r + 1)):
-            if abs(t) >= n:
-                continue
             # nxt[v] += k[i] * acc[v + t] wherever v + t is inside the box
             dst = lead + (slice(max(-t, 0), n - max(t, 0)),)
             src = lead + (slice(max(t, 0), n - max(-t, 0)),)

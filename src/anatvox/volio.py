@@ -9,15 +9,15 @@ fields (byte offsets in the 348-byte header):
     bitpix       int16    @72
     pixdim       float[8] @76   pixdim[1..3] = (sx, sy, sz) in mm
     vox_offset   float    @108  352 for files we write
-    scl_slope    float    @112  applied on read when nonzero
-    scl_inter    float    @116
+    scl_slope    float    @112  applied on read when nonzero; written as 0
+    scl_inter    float    @116  written as 0
     magic        char[4]  @344  "n+1\\0"
 
 Everything else (qform/sform in particular) is carried as opaque bytes: a
 header read from disk is kept on the metadata and written back verbatim
-apart from the honored fields. Files are little-endian regardless of host;
-byte-swapped input is rejected rather than converted. Uncompressed .nii
-only; decompress .nii.gz externally.
+apart from the honored fields, which come from the grid and the datatype.
+Files are little-endian regardless of host; byte-swapped input is rejected
+rather than converted. Uncompressed .nii only; decompress .nii.gz externally.
 
 The raw format is <name>.raw (little-endian voxels, z slowest) next to
 <name>.json holding {"dims": [nz, ny, nx], "spacing": [sz, sy, sx],
@@ -59,12 +59,9 @@ class CorruptFileError(VolumeFormatError):
 
 @dataclass
 class VolumeMeta:
-    dims: Dims
-    spacing: Spacing
+    """What a grid cannot hold: the stored datatype and, after a NIfTI read, its header."""
+
     datatype: str
-    scl_slope: float = 0.0
-    scl_inter: float = 0.0
-    source_format: str = "nifti1"
     raw_header: bytes | None = None
 
     def __post_init__(self):
@@ -72,15 +69,13 @@ class VolumeMeta:
             raise UnsupportedDatatypeError(
                 f"unsupported datatype {self.datatype!r}, expected one of {sorted(DATATYPES)}"
             )
-        if self.source_format not in ("nifti1", "rawjson"):
-            raise ValueError(f"unknown source format {self.source_format!r}")
 
     @classmethod
     def for_grid(cls, grid: VoxelGrid, datatype: str | None = None) -> "VolumeMeta":
         """Metadata to write ``grid`` with; the writer picks the format by the path's suffix."""
         if datatype is None:
             datatype = _natural_datatype(grid.data.dtype)
-        return cls(grid.dims, grid.spacing, datatype)
+        return cls(datatype)
 
 
 def _natural_datatype(dtype: np.dtype) -> str:
@@ -114,28 +109,27 @@ def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _build_header(meta: VolumeMeta) -> bytes:
+def _build_header(grid: VoxelGrid, meta: VolumeMeta) -> bytes:
     hdr = bytearray(meta.raw_header) if meta.raw_header else bytearray(HEADER_SIZE)
     if len(hdr) != HEADER_SIZE:
         raise ValueError("stored raw header has wrong size")
-    dims = meta.dims
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    struct.pack_into("<8h", hdr, 40, 3, dims.nx, dims.ny, dims.nz, 1, 1, 1, 1)
+    struct.pack_into("<8h", hdr, 40, 3, *grid.data.shape[::-1], 1, 1, 1, 1)
     code, dtype = DATATYPES[meta.datatype]
     struct.pack_into("<2h", hdr, 70, code, 8 * dtype.itemsize)
     if not meta.raw_header:
         # fresh header: pixdim[0] is the qform handedness flag, units are mm
         struct.pack_into("<f", hdr, 76, 1.0)
         hdr[123] = 2
-    struct.pack_into("<3f", hdr, 80, meta.spacing.sx, meta.spacing.sy, meta.spacing.sz)
-    struct.pack_into("<3f", hdr, 108, VOX_OFFSET, meta.scl_slope, meta.scl_inter)
+    struct.pack_into("<3f", hdr, 80, *grid.spacing.zyx[::-1])
+    struct.pack_into("<3f", hdr, 108, VOX_OFFSET, 0.0, 0.0)
     hdr[344:348] = MAGIC
     return bytes(hdr)
 
 
-def _write_nifti(payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
+def _write_nifti(grid: VoxelGrid, payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
     with open(path, "wb") as fh:
-        fh.write(_build_header(meta).ljust(VOX_OFFSET, b"\x00"))
+        fh.write(_build_header(grid, meta).ljust(VOX_OFFSET, b"\x00"))
         fh.write(payload)
 
 
@@ -193,14 +187,7 @@ def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
         except FloatingPointError:
             raise VolumeFormatError(f"{path}: scl_slope/scl_inter overflow float32") from None
         datatype = "float32"
-        # data is now in scaled units; writing it back must not rescale
-        scl_slope, scl_inter = 0.0, 0.0
-    meta = VolumeMeta(
-        dims, spacing, datatype,
-        scl_slope=scl_slope, scl_inter=scl_inter,
-        source_format="nifti1", raw_header=hdr,
-    )
-    return VoxelGrid(arr, spacing), meta
+    return VoxelGrid(arr, spacing), VolumeMeta(datatype, raw_header=hdr)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +199,10 @@ def _sidecar_paths(path: Path) -> tuple[Path, Path]:
     return stem.with_suffix(".raw"), stem.with_suffix(".json")
 
 
-def _write_rawjson(payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
+def _write_rawjson(grid: VoxelGrid, payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
     raw_path, json_path = _sidecar_paths(path)
     raw_path.write_bytes(payload)
-    sidecar = {"dims": list(meta.dims.shape), "spacing": list(meta.spacing.zyx),
+    sidecar = {"dims": list(grid.data.shape), "spacing": list(grid.spacing.zyx),
                "datatype": meta.datatype}
     json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -240,7 +227,7 @@ def _read_rawjson(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"{json_path}: unsupported datatype {datatype!r}")
     arr = _read_payload(raw_path, 0, datatype, dims, exact=True)
-    return VoxelGrid(arr, spacing), VolumeMeta(dims, spacing, datatype, source_format="rawjson")
+    return VoxelGrid(arr, spacing), VolumeMeta(datatype)
 
 
 def _json_triple(value, kind) -> bool:
@@ -260,12 +247,11 @@ _READERS = {".nii": _read_nifti, ".raw": _read_rawjson, ".json": _read_rawjson}
 def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
     """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}."""
     path = Path(path)
-    if (meta.dims, meta.spacing) != (grid.dims, grid.spacing):
-        raise ValueError(f"{path}: metadata dims/spacing {meta.dims}/{meta.spacing} "
-                         f"do not match grid {grid.dims}/{grid.spacing}")
     if path.suffix not in _WRITERS:
         raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
-    _WRITERS[path.suffix](_encode_payload(grid, meta.datatype, path), meta, path)
+    if not grid.data.size:  # the readers refuse a zero-length axis
+        raise ValueError(f"{path}: cannot write an empty grid of shape {grid.data.shape}")
+    _WRITERS[path.suffix](grid, _encode_payload(grid, meta.datatype, path), meta, path)
 
 
 def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:

@@ -530,3 +530,48 @@ def test_empty_cohort_leaves_no_report(workdir, capsys):
     assert run(["metrics", "--cohort", str(manifest), "--out", str(workdir / "c.jsonl")]) == 1
     assert capsys.readouterr().err == "error: cohort is empty\n"
     assert not (workdir / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize("patch_dir", ["patches", "patches/sub"])
+def test_patch_dir_that_is_a_file_leaves_no_centers(workdir, patch_dir, capsys):
+    (workdir / "patches").write_text("not a directory\n")
+    argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "ct.nii"),
+                        "--patch-dir", str(workdir / patch_dir))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "patches" in err
+    assert not (workdir / "c.json").exists()
+
+
+def _json_input_argv(workdir, which, path, out):
+    tumor = str(workdir / "tumor.nii")
+    return {
+        "config": ["wall", "--config", str(path), "--ooi", tumor, "--out", str(out / "wall.nii")],
+        "spec": ["phantom", "--spec", str(path), "--out-ct", str(out / "ct.nii"),
+                 "--out-labels", str(out / "labels.nii"), "--out-tumor", str(out / "tumor.nii")],
+        "manifest": ["metrics", "--cohort", str(path), "--out", str(out / "c.jsonl")],
+    }[which]
+
+
+_UNDECODABLE = {"non-utf8": b'{"seed": "\xff"}', "deep-nesting": b"[" * 100000 + b"]" * 100000}
+_UNDECODABLE_CASES = {f"{name}-{which}": (which, content) for name, content in _UNDECODABLE.items()
+                      for which in ("config", "spec", "manifest")}
+_UNDECODABLE_CASES["directory-config"] = ("config", None)  # an unreadable spec or manifest exits 1
+
+
+@pytest.mark.parametrize("which,content", _UNDECODABLE_CASES.values(), ids=_UNDECODABLE_CASES.keys())
+def test_undecodable_json_input_exits_2_naming_the_file(workdir, which, content, capsys):
+    path, out = workdir / f"{which}.json", workdir / "out"
+    out.mkdir()
+    if content is None:
+        path.mkdir()
+    elif which == "manifest":  # the bad record follows a good one
+        tumor = str(workdir / "tumor.nii")
+        path.write_bytes(json.dumps({"case_id": "a", "gt": tumor, "pred": tumor}).encode() + b"\n" + content)
+    else:
+        path.write_bytes(content)
+    assert run(_json_input_argv(workdir, which, path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (f"{path} line 2:" if which == "manifest" else str(path)) in err
+    assert not any(out.iterdir())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ def test_gain_map_on_faces_and_corners_equals_full_grid_passes(size):
     for mask in _face_and_corner_masks((7, 9, 11)):
         o = bool_grid(mask)
         assert np.array_equal(gain_map(o, spec).data, gain_map_full(o, spec))
+
+
+def test_gain_passes_build_only_the_taps_that_land():
+    # the x pass of a 1x1x400001 patch over a 4-voxel-wide mask needs 7 taps, not 400001
+    mask = np.zeros((2, 2, 4), dtype=bool)
+    mask[0, 1, 2] = mask[1, 0, 0] = True
+    o = bool_grid(mask, ANISO)
+    spec = PatchSpec((1, 1, 400001))
+    tracemalloc.start()
+    try:
+        g = gain_map(o, spec).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g, gain_map_full(o, spec))
+    assert peak < 2**18  # the full kernel alone is 3.2 MB
 
 
 def test_psm_uniform_for_zero_gain():
