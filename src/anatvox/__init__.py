@@ -28,7 +28,6 @@ from .morphology import FACE6, FULL26, StructElem, boundary_band, dilate, erode
 from .phantom import PhantomSpec, TissueStats, gen_phantom
 from .sampling import (
     PatchSpec,
-    SamplingMap,
     combine_psm,
     draw_centers,
     gain_map,
@@ -48,8 +47,7 @@ __all__ = [
     "MetricReport", "edt", "seg_metrics", "surface_voxels", "write_cohort_report",
     "FACE6", "FULL26", "StructElem", "boundary_band", "dilate", "erode",
     "PhantomSpec", "TissueStats", "gen_phantom",
-    "PatchSpec", "SamplingMap",
-    "combine_psm", "draw_centers", "gain_map", "psm_from_gain",
+    "PatchSpec", "combine_psm", "draw_centers", "gain_map", "psm_from_gain",
     "NoiseSpec", "l1_recon_loss", "mask_bowel_wall",
     "VolumeMeta", "read_volume", "write_volume",
 ]

@@ -257,13 +257,10 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     if args.patch_dir:
         _require(args, "image")  # before the centers file is written
     grid = _load_grid(args.psm)
-    grid = grid.with_data(grid.data.astype(np.float64))
-    total = np.sum(grid.data)
-    if not (grid.data.min() >= 0 and total > 0):
-        raise ValueError(f"{args.psm}: a sampling map needs voxels >= 0 and a positive sum")
-    grid.data /= total  # undo float32 quantization
-    smap = sampling.SamplingMap(grid)
-    centers = sampling.draw_centers(smap, args.count, args.seed)
+    try:
+        centers = sampling.draw_centers(grid, args.count, args.seed)
+    except ValueError as exc:
+        raise ValueError(f"sampling from {args.psm}: {exc}") from None
     if args.patch_dir:  # every check on the image comes before the first write
         image = _load_grid(args.image)
         if image.data.shape != grid.data.shape:
@@ -446,3 +443,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

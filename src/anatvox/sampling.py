@@ -20,8 +20,6 @@ import numpy as np
 
 from .grid import VoxelGrid, bounding_box, is_int, require_bool, require_same_geometry
 
-PSM_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PatchSpec:
@@ -55,21 +53,6 @@ class PatchSpec:
     def norm_const(self) -> float:
         vz, vy, vx = self.variances
         return (2.0 * math.pi) ** -1.5 / math.sqrt(vz * vy * vx)
-
-
-@dataclass
-class SamplingMap:
-    """Per-voxel probability of being chosen as a patch center."""
-
-    grid: VoxelGrid
-
-    def __post_init__(self):
-        data = self.grid.data
-        if not data.min() >= 0:  # written so that NaN fails too
-            raise ValueError("sampling map has negative or NaN entries")
-        total = float(np.sum(data, dtype=np.float64))
-        if not abs(total - 1.0) <= PSM_SUM_TOL:
-            raise ValueError(f"sampling map sums to {total!r}, not 1")
 
 
 def _axis_kernel(radius: int, variance: float) -> np.ndarray:
@@ -115,28 +98,28 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
     return interest.with_data(_gain(interest.data, patch))
 
 
-def psm_from_gain(gain: VoxelGrid, mu: float = 1.0) -> SamplingMap:
-    """Blend the gain field with the uniform map and renormalize.
+def psm_from_gain(gain: VoxelGrid, mu: float = 1.0) -> VoxelGrid:
+    """Blend the gain field with the uniform map and renormalize, as a float64 grid.
 
     s_i = (g_i / mu + 1/n) / sum_j (g_j / mu + 1/n). Every probability is
     strictly positive because of the uniform floor.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     s = gain.data.astype(np.float64, copy=False) / mu
     s += 1.0 / s.size
     s /= np.sum(s, dtype=np.float64)
-    return SamplingMap(gain.with_data(s))
+    return gain.with_data(s)
 
 
-def combine_psm(s_organ: SamplingMap, s_tumor: SamplingMap, lam: float) -> SamplingMap:
+def combine_psm(s_organ: VoxelGrid, s_tumor: VoxelGrid, lam: float) -> VoxelGrid:
     """Convex mix of the organ-driven and tumor-driven maps."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    require_same_geometry(s_organ.grid, s_tumor.grid)
-    mixed = s_organ.grid.data * (1.0 - lam)
-    mixed += lam * s_tumor.grid.data
-    return SamplingMap(s_organ.grid.with_data(mixed))
+    require_same_geometry(s_organ, s_tumor)
+    mixed = s_organ.data * (1.0 - lam)
+    mixed += lam * s_tumor.data
+    return s_organ.with_data(mixed)
 
 
 def mixed_psm(
@@ -151,8 +134,8 @@ def mixed_psm(
     constant. Z rounds unlike a full-grid sum, so a value may differ from the
     reference in its last float64 bits; stored, it is within float32 rounding.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_same_geometry(ooi, tumor)
@@ -178,18 +161,24 @@ def mixed_psm(
     return ooi.with_data(out)
 
 
-def draw_centers(s: SamplingMap, count: int, seed: int) -> np.ndarray:
-    """``count`` seeded categorical draws from the map, as a (count, 3) int array.
+def draw_centers(grid: VoxelGrid, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded categorical draws from a map, as a (count, 3) int array.
 
-    Row i is the (z, y, x) voxel of draw i. Inverse-CDF over the flat z-major
-    order; identical (map, count, seed) always reproduces the identical array.
+    The map may hold any finite weights >= 0 with a positive sum, such as a
+    float32 map as stored. It is widened once into a float64 copy, divided by
+    its sum, and that same array becomes the z-major cdf. Row i is the
+    (z, y, x) voxel of draw i, found by inverse-CDF lookup; identical
+    (map, count, seed) always reproduces the identical array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    flat = s.grid.data.reshape(-1)
-    cdf = np.cumsum(flat, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
+    cdf = grid.data.astype(np.float64).reshape(-1)
+    total = np.sum(cdf)
+    if not (cdf.min() >= 0 and 0 < total < math.inf):  # written so that NaN fails too
+        raise ValueError("a sampling map needs finite voxels >= 0 and a positive sum")
+    cdf /= total
+    np.cumsum(cdf, out=cdf)
+    u = np.random.default_rng(seed).random(count)
     idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, flat.size - 1, out=idx)
-    return np.stack(np.unravel_index(idx, s.grid.data.shape), axis=1)
+    np.clip(idx, 0, cdf.size - 1, out=idx)
+    return np.stack(np.unravel_index(idx, grid.data.shape), axis=1)

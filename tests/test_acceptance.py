@@ -28,7 +28,6 @@ from anatvox.morphology import FACE6, FULL26, dilate_mask, erode_mask
 from anatvox.phantom import PhantomSpec, arc_params, gen_phantom
 from anatvox.sampling import (
     PatchSpec,
-    SamplingMap,
     combine_psm,
     draw_centers,
     gain_map,
@@ -101,7 +100,7 @@ def test_criterion_02_psm_algebra():
     rng = np.random.default_rng(202)
     for mu in (0.5, 1.0, 2.0):
         g = rng.random((6, 6, 6)) * 3.0
-        s = psm_from_gain(VoxelGrid(g, ISO), mu=mu).grid.data
+        s = psm_from_gain(VoxelGrid(g, ISO), mu=mu).data
         n = g.size
         expected = (g / mu + 1.0 / n) / (g.sum() / mu + 1.0)
         assert np.abs(s - expected).max() <= 1e-12
@@ -110,16 +109,16 @@ def test_criterion_02_psm_algebra():
         make_grid(Dims(4, 4, 4), ISO, 0.0, dtype=np.float64),
         mu=1.0,
     )
-    assert np.all(zero.grid.data == 1.0 / 64)
+    assert np.all(zero.data == 1.0 / 64)
 
-    a = SamplingMap(VoxelGrid(np.full((4, 4, 4), 1.0 / 64), ISO))
+    a = VoxelGrid(np.full((4, 4, 4), 1.0 / 64), ISO)
     bdata = np.zeros((4, 4, 4))
     bdata[1, 2, 3] = 1.0
-    b = SamplingMap(VoxelGrid(bdata, ISO))
-    assert np.array_equal(combine_psm(a, b, 0.0).grid.data, a.grid.data)
-    assert np.array_equal(combine_psm(a, b, 1.0).grid.data, b.grid.data)
-    mixed = combine_psm(a, b, 0.33).grid.data
-    assert np.abs(mixed - (0.67 * a.grid.data + 0.33 * bdata)).max() <= 1e-15
+    b = VoxelGrid(bdata, ISO)
+    assert np.array_equal(combine_psm(a, b, 0.0).data, a.data)
+    assert np.array_equal(combine_psm(a, b, 1.0).data, b.data)
+    mixed = combine_psm(a, b, 0.33).data
+    assert np.abs(mixed - (0.67 * a.data + 0.33 * bdata)).max() <= 1e-15
     assert abs(float(mixed.sum()) - 1.0) <= 1e-12
     _report(2, "PSM closed form to 1e-12, uniform for zero gain, mix endpoints exact")
 
@@ -135,7 +134,7 @@ def test_criterion_03_sampling_chi_square_and_determinism():
 
     flat = np.ravel_multi_index(centers.T, (8, 8, 8))
     counts = np.bincount(flat, minlength=512)
-    expected = smap.grid.data.reshape(-1) * n
+    expected = smap.data.reshape(-1) * n
     assert expected.min() > 5.0  # chi-square validity
     chi = scipy.stats.chisquare(counts, f_exp=expected * (counts.sum() / expected.sum()))
     assert chi.pvalue > 0.001

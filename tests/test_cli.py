@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import anatvox
 from anatvox import sampling
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid
@@ -507,6 +512,31 @@ def test_map_without_a_positive_distribution_exits_1(tmp_path, fill, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "psm.nii" in err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(anatvox.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "anatvox.cli", "sample"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error: missing required arguments")
+
+
+def test_sample_stage_holds_one_float64_copy_of_the_map(tmp_path):
+    shape = (64, 64, 64)
+    psm = VoxelGrid(np.random.default_rng(4).random(shape, dtype=np.float32), Spacing(1.0, 1.0, 1.0))
+    write_volume(psm, VolumeMeta.for_grid(psm), tmp_path / "psm.nii")
+    del psm
+    argv = ["sample", "--psm", str(tmp_path / "psm.nii"), "--count", "10", "--seed", "1", "--out", str(tmp_path / "c.json")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 map as read (4 B/voxel) and one float64 copy that becomes the cdf (8 B/voxel)
+    assert peak < 14 * math.prod(shape)
 
 
 @pytest.mark.parametrize("image", ["nan", "wrong_dims"])

@@ -12,7 +12,6 @@ from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
 from anatvox.sampling import (
     PatchSpec,
-    SamplingMap,
     combine_psm,
     draw_centers,
     gain_map,
@@ -178,15 +177,15 @@ def test_gain_passes_build_only_the_taps_that_land():
 def test_psm_uniform_for_zero_gain():
     o = make_grid(Dims(4, 4, 4), ISO, False)
     s = psm_from_gain(gain_map(o, PatchSpec((2, 2, 2))), mu=1.0)
-    assert np.all(s.grid.data == 1.0 / 64)
+    assert np.all(s.data == 1.0 / 64)
 
 
 def test_psm_two_voxel_hand_case():
     # gains (0, 1), mu=1: intermediate (0.5, 1.5) normalizes to (0.25, 0.75)
     gain_grid = VoxelGrid(np.array([[[0.0, 1.0]]]), ISO)
     s = psm_from_gain(gain_grid, mu=1.0)
-    assert s.grid.data[0, 0, 0] == pytest.approx(0.25, abs=1e-15)
-    assert s.grid.data[0, 0, 1] == pytest.approx(0.75, abs=1e-15)
+    assert s.data[0, 0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert s.data[0, 0, 1] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_psm_algebraic_identity(rng):
@@ -198,13 +197,13 @@ def test_psm_algebraic_identity(rng):
         n = g.size
         gbar = g.sum()
         expected = (g / mu + 1.0 / n) / (gbar / mu + 1.0)
-        assert np.allclose(s.grid.data, expected, rtol=0, atol=1e-12)
-        assert abs(float(s.grid.data.sum()) - 1.0) < 1e-12
+        assert np.allclose(s.data, expected, rtol=0, atol=1e-12)
+        assert abs(float(s.data.sum()) - 1.0) < 1e-12
 
 
 def test_psm_monotone_in_gain(rng):
     g = rng.random((3, 3, 3))
-    s = psm_from_gain(VoxelGrid(g, ISO), mu=1.0).grid.data
+    s = psm_from_gain(VoxelGrid(g, ISO), mu=1.0).data
     flat_g = g.ravel()
     flat_s = s.ravel()
     order = np.argsort(flat_g)
@@ -214,30 +213,30 @@ def test_psm_monotone_in_gain(rng):
 def test_psm_rejects_nonpositive_mu():
     o = make_grid(Dims(2, 2, 2), ISO, False)
     g = gain_map(o, PatchSpec((2, 2, 2)))
-    for mu in (0.0, -1.0):
+    for mu in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
             psm_from_gain(g, mu)
 
 
 def _uniform_map(shape):
     data = np.full(shape, 1.0 / np.prod(shape))
-    return SamplingMap(VoxelGrid(data, ISO))
+    return VoxelGrid(data, ISO)
 
 
 def _delta_map(shape, index):
     data = np.zeros(shape)
     data[index] = 1.0
-    return SamplingMap(VoxelGrid(data, ISO))
+    return VoxelGrid(data, ISO)
 
 
 def test_combine_psm_endpoints_and_affinity(rng):
     a = _uniform_map((3, 3, 3))
     b = _delta_map((3, 3, 3), (1, 2, 0))
-    assert np.array_equal(combine_psm(a, b, 0.0).grid.data, a.grid.data)
-    assert np.array_equal(combine_psm(a, b, 1.0).grid.data, b.grid.data)
+    assert np.array_equal(combine_psm(a, b, 0.0).data, a.data)
+    assert np.array_equal(combine_psm(a, b, 1.0).data, b.data)
     lam = 0.33
-    mixed = combine_psm(a, b, lam).grid.data
-    assert np.allclose(mixed, (1 - lam) * a.grid.data + lam * b.grid.data, atol=0)
+    mixed = combine_psm(a, b, lam).data
+    assert np.allclose(mixed, (1 - lam) * a.data + lam * b.data, atol=0)
     assert abs(float(mixed.sum()) - 1.0) < 1e-12
 
 
@@ -255,7 +254,7 @@ def test_combine_psm_rejects_bad_lambda_and_shape():
 def _reference_psm(ooi, tumor, spec, mu, lam) -> np.ndarray:
     s_organ = psm_from_gain(gain_map(ooi, spec), mu)
     s_tumor = psm_from_gain(gain_map(tumor, spec), mu)
-    return combine_psm(s_organ, s_tumor, lam).grid.data
+    return combine_psm(s_organ, s_tumor, lam).data
 
 
 @st.composite
@@ -299,7 +298,8 @@ def test_mixed_psm_is_the_stored_reference_on_the_criterion_11_phantom():
 def test_mixed_psm_rejects_bad_arguments():
     o = make_grid(Dims(3, 3, 3), ISO, False)
     spec = PatchSpec((2, 2, 2))
-    for mu, lam in ((0.0, 0.5), (-1.0, 0.5), (float("nan"), 0.5), (1.0, 1.5), (1.0, -0.1), (1.0, float("nan"))):
+    bad = ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1.0, 1.5), (1.0, -0.1), (1.0, math.nan))
+    for mu, lam in bad:
         with pytest.raises(ValueError):
             mixed_psm(o, o, spec, mu, lam)
     with pytest.raises(ValueError):
@@ -308,18 +308,48 @@ def test_mixed_psm_rejects_bad_arguments():
         mixed_psm(o, make_grid(Dims(3, 3, 3), ISO, 0.0), spec)
 
 
-def test_sampling_map_validation():
-    with pytest.raises(ValueError):
-        SamplingMap(VoxelGrid(np.full((2, 2, 2), 0.2), ISO))  # sums to 1.6
-    with pytest.raises(ValueError):
-        neg = np.full((2, 2, 2), 0.25)
-        neg[0, 0, 0] = -0.75
-        SamplingMap(VoxelGrid(neg, ISO))
-    for bad in (0, 7):  # NaN at the first voxel, then at the last
+def test_draw_centers_rejects_maps_without_a_distribution():
+    neg = np.full((2, 2, 2), 0.25)
+    neg[0, 0, 0] = -0.75
+    bad = [neg, np.zeros((2, 2, 2)), np.full((2, 2, 2), np.inf)]
+    for at in (0, 7):  # NaN at the first voxel, then at the last
         nan = np.full(8, 1.0 / 7)
-        nan[bad] = np.nan
-        with pytest.raises(ValueError):
-            SamplingMap(VoxelGrid(nan.reshape(2, 2, 2), ISO))
+        nan[at] = np.nan
+        bad.append(nan.reshape(2, 2, 2))
+    for data in bad:
+        with pytest.raises(ValueError, match="sampling map"):
+            draw_centers(VoxelGrid(data.astype(np.float32), ISO), 3, seed=1)
+
+
+def _draw_flat(prob: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """The documented draw rule, as flat indices: inverse cdf of the map renormalized in float64."""
+    p64 = prob.astype(np.float64)
+    cdf = np.cumsum(p64 / np.sum(p64))
+    u = np.random.default_rng(seed).random(count)
+    return np.clip(np.searchsorted(cdf, u, "right"), 0, p64.size - 1)
+
+
+@st.composite
+def stored_maps(draw):
+    """Float32 maps as stored: random weights with zeros, or one-hot."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    if draw(st.booleans()):
+        data = np.zeros(shape, dtype=np.float32)
+        data[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(st.sampled_from([2.0**-100, 1.0, 3e38]))
+        return data
+    weights = st.one_of(st.just(0.0), st.floats(2.0**-100, 2.0**100, width=32))
+    data = draw(arrays(np.float32, shape, elements=weights))
+    if not data.any():
+        data.flat[draw(st.integers(0, data.size - 1))] = 1.0
+    return data
+
+
+@settings(max_examples=300)
+@given(prob=stored_maps(), count=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_draw_centers_follows_the_documented_rule(prob, count, seed):
+    got = draw_centers(VoxelGrid(prob, ISO), count, seed)
+    want = np.stack(np.unravel_index(_draw_flat(prob, count, seed), prob.shape), axis=1)
+    assert np.array_equal(got, want)
 
 
 def test_draw_centers_degenerate_distribution():
