@@ -10,7 +10,6 @@ from .grid import (
     Spacing,
     VoxelGrid,
     extract_patch,
-    make_grid,
     to_bool,
 )
 from .losses import (
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dims", "Spacing", "VoxelGrid",
-    "extract_patch", "make_grid", "to_bool",
+    "extract_patch", "to_bool",
     "LossConfig", "af_loss", "combined_loss",
     "cross_entropy_grad", "cross_entropy_loss", "soft_dice_grad", "soft_dice_loss",
     "OrganConfig", "bowel_wall", "build_ooi", "select_labels",

@@ -84,34 +84,15 @@ class VoxelGrid:
             raise ValueError(f"grid data must be 3D, got shape {self.data.shape}")
         self.data = np.ascontiguousarray(self.data)
 
-    def copy(self) -> "VoxelGrid":
-        return VoxelGrid(self.data.copy(), self.spacing)
-
     def with_data(self, data: np.ndarray) -> "VoxelGrid":
         """New grid sharing this grid's spacing."""
         return VoxelGrid(data, self.spacing)
 
 
-def make_grid(dims: Dims, spacing: Spacing, fill=0.0, dtype=None) -> VoxelGrid:
-    """Constant-filled grid. dtype defaults to the natural type of ``fill``."""
-    if dtype is None:
-        if isinstance(fill, (bool, np.bool_)):
-            dtype = np.bool_
-        elif isinstance(fill, (int, np.integer)):
-            dtype = np.int32
-        else:
-            dtype = np.float32
-    return VoxelGrid(np.full(dims.shape, fill, dtype=dtype), spacing)
-
-
-def same_geometry(a: VoxelGrid, b: VoxelGrid) -> bool:
-    return a.data.shape == b.data.shape and a.spacing == b.spacing
-
-
 def require_same_geometry(*grids: VoxelGrid) -> None:
     first = grids[0]
     for g in grids[1:]:
-        if not same_geometry(first, g):
+        if g.data.shape != first.data.shape or g.spacing != first.spacing:
             raise ValueError(
                 f"grid geometry mismatch: {first.data.shape}/{first.spacing} vs "
                 f"{g.data.shape}/{g.spacing}"

@@ -21,8 +21,7 @@ from .grid import VoxelGrid, require_bool
 class StructElem:
     """Structuring element: face-6 cross or full 26-neighborhood cube.
 
-    The origin voxel is always part of the element; ``offsets`` lists only
-    the neighbors.
+    The origin voxel is always part of the element.
     """
 
     kind: str
@@ -30,22 +29,6 @@ class StructElem:
     def __post_init__(self):
         if self.kind not in ("face6", "full26"):
             raise ValueError(f"unknown structuring element {self.kind!r}")
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int, int], ...]:
-        if self.kind == "face6":
-            return (
-                (1, 0, 0), (-1, 0, 0),
-                (0, 1, 0), (0, -1, 0),
-                (0, 0, 1), (0, 0, -1),
-            )
-        return tuple(
-            (dz, dy, dx)
-            for dz in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-            if (dz, dy, dx) != (0, 0, 0)
-        )
 
 
 FACE6 = StructElem("face6")

@@ -22,6 +22,8 @@ from .jsoncheck import overlay_json
 ARC_HALF_ANGLE = 0.75 * math.pi  # 270 degree arc
 _MAJOR_RADIUS_FRACTION = 0.6
 _REGIONS = ("background", "lumen", "wall", "tumor", "organ")
+_BOX_GROW = 2  # voxels added to each side of a shape's box against mm rounding
+_SLAB_VOXELS = 1 << 20  # CT noise over the whole grid is drawn about this many voxels at a time
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class PhantomSpec:
             raise ValueError(f"n_distractors must be an integer in [0, 250], got {self.n_distractors!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        arc_params(self)  # the tube must fit the grid
 
     @classmethod
     def from_json(cls, obj) -> "PhantomSpec":
@@ -87,13 +90,23 @@ class PhantomSpec:
         }
 
 
-def _grid_coords_mm(spec: PhantomSpec):
+def _grid_coords_mm(spec: PhantomSpec, box=None):
+    """Voxel-center mm coordinates along z, y and x, broadcastable over ``box`` (default: the grid)."""
+    box = box or (slice(None),) * 3
     nz, ny, nx = spec.dims.shape
     sz, sy, sx = spec.spacing.zyx
-    z = (np.arange(nz) * sz)[:, None, None]
-    y = (np.arange(ny) * sy)[None, :, None]
-    x = (np.arange(nx) * sx)[None, None, :]
+    z = (np.arange(nz) * sz)[box[0]][:, None, None]
+    y = (np.arange(ny) * sy)[box[1]][None, :, None]
+    x = (np.arange(nx) * sx)[None, None, box[2]]
     return z, y, x
+
+
+def _box(spec: PhantomSpec, center_mm, half_mm) -> tuple[slice, slice, slice]:
+    """Voxel box of the mm box ``center ± half``, grown against mm rounding and clipped to the grid."""
+    return tuple(
+        slice(max(math.floor((c - h) / s) - _BOX_GROW, 0), min(math.floor((c + h) / s) + 1 + _BOX_GROW, n))
+        for c, h, s, n in zip(center_mm, half_mm, spec.spacing.zyx, spec.dims.shape)
+    )
 
 
 def arc_params(spec: PhantomSpec) -> tuple[tuple[float, float, float], float]:
@@ -113,10 +126,10 @@ def arc_params(spec: PhantomSpec) -> tuple[tuple[float, float, float], float]:
     return center, radius
 
 
-def centerline_distance(spec: PhantomSpec) -> np.ndarray:
-    """Distance in mm from every voxel center to the arc centerline."""
+def centerline_distance(spec: PhantomSpec, box=None) -> np.ndarray:
+    """Distance in mm from every voxel center in ``box`` (default: the grid) to the arc centerline."""
     (cz, cy, cx), radius = arc_params(spec)
-    z, y, x = _grid_coords_mm(spec)
+    z, y, x = _grid_coords_mm(spec, box)
     rho = np.hypot(y - cy, x - cx)
     phi = np.arctan2(y - cy, x - cx)
     in_arc = np.abs(phi) <= ARC_HALF_ANGLE
@@ -143,19 +156,29 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
 
     Label codes: 0 background, 1 colon (wall + lumen), 2..k distractors. The
     tumor mask is separate and overlaps the colon wall by construction.
+
+    Each shape is evaluated only on its own voxel box and the CT noise is
+    drawn region by region in C order, the full-grid regions one z slab at a
+    time, so no float64 temporary spans the grid.
     """
-    dist = centerline_distance(spec)
+    sz, sy, sx = spec.spacing.zyx
+    arc_center, radius = arc_params(spec)
+    reach = radius + spec.tube_radius_mm
+    tube = _box(spec, arc_center, (spec.tube_radius_mm, reach, reach))
+    dist = centerline_distance(spec, tube)
     colon = dist <= spec.tube_radius_mm
     wall = colon & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
     lumen = colon & ~wall
 
     labels = np.zeros(spec.dims.shape, dtype=np.uint8)
-    labels[colon] = 1
+    labels[tube][colon] = 1
 
     tz, ty, tx = tumor_center_voxel(spec)
-    z, y, x = _grid_coords_mm(spec)
-    sz, sy, sx = spec.spacing.zyx
-    tumor = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
+    r = spec.tumor_radius_mm
+    lesion = _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
+    z, y, x = _grid_coords_mm(spec, lesion)
+    tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
+    tumor[lesion] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= r
 
     rng = np.random.default_rng(spec.seed)
 
@@ -166,24 +189,34 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
     for k in range(spec.n_distractors):
         center = extent * rng.uniform(0.15, 0.85, 3)
         semi = rng.uniform(2.5, 8.0, 3)
+        box = _box(spec, center, semi)
+        z, y, x = _grid_coords_mm(spec, box)
         inside = (
             ((z - center[0]) / semi[0]) ** 2
             + ((y - center[1]) / semi[1]) ** 2
             + ((x - center[2]) / semi[2]) ** 2
         ) <= 1.0
-        labels[inside & (labels == 0)] = 2 + k
+        organ = labels[box]
+        organ[inside & (organ == 0)] = 2 + k
 
+    # A region's voxels take consecutive draws in C order; a box's C order is
+    # the grid's restricted to the box, and the normal stream is the same
+    # drawn whole or in pieces, so slabs and boxes give the full-grid draws.
     ct = np.empty(spec.dims.shape, dtype=np.float32)  # each draw is rounded once, as it is stored
-    regions = [
-        (labels == 0, spec.background),
-        (lumen, spec.lumen),
-        (wall, spec.wall),
-        (labels >= 2, spec.organ),
-        (tumor, spec.tumor),
-    ]
-    for mask, stats in regions:
+
+    def fill(out: np.ndarray, mask: np.ndarray, stats: TissueStats) -> None:
         count = int(np.count_nonzero(mask))
         if count:
-            ct[mask] = rng.normal(stats.mean, stats.stddev, count)
+            out[mask] = rng.normal(stats.mean, stats.stddev, count)
+
+    step = max(1, _SLAB_VOXELS // (ny * nx))
+    slabs = [np.s_[z0 : z0 + step] for z0 in range(0, nz, step)]
+    for slab in slabs:
+        fill(ct[slab], labels[slab] == 0, spec.background)
+    fill(ct[tube], lumen, spec.lumen)
+    fill(ct[tube], wall, spec.wall)
+    for slab in slabs:
+        fill(ct[slab], labels[slab] >= 2, spec.organ)
+    fill(ct[lesion], tumor[lesion], spec.tumor)
 
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from anatvox.grid import Spacing, VoxelGrid
+from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.morphology import StructElem
+from anatvox.phantom import PhantomSpec, centerline_distance, tumor_center_voxel
 from anatvox.sampling import PatchSpec
 
 # No per-example time limit: the suite runs on shared hosts whose speed
@@ -28,6 +29,18 @@ JSON_VALUES = st.recursive(
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def make_grid(dims: Dims, spacing: Spacing, fill=0.0, dtype=None) -> VoxelGrid:
+    """Constant-filled grid. dtype defaults to the natural type of ``fill``."""
+    if dtype is None:
+        if isinstance(fill, (bool, np.bool_)):
+            dtype = np.bool_
+        elif isinstance(fill, (int, np.integer)):
+            dtype = np.int32
+        else:
+            dtype = np.float32
+    return VoxelGrid(np.full(dims.shape, fill, dtype=dtype), spacing)
 
 
 def bool_grid(mask: np.ndarray, spacing: Spacing = ISO) -> VoxelGrid:
@@ -87,12 +100,29 @@ def shifted(arr: np.ndarray, dz: int, dy: int, dx: int, fill=0) -> np.ndarray:
     return out
 
 
+def offsets(elem: StructElem) -> tuple[tuple[int, int, int], ...]:
+    """The element's neighbor offsets; the origin voxel is not listed."""
+    if elem.kind == "face6":
+        return (
+            (1, 0, 0), (-1, 0, 0),
+            (0, 1, 0), (0, -1, 0),
+            (0, 0, 1), (0, 0, -1),
+        )
+    return tuple(
+        (dz, dy, dx)
+        for dz in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for dx in (-1, 0, 1)
+        if (dz, dy, dx) != (0, 0, 0)
+    )
+
+
 def dilate_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
     """Reference dilation: OR of the mask shifted by every element offset."""
     out = mask.copy()
     for _ in range(times):
         step = out.copy()
-        for dz, dy, dx in elem.offsets:
+        for dz, dy, dx in offsets(elem):
             step |= shifted(out, dz, dy, dx, fill=False)
         out = step
     return out
@@ -103,7 +133,7 @@ def erode_naive(mask: np.ndarray, elem: StructElem, times: int) -> np.ndarray:
     out = mask.copy()
     for _ in range(times):
         step = out.copy()
-        for dz, dy, dx in elem.offsets:
+        for dz, dy, dx in offsets(elem):
             step &= shifted(out, dz, dy, dx, fill=False)
         out = step
     return out
@@ -201,3 +231,49 @@ def cross_entropy_grad_full(gt, pred, cfg) -> np.ndarray:
     g = (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size
     active = (p > cfg.ce_eps) & (p < 1.0 - cfg.ce_eps)
     return np.where(active, g, 0.0)
+
+
+def gen_phantom_full(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
+    """Every phantom shape and noise region evaluated over the whole grid; the oracle for gen_phantom."""
+    dist = centerline_distance(spec)
+    colon = dist <= spec.tube_radius_mm
+    wall = colon & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
+    lumen = colon & ~wall
+
+    labels = np.zeros(spec.dims.shape, dtype=np.uint8)
+    labels[colon] = 1
+
+    nz, ny, nx = spec.dims.shape
+    sz, sy, sx = spec.spacing.zyx
+    z = (np.arange(nz) * sz)[:, None, None]
+    y = (np.arange(ny) * sy)[None, :, None]
+    x = (np.arange(nx) * sx)[None, None, :]
+    tz, ty, tx = tumor_center_voxel(spec)
+    tumor = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
+
+    rng = np.random.default_rng(spec.seed)
+    extent = np.array([(nz - 1) * sz, (ny - 1) * sy, (nx - 1) * sx])
+    for k in range(spec.n_distractors):
+        center = extent * rng.uniform(0.15, 0.85, 3)
+        semi = rng.uniform(2.5, 8.0, 3)
+        inside = (
+            ((z - center[0]) / semi[0]) ** 2
+            + ((y - center[1]) / semi[1]) ** 2
+            + ((x - center[2]) / semi[2]) ** 2
+        ) <= 1.0
+        labels[inside & (labels == 0)] = 2 + k
+
+    ct = np.empty(spec.dims.shape, dtype=np.float32)
+    regions = [
+        (labels == 0, spec.background),
+        (lumen, spec.lumen),
+        (wall, spec.wall),
+        (labels >= 2, spec.organ),
+        (tumor, spec.tumor),
+    ]
+    for mask, stats in regions:
+        count = int(np.count_nonzero(mask))
+        if count:
+            ct[mask] = rng.normal(stats.mean, stats.stddev, count)
+
+    return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 
 from anatvox.cli import run
-from anatvox.grid import Dims, VoxelGrid, make_grid
+from anatvox.grid import Dims, VoxelGrid
 from anatvox.losses import (
     LossConfig,
     af_loss,
@@ -43,6 +43,7 @@ from conftest import (
     directed_surface_distances,
     erode_naive,
     gain_at_naive,
+    make_grid,
     random_mask,
     shifted,
 )

@@ -313,6 +313,8 @@ BAD_PHANTOM_SPECS = [
     {"tumor_radius_mm": math.nan},
     {"intensity": {"wall": [math.nan, 0.05]}},
     {"intensity": {"tumor": [0.8, math.inf]}},
+    {"dims": [64, 16, 16]},  # the tube does not fit in-plane
+    {"dims": [3, 96, 96], "spacing": [1.0, 0.78, 0.78]},  # nor along z
 ]
 
 
@@ -324,7 +326,7 @@ def test_bad_phantom_spec_exits_2(bad, tmp_path, capsys):
             "--out-tumor", out[2]]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad phantom spec") and err.count("\n") == 1
+    assert err.startswith(f"error: bad phantom spec {tmp_path / 'spec.json'}: ") and err.count("\n") == 1
     assert not any(Path(f).exists() for f in out)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, make_grid, to_bool
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, to_bool
 
-from conftest import ISO
+from conftest import ISO, make_grid
 
 
 def test_make_grid_constant_fill():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anatvox import losses
-from anatvox.grid import Dims, VoxelGrid, make_grid
+from anatvox.grid import Dims, VoxelGrid
 from anatvox.losses import (
     LossConfig,
     af_loss,
@@ -27,6 +27,7 @@ from conftest import (
     combined_loss_full,
     cross_entropy_grad_full,
     cross_entropy_loss_full,
+    make_grid,
     random_mask,
     soft_dice_grad_full,
     soft_dice_loss_full,

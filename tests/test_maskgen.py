@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, make_grid
+from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.maskgen import OrganConfig, bowel_wall, build_ooi, select_labels
 from anatvox.morphology import FACE6, FULL26, dilate
 
-from conftest import ISO, dilate_naive, erode_naive
+from conftest import ISO, dilate_naive, erode_naive, make_grid
 
 
 def _labels(arr, spacing=ISO):

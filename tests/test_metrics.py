@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, make_grid
+from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.losses import LossConfig, soft_dice_loss
 from anatvox.metrics import (
     MetricReport,
@@ -18,7 +18,7 @@ from anatvox.metrics import (
     write_cohort_report,
 )
 
-from conftest import ANISO, ISO, bool_grid, brute_edt, directed_surface_distances, random_mask
+from conftest import ANISO, ISO, bool_grid, brute_edt, directed_surface_distances, make_grid, random_mask
 
 
 # ---------------------------------------------------------------------------

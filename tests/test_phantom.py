@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anatvox.grid import Dims, Spacing, VoxelGrid
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box
 from anatvox.maskgen import bowel_wall
 from anatvox.morphology import FACE6
 from anatvox.phantom import (
@@ -18,7 +19,7 @@ from anatvox.phantom import (
     tumor_center_voxel,
 )
 
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, gen_phantom_full
 
 SMALL = PhantomSpec(dims=Dims(24, 64, 64), spacing=Spacing(2.0, 1.0, 1.0), seed=7)
 
@@ -171,6 +172,85 @@ def test_region_intensities_separate():
     dist = centerline_distance(spec)
     wall = (labels.data == 1) & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
     lumen = (labels.data == 1) & ~wall
-    assert ct.data[tumor.data].mean() > ct.data[wall.data & ~tumor.data].mean()
-    assert ct.data[wall.data & ~tumor.data].mean() > ct.data[lumen.data & ~tumor.data].mean()
-    assert ct.data[labels.data == 0].mean() < ct.data[lumen.data & ~tumor.data].mean()
+    assert ct.data[tumor.data].mean() > ct.data[wall & ~tumor.data].mean()
+    assert ct.data[wall & ~tumor.data].mean() > ct.data[lumen & ~tumor.data].mean()
+    assert ct.data[labels.data == 0].mean() < ct.data[lumen & ~tumor.data].mean()
+
+
+def _same_bytes(a, b) -> bool:
+    return all(x.data.dtype == y.data.dtype and x.data.tobytes() == y.data.tobytes() for x, y in zip(a, b))
+
+
+@st.composite
+def phantom_specs(draw):
+    """Specs whose tube fits; radii on a 0.25 mm lattice, so voxel centers often land on a shape's surface."""
+    spacing = Spacing(
+        draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 5.0])),
+        draw(st.sampled_from([0.5, 0.78, 1.0, 1.25])),
+        draw(st.sampled_from([0.5, 0.78, 1.0, 1.25])),
+    )
+    dims = Dims(draw(st.integers(3, 40)), draw(st.integers(12, 72)), draw(st.integers(12, 72)))
+    (nz, ny, nx), (sz, sy, sx) = dims.shape, spacing.zyx
+    half_in = min((ny - 1) / 2 * sy, (nx - 1) / 2 * sx)
+    quanta = int(min(0.4 * half_in - max(sy, sx), (nz - 1) / 2 * sz) / 0.25)  # the largest tube that fits
+    assume(quanta >= 2)
+    tube = draw(st.integers(2, quanta))
+    try:
+        return PhantomSpec(
+            dims=dims,
+            spacing=spacing,
+            tube_radius_mm=0.25 * tube,
+            wall_thickness_mm=0.25 * draw(st.integers(1, tube - 1)),
+            tumor_radius_mm=0.25 * draw(st.integers(1, 240)),
+            n_distractors=draw(st.integers(0, 30)),
+            seed=draw(st.integers(0, 2**32)),
+        )
+    except ValueError:  # rounding at the in-plane fit limit
+        assume(False)
+
+
+@settings(max_examples=200)
+@given(spec=phantom_specs())
+# many distractors and a tumor wider than the wall
+@example(spec=PhantomSpec(dims=Dims(40, 60, 70), spacing=Spacing(1.0, 1.0, 1.0), wall_thickness_mm=2.0,
+                          tumor_radius_mm=6.0, n_distractors=250, seed=5))
+# the tube at the z faces of the grid, and a tumor box clipped to the whole grid
+@example(spec=PhantomSpec(dims=Dims(17, 64, 64), spacing=Spacing(1.0, 1.0, 1.0), tumor_radius_mm=40.0, seed=1))
+# the largest tube that fits in-plane
+@example(spec=PhantomSpec(dims=Dims(25, 64, 64), spacing=Spacing(1.0, 1.0, 1.0), tube_radius_mm=11.5, seed=4))
+def test_box_built_phantom_matches_the_full_grid_oracle(spec):
+    assert _same_bytes(gen_phantom(spec), gen_phantom_full(spec))
+
+
+def test_shapes_touching_every_face_of_their_box_match_the_oracle():
+    # integer mm: voxel centers lie on the tube at z = cz ± r, y = cy ± (R + r) and x = cx + R + r
+    # (the arc's gap faces -x), and on the tumor at its center ± its radius on every axis
+    spec = PhantomSpec(dims=Dims(17, 61, 61), spacing=Spacing(1.0, 1.0, 1.0), tube_radius_mm=8.0,
+                       tumor_radius_mm=4.0, seed=2)
+    (cz, cy, cx), radius = arc_params(spec)
+    assert (cz, cy, cx, radius) == (8.0, 30.0, 30.0, 18.0)
+    out = gen_phantom(spec)
+    _, labels, tumor = out
+    assert bounding_box(labels.data == 1) == (slice(0, 17), slice(4, 57), slice(10, 57))
+    assert tumor_center_voxel(spec) == (8, 30, 42)
+    assert bounding_box(tumor.data) == (slice(4, 13), slice(26, 35), slice(38, 47))
+    assert _same_bytes(out, gen_phantom_full(spec))
+
+
+def test_centerline_distance_on_a_box_is_the_full_grid_slice():
+    full = centerline_distance(SMALL)
+    for box in [np.s_[3:9, 10:40, 0:64], np.s_[0:1, 63:64, 5:6], np.s_[0:24, 0:64, 0:64]]:
+        assert np.array_equal(centerline_distance(SMALL, box), full[box])
+
+
+def test_gen_phantom_peak_allocation_per_voxel():
+    # the outputs alone are 6 B/vox (float32 ct, uint8 labels, bool tumor); one full-grid
+    # float64 temporary would add 8, and the full-grid construction peaks at ~32
+    spec = PhantomSpec(dims=Dims(128, 256, 256), spacing=Spacing(5.0, 0.78, 0.78), seed=3)
+    tracemalloc.start()
+    try:
+        gen_phantom(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / spec.dims.n < 10.0

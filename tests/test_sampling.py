@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox.grid import Dims, VoxelGrid, make_grid
+from anatvox.grid import Dims, VoxelGrid
 from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
 from anatvox.sampling import (
@@ -19,7 +19,7 @@ from anatvox.sampling import (
     psm_from_gain,
 )
 
-from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, random_mask
+from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, make_grid, random_mask
 
 
 def test_patch_spec_derived_quantities():

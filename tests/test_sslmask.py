@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import Dims, VoxelGrid, make_grid
+from anatvox.grid import Dims, VoxelGrid
 from anatvox.sslmask import NoiseSpec, l1_recon_loss, mask_bowel_wall
 
-from conftest import ISO, bool_grid, random_mask
+from conftest import ISO, bool_grid, make_grid, random_mask
 
 
 def _image(rng, shape=(6, 6, 6)):
