@@ -1,4 +1,4 @@
-"""Canonical 3D voxel grid types, the shared integer and boolean-mask checks, and grid operations.
+"""Canonical 3D voxel grid types, the shared input checks, grid operations and a pairwise-order sum.
 
 Axis order is (z, y, x) everywhere, z slowest, matching slice-stacked CT
 storage. Grids are treated as immutable after construction: every public
@@ -150,6 +150,29 @@ def bounding_box(mask: np.ndarray, grow=(0, 0, 0)) -> tuple[slice, ...] | None:
             return None
         box.append(slice(max(int(hit[0]) - g, 0), min(int(hit[-1]) + 1 + g, mask.shape[axis])))
     return tuple(box)
+
+
+# Longest run pairwise_sum hands to one leaf: at least numpy's pairwise block of 128,
+# and 2^14 keeps a leaf's float64 temporaries in cache (fastest of 2^11..2^16).
+_PAIRWISE_CHUNK = 1 << 14
+
+
+def pairwise_sum(leaf, lo: int, hi: int):
+    """Sum of ``leaf(a, b)`` over runs that tile [lo, hi), added in numpy's pairwise order.
+
+    Numpy's pairwise summation halves a contiguous run longer than its block at
+    a multiple of 8 and adds the halves' sums. The runs split exactly there, so
+    a leaf that returns ``np.sum`` of its slice widened to float64 makes the
+    result bitwise ``np.sum`` of the whole widened slice [lo, hi), while only
+    one run is ever widened at a time. A leaf may return an array to sum
+    several terms.
+    """
+    # it recurses through itself rather than a nested closure: a closure that calls
+    # itself is a reference cycle, which keeps the leaf's arrays alive until gc runs
+    if hi - lo > _PAIRWISE_CHUNK:
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return pairwise_sum(leaf, lo, mid) + pairwise_sum(leaf, mid, hi)
+    return leaf(lo, hi)
 
 
 def to_bool(grid: VoxelGrid) -> VoxelGrid:

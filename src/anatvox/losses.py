@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_bool, require_same_geometry
+from .grid import VoxelGrid, pairwise_sum, require_bool, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class LossConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
-# Most voxels the scorer widens at once: at least numpy's pairwise block of 128,
-# and 2^14 keeps a chunk's float64 temporaries in cache (fastest of 2^11..2^16).
-_CHUNK = 1 << 14
-
-
 def _check(gt: VoxelGrid, pred: VoxelGrid, organ: VoxelGrid | None = None) -> None:
     masks = (gt,) if organ is None else (gt, organ)
     require_same_geometry(pred, *masks)
@@ -49,17 +44,14 @@ def _score(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig, organ: VoxelGrid | N
 
     Walks the prediction chunk by chunk in its stored dtype, widening only a
     chunk to float64 and, given an organ mask, zeroing it outside the mask.
-    The chunks split where numpy's pairwise summation halves a contiguous
-    array (at a multiple of 8), so every sum is bitwise the full-grid sum.
+    ``pairwise_sum`` splits the chunks where numpy's pairwise summation does,
+    so every sum is bitwise the full-grid sum.
     """
     _check(gt, pred, organ)
     p_all, y_all = pred.data.reshape(-1), gt.data.reshape(-1)
     o_all = None if organ is None else organ.data.reshape(-1)
 
     def sums(lo, hi):  # [sum(P*Y), sum(P), sum of the log clamped P of the true class]
-        if hi - lo > _CHUNK:
-            mid = lo + (hi - lo) // 2 // 8 * 8
-            return sums(lo, mid) + sums(mid, hi)
         p = p_all[lo:hi].astype(np.float64)
         if o_all is not None:
             p *= o_all[lo:hi]
@@ -70,7 +62,7 @@ def _score(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig, organ: VoxelGrid | N
         np.copyto(q, p, where=y)
         return np.array([inter, total, np.sum(np.log(q, out=q))])
 
-    inter, total, ll = sums(0, p_all.size)
+    inter, total, ll = pairwise_sum(sums, 0, p_all.size)
     num = 2.0 * inter + cfg.dice_eps
     den = total + np.count_nonzero(y_all) + cfg.dice_eps
     return float(num), float(den), float(-ll / p_all.size)

@@ -117,10 +117,9 @@ def arc_params(spec: PhantomSpec) -> tuple[tuple[float, float, float], float]:
     half_in = min((ny - 1) / 2 * sy, (nx - 1) / 2 * sx)
     radius = _MAJOR_RADIUS_FRACTION * half_in
     margin = max(sy, sx)
+    # passing this also keeps the tube radius below the arc radius (at most 0.4 half_in - margin)
     if radius + spec.tube_radius_mm > half_in - margin:
         raise ValueError("tube does not fit inside the volume in-plane")
-    if spec.tube_radius_mm >= radius:
-        raise ValueError("tube radius must be smaller than the arc radius")
     if spec.tube_radius_mm > (nz - 1) / 2 * sz:
         raise ValueError("tube does not fit inside the volume along z")
     return center, radius

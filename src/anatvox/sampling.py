@@ -8,7 +8,8 @@ passes.
 The gain field is turned into a probability map by an additive blend with
 the uniform distribution followed by renormalization, organ- and
 tumor-driven maps are mixed linearly, and centers are drawn by inverse-CDF
-lookup over the flat z-major order with a seeded generator.
+lookup over the flat z-major order with a seeded generator. The draw walks
+the cdf slab by slab, so it never holds a full-size float64 array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, bounding_box, is_int, require_bool, require_same_geometry
+from .grid import VoxelGrid, bounding_box, is_int, pairwise_sum, require_bool, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -161,24 +162,58 @@ def mixed_psm(
     return ooi.with_data(out)
 
 
+# Voxels the draw widens at once, into one reused 2 MB float64 buffer (2^16..2^20 draw equally fast).
+_SLAB = 1 << 18
+
+_NO_DISTRIBUTION = "a sampling map needs finite voxels >= 0 and a positive sum"
+
+
+def _invert_sorted(flat: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, "right")`` clipped to n - 1, for sorted uniforms ``u``.
+
+    The cdf of ``flat / total`` is built one slab at a time in a reused float64
+    buffer, the slab's first value carrying the previous slab's last cdf value.
+    ``np.cumsum`` adds in order, so each slab's values are bitwise the full
+    cdf's. The uniforms below a slab's last cdf value land in that slab.
+    Raises ValueError at a slab holding a negative voxel.
+    """
+    n = flat.size
+    idx = np.full(u.size, n - 1, dtype=np.intp)
+    buf = np.empty(min(_SLAB, n))
+    carry, done = 0.0, 0
+    for lo in range(0, n, _SLAB):
+        c = buf[: min(n - lo, _SLAB)]
+        c[...] = flat[lo : lo + c.size]
+        if not c.min() >= 0:
+            raise ValueError(_NO_DISTRIBUTION)
+        c /= total
+        c[0] += carry
+        np.cumsum(c, out=c)
+        carry = c[-1]
+        stop = done + int(np.searchsorted(u[done:], carry, side="left"))
+        idx[done:stop] = lo + np.searchsorted(c, u[done:stop], side="right")
+        done = stop
+    return idx
+
+
 def draw_centers(grid: VoxelGrid, count: int, seed: int) -> np.ndarray:
     """``count`` seeded categorical draws from a map, as a (count, 3) int array.
 
     The map may hold any finite weights >= 0 with a positive sum, such as a
-    float32 map as stored. It is widened once into a float64 copy, divided by
-    its sum, and that same array becomes the z-major cdf. Row i is the
-    (z, y, x) voxel of draw i, found by inverse-CDF lookup; identical
-    (map, count, seed) always reproduces the identical array.
+    float32 map as stored. Row i is the (z, y, x) voxel of draw i: the first
+    voxel whose z-major float64 cdf of map / sum exceeds the i-th uniform of
+    ``default_rng(seed)``, or the last voxel if none does. The sum and the cdf
+    are bitwise those of the map widened to float64, but only one run or slab
+    is ever widened; identical (map, count, seed) reproduces the identical array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    cdf = grid.data.astype(np.float64).reshape(-1)
-    total = np.sum(cdf)
-    if not (cdf.min() >= 0 and 0 < total < math.inf):  # written so that NaN fails too
-        raise ValueError("a sampling map needs finite voxels >= 0 and a positive sum")
-    cdf /= total
-    np.cumsum(cdf, out=cdf)
+    flat = grid.data.reshape(-1)
+    total = pairwise_sum(lambda lo, hi: np.sum(flat[lo:hi].astype(np.float64, copy=False)), 0, flat.size)
+    if not 0 < total < math.inf:  # written so that NaN fails too
+        raise ValueError(_NO_DISTRIBUTION)
     u = np.random.default_rng(seed).random(count)
-    idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, cdf.size - 1, out=idx)
+    order = np.argsort(u)
+    idx = np.empty(count, dtype=np.intp)
+    idx[order] = _invert_sorted(flat, total, u[order])
     return np.stack(np.unravel_index(idx, grid.data.shape), axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ JSON_VALUES = st.recursive(
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_grid(dims: Dims, spacing: Spacing, fill=0.0, dtype=None) -> VoxelGrid:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, to_bool
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, pairwise_sum, to_bool
 
 from conftest import ISO, make_grid
 
@@ -108,3 +108,12 @@ def test_bounding_box_grows_and_clips():
     m[4, 5, 6] = True  # the far corner: growth clips at the high ends
     assert bounding_box(m, (1, 1, 1)) == (slice(3, 5), slice(4, 6), slice(5, 7))
     assert np.array_equal(m[bounding_box(m)], np.ones((1, 1, 1), dtype=bool))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_pairwise_sum_of_widened_runs_is_bitwise_np_sum(n):
+    rng = np.random.default_rng(n)
+    # magnitudes over 16 decades, so a sum in another order rounds differently
+    x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)).astype(np.float32)
+    got = pairwise_sum(lambda lo, hi: np.sum(x[lo:hi].astype(np.float64)), 0, n)
+    assert float(got).hex() == float(np.sum(x.astype(np.float64))).hex()

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from anatvox.volio import (
     write_volume,
 )
 
-from conftest import ANISO, JSON_VALUES
+from conftest import ANISO, JSON_VALUES, peak_bytes
 
 
 @pytest.mark.parametrize(
@@ -274,13 +273,12 @@ def test_huge_header_dims_on_a_short_file_allocate_nothing(tmp_path):
     blob = bytearray(path.read_bytes()[:400])
     struct.pack_into("<8h", blob, 40, 3, 32767, 32767, 32767, 1, 1, 1, 1)
     path.write_bytes(bytes(blob))
-    tracemalloc.start()
-    try:
+
+    def read_refused():
         with pytest.raises(CorruptFileError):
             read_volume(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = peak_bytes(read_refused)
     assert peak < 2**20
     _cli_rejects(path)
 
@@ -398,15 +396,8 @@ def test_fuzzed_sidecar_reads_exactly_or_fails_cleanly(tmp_path, sidecar, payloa
 def test_read_allocates_one_array_and_write_none(tmp_path, rng):
     g = VoxelGrid(rng.standard_normal((32, 64, 64)).astype(np.float32), ANISO)
     for name in ("big.nii", "big.raw"):
-        tracemalloc.start()
-        try:
-            write_volume(g, VolumeMeta.for_grid(g), tmp_path / name)
-            write_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            g2, _ = read_volume(tmp_path / name)
-            read_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, write_peak = peak_bytes(write_volume, g, VolumeMeta.for_grid(g), tmp_path / name)
+        (g2, _), read_peak = peak_bytes(read_volume, tmp_path / name)
         assert np.array_equal(g2.data, g.data)
         assert write_peak < 0.5 * g.data.nbytes
         assert read_peak < 1.5 * g.data.nbytes

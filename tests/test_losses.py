@@ -1,5 +1,6 @@
+import gc
 import math
-import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anatvox import losses
+from anatvox import grid, losses
 from anatvox.grid import Dims, VoxelGrid
 from anatvox.losses import (
     LossConfig,
@@ -28,6 +29,7 @@ from conftest import (
     cross_entropy_grad_full,
     cross_entropy_loss_full,
     make_grid,
+    peak_bytes,
     random_mask,
     soft_dice_grad_full,
     soft_dice_loss_full,
@@ -232,7 +234,7 @@ def test_losses_match_the_full_grid_oracle(shape, dtype, gt_kind, organ_kind, ch
     y = bool_grid(_mask_of(gt_kind, rng, shape))
     o = bool_grid(_mask_of(organ_kind, rng, shape))
     cfg = LossConfig(dice_weight=float(rng.uniform(0, 2)), ce_weight=float(rng.uniform(0, 2)))
-    with mock.patch.object(losses, "_CHUNK", chunk):  # several chunks on small grids
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):  # several chunks on small grids
         _assert_matches_full_grid_oracle(y, VoxelGrid(pred, ISO), o, cfg)
 
 
@@ -258,7 +260,7 @@ def test_loss_report_is_the_three_calls(shape, dtype, gt_kind, organ_kind, seed)
     y = bool_grid(_mask_of(gt_kind, rng, shape))
     o = bool_grid(_mask_of(organ_kind, rng, shape))
     cfg = LossConfig(dice_weight=float(rng.uniform(0, 2)), ce_weight=float(rng.uniform(0, 2)))
-    with mock.patch.object(losses, "_CHUNK", 128):  # several chunks on small grids
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):  # several chunks on small grids
         report = loss_report(y, p, o, cfg)
         calls = {
             "dice_loss": soft_dice_loss(y, p, cfg),
@@ -281,10 +283,19 @@ def test_af_loss_allocates_less_than_one_float64_grid(rng):
     y = bool_grid(random_mask(rng, shape, 0.3))
     o = bool_grid(random_mask(rng, shape, 0.7))
     p = VoxelGrid(rng.random(shape, dtype=np.float32), ISO)
-    tracemalloc.start()
-    try:
-        af_loss(y, p, o, CFG)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(af_loss, y, p, o, CFG)
     assert peak < p.data.size * 8
+
+
+def test_scoring_frees_the_prediction_without_the_cycle_collector(rng):
+    shape = (4, 64, 256)  # several pairwise runs
+    y = bool_grid(random_mask(rng, shape, 0.3))
+    p = VoxelGrid(rng.random(shape, dtype=np.float32), ISO)
+    ref = weakref.ref(p.data)
+    gc.disable()
+    try:
+        af_loss(y, p, y, CFG)
+        del p
+        assert ref() is None  # no reference cycle keeps the prediction alive after scoring
+    finally:
+        gc.enable()

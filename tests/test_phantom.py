@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from anatvox.phantom import (
     tumor_center_voxel,
 )
 
-from conftest import JSON_VALUES, gen_phantom_full
+from conftest import JSON_VALUES, gen_phantom_full, peak_bytes
 
 SMALL = PhantomSpec(dims=Dims(24, 64, 64), spacing=Spacing(2.0, 1.0, 1.0), seed=7)
 
@@ -247,10 +246,5 @@ def test_gen_phantom_peak_allocation_per_voxel():
     # the outputs alone are 6 B/vox (float32 ct, uint8 labels, bool tumor); one full-grid
     # float64 temporary would add 8, and the full-grid construction peaks at ~32
     spec = PhantomSpec(dims=Dims(128, 256, 256), spacing=Spacing(5.0, 0.78, 0.78), seed=3)
-    tracemalloc.start()
-    try:
-        gen_phantom(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(gen_phantom, spec)
     assert peak / spec.dims.n < 10.0

@@ -1,5 +1,7 @@
+import gc
 import math
-import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from anatvox import sampling
 from anatvox.grid import Dims, VoxelGrid
 from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
@@ -19,7 +22,7 @@ from anatvox.sampling import (
     psm_from_gain,
 )
 
-from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, make_grid, random_mask
+from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, make_grid, peak_bytes, random_mask
 
 
 def test_patch_spec_derived_quantities():
@@ -164,13 +167,8 @@ def test_gain_passes_build_only_the_taps_that_land():
     mask[0, 1, 2] = mask[1, 0, 0] = True
     o = bool_grid(mask, ANISO)
     spec = PatchSpec((1, 1, 400001))
-    tracemalloc.start()
-    try:
-        g = gain_map(o, spec).data
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(g, gain_map_full(o, spec))
+    g, peak = peak_bytes(gain_map, o, spec)
+    assert np.array_equal(g.data, gain_map_full(o, spec))
     assert peak < 2**18  # the full kernel alone is 3.2 MB
 
 
@@ -350,6 +348,67 @@ def test_draw_centers_follows_the_documented_rule(prob, count, seed):
     got = draw_centers(VoxelGrid(prob, ISO), count, seed)
     want = np.stack(np.unravel_index(_draw_flat(prob, count, seed), prob.shape), axis=1)
     assert np.array_equal(got, want)
+
+
+@st.composite
+def slab_walk_maps(draw):
+    """Float32 or uint8 maps with zero runs across slab edges, or mass on the first and last voxels only."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 16)))
+    dtype = draw(st.sampled_from([np.float32, np.uint8]))
+    n = math.prod(shape)
+    if draw(st.booleans()):
+        flat = np.zeros(n, dtype=dtype)
+        flat[[0, -1]] = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (3, 200)]))
+    else:
+        weights = st.integers(1, 255) if dtype == np.uint8 else st.floats(2.0**-20, 2.0**20, width=32)
+        flat = draw(arrays(dtype, n, elements=weights))
+        for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 80)), max_size=4)):
+            flat[start : start + length] = 0
+    if not flat.any():
+        flat[0] = 1
+    return flat.reshape(shape)
+
+
+@settings(max_examples=300)
+@given(prob=slab_walk_maps(), slab=st.sampled_from([1, 7, 64]), count=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_draw_centers_walks_slab_edges_like_the_full_cdf(prob, slab, count, seed):
+    with mock.patch.object(sampling, "_SLAB", slab):
+        got = draw_centers(VoxelGrid(prob, ISO), count, seed)
+    want = np.stack(np.unravel_index(_draw_flat(prob, count, seed), prob.shape), axis=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("slab", [1, 7, 64])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_draw_centers_rejects_a_bad_voxel_in_the_last_slab_only(slab, bad):
+    data = np.full(200, 0.5, dtype=np.float32)
+    data[-1] = bad  # a -1 leaves the sum positive, so only the slab's min check sees it
+    with mock.patch.object(sampling, "_SLAB", slab), pytest.raises(ValueError, match="sampling map"):
+        draw_centers(VoxelGrid(data.reshape(2, 10, 10), ISO), 5, seed=1)
+
+
+@pytest.mark.parametrize("slab", [1, 2, 3, 5, 8])
+def test_a_uniform_equal_to_a_slab_edge_cdf_goes_to_the_next_voxel_with_mass(slab):
+    flat = np.array([1, 1, 0, 0, 1, 3, 0, 0, 2, 0], dtype=np.float32)
+    total = float(np.sum(flat.astype(np.float64)))
+    cdf = np.cumsum(flat.astype(np.float64) / total)
+    # every cdf value, so every slab's last one, the values just below them, 0 and the largest uniform
+    u = np.sort(np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0)]))
+    want = np.clip(np.searchsorted(cdf, u, "right"), 0, flat.size - 1)
+    with mock.patch.object(sampling, "_SLAB", slab):
+        assert np.array_equal(sampling._invert_sorted(flat, total, u), want)
+
+
+def test_draw_centers_frees_the_map_without_the_cycle_collector():
+    data = np.ones((4, 64, 256), dtype=np.float32)  # several pairwise runs
+    ref = weakref.ref(data)
+    gc.disable()
+    try:
+        draw_centers(VoxelGrid(data, ISO), 3, seed=1)
+        del data
+        assert ref() is None  # no reference cycle keeps the map alive after the draw
+    finally:
+        gc.enable()
 
 
 def test_draw_centers_degenerate_distribution():
