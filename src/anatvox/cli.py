@@ -147,7 +147,13 @@ def _load_grid(path) -> VoxelGrid:
 
 
 def _load_mask(path) -> VoxelGrid:
-    return to_bool(_load_grid(path))
+    grid = _load_grid(path)
+    data = grid.data
+    if data.dtype == np.uint8:  # this stage owns the array it read, so it becomes the mask in place
+        mask = data.view(np.bool_)
+        np.not_equal(data, 0, out=mask)  # an exact overlap, which numpy runs element by element
+        return grid.with_data(mask)
+    return to_bool(grid)
 
 
 def _write_uint8(grid: VoxelGrid, path) -> None:
@@ -282,7 +288,8 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
     ct = _load_grid(args.ct)
     band = _load_mask(args.wall)
-    masked = sslmask.mask_bowel_wall(ct, band, replace(cfg.noise, seed=args.seed))
+    # the stage owns the CT it read, so a float CT takes the noise in place
+    masked = sslmask._fill_band(ct, band, replace(cfg.noise, seed=args.seed), copy=False)
     _write_float(masked, args.out)
     return 0
 

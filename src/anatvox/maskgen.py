@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import VoxelGrid, is_int, require_same_geometry
-from .morphology import FACE6, StructElem, boundary_band, dilate, elem_from_name
+from .morphology import FACE6, StructElem, _iterate, boundary_band, elem_from_name
 
 # stomach, small bowel, duodenum, colon (TotalSegmentator v1 codes)
 DEFAULT_SET_TS = frozenset({6, 55, 56, 57})
@@ -72,12 +72,29 @@ class OrganConfig:
 
 def select_labels(labels: VoxelGrid, indicator) -> VoxelGrid:
     """Boolean mask of voxels whose label value belongs to the indicator set."""
-    if labels.data.dtype == np.bool_:
+    return labels.with_data(_or_selected(np.zeros(labels.data.shape, dtype=np.bool_), labels, indicator))
+
+
+def _or_selected(out: np.ndarray, labels: VoxelGrid, indicator) -> np.ndarray:
+    """``out``, ORed in place with the voxels of ``labels`` whose value is in ``indicator``.
+
+    Each code's ``np.equal`` goes into one reused temporary. A Python int
+    compares exactly with any integer dtype; a float grid rounds the code to
+    its own type, so it is asked only for the codes that type holds exactly,
+    as no voxel can equal any other. NaN equals no code.
+    """
+    data = labels.data
+    if data.dtype == np.bool_:
         raise ValueError("select_labels expects an integer label grid")
-    codes = sorted(int(v) for v in indicator)
-    if not codes:
-        return labels.with_data(np.zeros(labels.data.shape, dtype=np.bool_))
-    return labels.with_data(np.isin(labels.data, codes))
+    codes = [int(v) for v in indicator]
+    if data.dtype.kind == "f":
+        top = float(np.finfo(data.dtype).max)
+        codes = [c for c in codes if abs(c) <= top and int(data.dtype.type(c)) == c]
+    hit = np.empty(data.shape, dtype=np.bool_)
+    for code in codes:
+        np.equal(data, code, out=hit)
+        out |= hit
+    return out
 
 
 def build_ooi(ts_labels: VoxelGrid, word_labels: VoxelGrid, cfg: OrganConfig) -> VoxelGrid:
@@ -87,12 +104,11 @@ def build_ooi(ts_labels: VoxelGrid, word_labels: VoxelGrid, cfg: OrganConfig) ->
     ``cfg.dilate_times`` times, so a segment missed by one source but present
     in the other (or merely nearby) still ends up covered. Dilation
     distributes over union, so this equals the OR of each source dilated on
-    its own.
+    its own. The union is built and dilated in place on this call's own array.
     """
     require_same_geometry(ts_labels, word_labels)
-    o_ts = select_labels(ts_labels, cfg.set_ts).data
-    o_word = select_labels(word_labels, cfg.set_word).data
-    return dilate(ts_labels.with_data(o_ts | o_word), cfg.elem, cfg.dilate_times)
+    union = _or_selected(select_labels(ts_labels, cfg.set_ts).data, word_labels, cfg.set_word)
+    return ts_labels.with_data(_iterate(union, cfg.elem, cfg.dilate_times, erode=False, in_place=True))
 
 
 def bowel_wall(ooi_raw: VoxelGrid, elem: StructElem, r_out: int, r_in: int) -> VoxelGrid:

@@ -67,19 +67,22 @@ def _axis_pass(out: np.ndarray, src: np.ndarray, axis: int, erode: bool) -> None
         out[lead + (n - 1,)] = False
 
 
-def _iterate(mask: np.ndarray, elem: StructElem, times: int, erode: bool) -> np.ndarray:
+def _iterate(mask: np.ndarray, elem: StructElem, times: int, erode: bool, in_place: bool = False) -> np.ndarray:
+    """``times`` steps on a copy of ``mask``, or with ``in_place`` on ``mask`` itself, which the caller owns."""
     _check_mask(mask, times)
-    out = mask.copy()
+    out = mask if in_place else mask.copy()
     # A step changes any mask that is neither empty nor full, and every voxel
     # lies within sum(shape) face steps of every other voxel and of the outside
     # of the grid, so by then dilation and erosion have reached a fixed point.
-    for _ in range(min(times, sum(mask.shape))):
+    steps = min(times, sum(mask.shape))
+    src = np.empty_like(out) if steps else None  # one scratch grid, refilled before each read
+    for _ in range(steps):
         for axis in range(3):
             # The face-6 cross reads the step's input on every axis. The
             # full-26 cube is the product of three axis segments, so each of
             # its passes reads the previous pass.
             if axis == 0 or elem.kind == "full26":
-                src = out.copy()
+                np.copyto(src, out)
             _axis_pass(out, src, axis, erode)
     return out
 
@@ -111,5 +114,5 @@ def boundary_band(mask: VoxelGrid, elem: StructElem, r_out: int, r_in: int) -> V
     if r_out < 0 or r_in < 0:
         raise ValueError(f"band radii must be >= 0, got ({r_out}, {r_in})")
     outer = dilate_mask(mask.data, elem, r_out)
-    inner = erode_mask(mask.data, elem, r_in)
-    return mask.with_data(outer ^ inner)
+    outer ^= erode_mask(mask.data, elem, r_in)
+    return mask.with_data(outer)

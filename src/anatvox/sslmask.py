@@ -37,9 +37,17 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     are copied bit-exactly. Integer images come back as floats so that the
     noise is not truncated; float images keep their dtype.
     """
+    return _fill_band(image, band, noise, copy=True)
+
+
+def _fill_band(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec, copy: bool) -> VoxelGrid:
+    """``mask_bowel_wall``'s result; without ``copy`` a float32 or float64 image is filled in place.
+
+    Only a caller that owns ``image``'s array may pass ``copy=False``.
+    """
     require_same_geometry(image, band)
     require_bool(band.data)
-    out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
+    out = image.data.astype(np.promote_types(image.data.dtype, np.float32), copy=copy)
     count = int(np.count_nonzero(band.data))
     if count:
         rng = np.random.default_rng(noise.seed)

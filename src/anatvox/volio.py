@@ -91,9 +91,14 @@ def _natural_datatype(dtype: np.dtype) -> str:
 def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
     """Grid data in the little-endian ``datatype``, refusing any lossy conversion.
 
-    Data already of that dtype is returned as it is, without a copy.
+    Data already of that dtype is returned as it is, without a copy, and so is
+    a boolean grid written as uint8: False and True are the bytes 0 and 1.
     """
     data = grid.data
+    if data.dtype == np.bool_ and datatype == "uint8":
+        payload = data.view(np.uint8)
+        if payload.max() <= 1:  # else the array views other bytes as booleans
+            return payload
     cast = data.astype(DATATYPES[datatype][1], copy=False)
     if cast is not data:
         back = cast.astype(data.dtype)
@@ -182,8 +187,10 @@ def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
     arr = _read_payload(path, int(vox_offset), datatype, dims, exact=False)
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
         try:
-            with np.errstate(over="raise"):
-                arr = (arr.astype(np.float32) * np.float32(scl_slope)) + np.float32(scl_inter)
+            with np.errstate(over="raise"):  # in place on one float32 array, rounded as (arr * slope) + inter
+                arr = arr.astype(np.float32, copy=False)
+                np.multiply(arr, np.float32(scl_slope), out=arr)
+                np.add(arr, np.float32(scl_inter), out=arr)
         except FloatingPointError:
             raise VolumeFormatError(f"{path}: scl_slope/scl_inter overflow float32") from None
         datatype = "float32"

@@ -603,3 +603,53 @@ def test_undecodable_json_input_exits_2_naming_the_file(workdir, which, content,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (f"{path} line 2:" if which == "manifest" else str(path)) in err
     assert not any(out.iterdir())
+
+
+_STAGE_SHAPE = (64, 128, 128)  # 1 Mvox, so the fixed cost of a run is under 0.5 B/voxel
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Label, CT, ground-truth and prediction volumes, the ooi stage's two masks and a wall band."""
+    d = tmp_path_factory.mktemp("stages")
+    labels = np.zeros(_STAGE_SHAPE, dtype=np.uint8)
+    labels[:, 20:60, 20:60] = 1
+    labels[:, 70:90, 30:50] = 2
+    rng = np.random.default_rng(5)
+    arrays = {"labels": labels, "gt": (labels == 1).astype(np.uint8),
+              "ct": rng.standard_normal(_STAGE_SHAPE, dtype=np.float32),
+              "pred": rng.random(_STAGE_SHAPE, dtype=np.float32)}
+    for name, data in arrays.items():
+        grid = VoxelGrid(data, Spacing(2.0, 1.0, 1.0))
+        write_volume(grid, VolumeMeta.for_grid(grid), d / f"{name}.nii")
+    for out, times in (("ooi", "3"), ("ooi0", "0")):
+        assert run(["ooi", "--ts", str(d / "labels.nii"), "--word", str(d / "labels.nii"), "--set-ts", "1",
+                    "--set-word", "1,2", "--dilate-times", times, "--out", str(d / f"{out}.nii")]) == 0
+    assert run(["wall", "--ooi", str(d / "ooi0.nii"), "--out", str(d / "band.nii")]) == 0
+    return d
+
+
+# Per stage: its argv and a bound on its traced peak in B/voxel, between this
+# version's peak (in the comment) and the peak of the version that copied each input.
+_STAGE_PEAKS = {
+    # two uint8 label grids, the union and one bool temporary, then one dilation scratch
+    # grid (4.1); isin, the dilation's copies and the uint8 write's copy reached 8.1
+    "ooi": (["ooi", "--ts", "{d}/labels.nii", "--word", "{d}/labels.nii", "--set-ts", "1",
+             "--set-word", "1,2", "--dilate-times", "3", "--out", "{d}/ooi_again.nii"], 5.0),
+    # the mask read in place, the dilated and eroded masks and one scratch grid (4.1, was 5.1)
+    "wall": (["wall", "--ooi", "{d}/ooi0.nii", "--out", "{d}/wall.nii"], 4.6),
+    # the float32 CT takes the noise in place, next to the band and its draws (5.5, was 9.5)
+    "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
+                  "--out", "{d}/masked.nii"], 6.5),
+    # two masks read in place and the float32 prediction (6.4, was 7.1)
+    "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
+              "--out", "{d}/loss.json"], 6.75),
+}
+
+
+@pytest.mark.parametrize("stage", _STAGE_PEAKS)
+def test_stage_holds_one_copy_of_each_input(stage_inputs, stage):
+    argv, bound = _STAGE_PEAKS[stage]
+    status, peak = peak_bytes(run, [a.format(d=stage_inputs) for a in argv])
+    assert status == 0
+    assert peak < bound * math.prod(_STAGE_SHAPE)

@@ -268,6 +268,42 @@ def test_non_finite_or_overflowing_header_floats_rejected(tmp_path, offset, valu
     _cli_rejects(path)
 
 
+@pytest.mark.parametrize("slope,inter", [(2.0, 0.0), (1.0, 3e38)])
+def test_scaling_a_float32_payload_in_place_that_overflows_is_rejected(tmp_path, slope, inter):
+    g = VoxelGrid(np.full((2, 3, 4), 3e38, dtype=np.float32), ANISO)
+    path = tmp_path / "probe.nii"
+    write_volume(g, VolumeMeta.for_grid(g), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, slope, inter)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VolumeFormatError, match="overflow float32"):
+        read_volume(path)
+    _cli_rejects(path)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_scaled_read_holds_the_payload_and_one_float32_array(tmp_path, rng, dtype):
+    g = VoxelGrid(rng.integers(-1000, 1000, (32, 64, 64)).astype(dtype), ANISO)
+    path = tmp_path / "scaled.nii"
+    write_volume(g, VolumeMeta.for_grid(g), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, 0.7, -1024.3)
+    path.write_bytes(bytes(blob))
+    (g2, _), peak = peak_bytes(read_volume, path)
+    want = (g.data.astype(np.float32) * np.float32(0.7)) + np.float32(-1024.3)
+    assert g2.data.tobytes() == want.tobytes()
+    # an int16 payload and its float32 scaling (6 B/voxel); a float32 payload is scaled in place
+    n = g.data.size
+    assert peak < g.data.nbytes + (0 if dtype == np.float32 else 4 * n) + 0.5 * n
+
+
+def test_bool_grid_viewing_other_bytes_writes_as_astype_does(tmp_path):
+    raw = np.array([0, 1, 2, 255] * 6, dtype=np.uint8).reshape(2, 3, 4)
+    g = VoxelGrid(raw.view(np.bool_), ANISO)
+    write_volume(g, VolumeMeta.for_grid(g), tmp_path / "b.nii")
+    assert np.array_equal(read_volume(tmp_path / "b.nii")[0].data, raw.view(np.bool_).astype(np.uint8))
+
+
 def test_huge_header_dims_on_a_short_file_allocate_nothing(tmp_path):
     path = _int16_nifti(tmp_path)
     blob = bytearray(path.read_bytes()[:400])

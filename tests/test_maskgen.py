@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.maskgen import OrganConfig, bowel_wall, build_ooi, select_labels
@@ -30,6 +33,30 @@ def test_select_labels_matches_membership_oracle(rng):
         for y in range(6):
             for x in range(6):
                 assert got[z, y, x] == (int(g.data[z, y, x]) in indicator)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), dtype=st.sampled_from([np.uint8, np.int16, np.int32, np.int64, np.float32]),
+       codes=st.frozensets(st.integers(-2**40, 2**40) | st.integers(-3, 300), min_size=1, max_size=4))
+def test_select_labels_is_isin_for_any_integer_codes(data, dtype, codes):
+    if np.dtype(dtype).kind in "iu":
+        info = np.iinfo(dtype)
+        values = st.integers(info.min, info.max)
+        held = [c for c in codes if info.min <= c <= info.max]
+    else:
+        values = st.floats(width=32) | st.integers(-2**24, 2**24)
+        held = [c for c in codes if int(np.float32(c)) == c]
+    if held:  # voxels that hit a code are drawn often
+        values = st.sampled_from(sorted(held)) | values
+    g = VoxelGrid(data.draw(arrays(dtype, (2, 3, 4), elements=values)), ISO)
+    want = np.isin(g.data, sorted(codes))
+    assert np.array_equal(select_labels(g, codes).data, want)
+
+
+def test_float_labels_match_only_codes_they_hold_exactly():
+    g = VoxelGrid(np.array([2**24, 2**24 + 2, np.nan, np.inf], dtype=np.float32).reshape(1, 1, 4), ISO)
+    got = select_labels(g, {2**24 + 1, 2**24 + 2, 10**400, -(10**400)}).data.ravel()
+    assert got.tolist() == [False, True, False, False]
 
 
 def test_select_labels_rejects_bool_grid():
