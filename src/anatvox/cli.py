@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, pad_value, to_bool
+from .grid import VoxelGrid, extract_patch, pad_value, require_same_geometry, to_bool
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -138,12 +138,25 @@ def _seed(value: str) -> int:
     return _int_at_least(value, 0)
 
 
-def _load_grid(path) -> VoxelGrid:
-    grid, _ = volio.read_volume(path)
-    data = grid.data  # min and max, unlike isfinite(), allocate no full-size temporary
+def _require_finite(data: np.ndarray, path) -> None:
+    # min and max, unlike isfinite(), allocate no full-size temporary
     if data.dtype.kind == "f" and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValueError(f"{path}: volume holds non-finite voxel values")
+
+
+def _load_grid(path) -> VoxelGrid:
+    grid, _ = volio.read_volume(path)
+    _require_finite(grid.data, path)
     return grid
+
+
+class _Stream(volio.VolumeReader):
+    """A volume read run by run, each run checked as ``_load_grid`` checks a whole volume."""
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        run = super().read(lo, hi)
+        _require_finite(run, self.path)
+        return run
 
 
 def _load_mask(path) -> VoxelGrid:
@@ -286,20 +299,32 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 
 def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
-    ct = _load_grid(args.ct)
-    band = _load_mask(args.wall)
-    # the stage owns the CT it read, so a float CT takes the noise in place
-    masked = sslmask._fill_band(ct, band, replace(cfg.noise, seed=args.seed), copy=False)
-    _write_float(masked, args.out)
+    noise = replace(cfg.noise, seed=args.seed)
+    with volio.VolumeReader(args.ct) as ct:
+        band = _load_mask(args.wall)
+        require_same_geometry(ct, band)
+        step = volio.SLAB_VOXELS
+        runs = [(lo, min(lo + step, ct.size)) for lo in range(0, ct.size, step)]
+        for lo, hi in runs:  # a pass of checks first, so a bad CT writes nothing
+            _require_finite(ct.read(lo, hi), args.ct)
+        flat, rng = band.data.reshape(-1), np.random.default_rng(noise.seed)
+
+        def masked():  # the CT slab by slab, as float32 with its band voxels filled
+            for lo, hi in runs:
+                slab = ct.read(lo, hi).astype(np.float32, copy=False)
+                sslmask._fill_band(slab, flat[lo:hi], rng, noise)
+                yield slab
+
+        volio.write_slabs(args.out, ct.shape, ct.spacing, volio.VolumeMeta("float32"), masked())
     return 0
 
 
 def _cmd_loss(args, cfg: PipelineConfig) -> int:
     _require(args, "gt", "pred", "ooi")
     gt = _load_mask(args.gt)
-    pred = _load_grid(args.pred)
-    ooi = _load_mask(args.ooi)
-    _emit_json(loss_report(gt, pred, ooi, cfg.loss), args.out)
+    with _Stream(args.pred) as pred:  # scored run by run, never held whole
+        report = loss_report(gt, pred, _load_mask(args.ooi), cfg.loss)
+    _emit_json(report, args.out)
     return 0
 
 

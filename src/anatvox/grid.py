@@ -84,18 +84,22 @@ class VoxelGrid:
             raise ValueError(f"grid data must be 3D, got shape {self.data.shape}")
         self.data = np.ascontiguousarray(self.data)
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.data.shape
+
     def with_data(self, data: np.ndarray) -> "VoxelGrid":
         """New grid sharing this grid's spacing."""
         return VoxelGrid(data, self.spacing)
 
 
-def require_same_geometry(*grids: VoxelGrid) -> None:
+def require_same_geometry(*grids) -> None:
+    """Refuse grids (or anything with a grid's ``shape`` and ``spacing``) that differ in either."""
     first = grids[0]
     for g in grids[1:]:
-        if g.data.shape != first.data.shape or g.spacing != first.spacing:
+        if g.shape != first.shape or g.spacing != first.spacing:
             raise ValueError(
-                f"grid geometry mismatch: {first.data.shape}/{first.spacing} vs "
-                f"{g.data.shape}/{g.spacing}"
+                f"grid geometry mismatch: {first.shape}/{first.spacing} vs {g.shape}/{g.spacing}"
             )
 
 

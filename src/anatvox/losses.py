@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import VoxelGrid, pairwise_sum, require_bool, require_same_geometry
+from .volio import VolumeReader
 
 
 @dataclass(frozen=True)
@@ -31,41 +32,56 @@ class LossConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
-def _check(gt: VoxelGrid, pred: VoxelGrid, organ: VoxelGrid | None = None) -> None:
-    masks = (gt,) if organ is None else (gt, organ)
-    require_same_geometry(pred, *masks)
-    require_bool(*(m.data for m in masks))
-    if not (pred.data.min() >= 0 and pred.data.max() <= 1):  # written so that NaN fails too
+def _require_unit(p: np.ndarray) -> None:
+    if not (p.min() >= 0 and p.max() <= 1):  # written so that NaN fails too
         raise ValueError("prediction values must lie in [0, 1]")
 
 
-def _score(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig, organ: VoxelGrid | None = None):
-    """(num, den, ce): soft Dice is 1 - num / den, ce the mean clamped cross-entropy.
+def _score(gt: VoxelGrid, pred: VoxelGrid | VolumeReader, cfg: LossConfig, *organs):
+    """[(num, den, ce)] per entry of ``organs``: soft Dice is 1 - num / den, ce the mean clamped CE.
 
-    Walks the prediction chunk by chunk in its stored dtype, widening only a
-    chunk to float64 and, given an organ mask, zeroing it outside the mask.
-    ``pairwise_sum`` splits the chunks where numpy's pairwise summation does,
-    so every sum is bitwise the full-grid sum.
+    An entry is an organ mask to zero the prediction outside of, or None to
+    score it as it is. One pass reads the prediction run by run in its stored
+    dtype, from a grid or from a ``volio.VolumeReader``, checks that each run
+    lies in [0, 1] and widens only that run to float64, once per entry.
+    ``pairwise_sum`` splits the runs where numpy's pairwise summation does and
+    visits them in ascending order, so every sum is bitwise the full-grid sum
+    and a file is read once, front to back.
     """
-    _check(gt, pred, organ)
-    p_all, y_all = pred.data.reshape(-1), gt.data.reshape(-1)
-    o_all = None if organ is None else organ.data.reshape(-1)
+    masks = [gt, *(o for o in organs if o is not None)]
+    require_same_geometry(pred, *masks)  # from a reader's header, before the first read
+    require_bool(*(m.data for m in masks))
+    if isinstance(pred, VolumeReader):
+        read = pred.read
+    else:
+        flat = pred.data.reshape(-1)
 
-    def sums(lo, hi):  # [sum(P*Y), sum(P), sum of the log clamped P of the true class]
-        p = p_all[lo:hi].astype(np.float64)
-        if o_all is not None:
-            p *= o_all[lo:hi]
-        y = y_all[lo:hi]
-        inter, total = np.sum(p * y), np.sum(p)
-        np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps, out=p)
-        q = 1.0 - p
-        np.copyto(q, p, where=y)
-        return np.array([inter, total, np.sum(np.log(q, out=q))])
+        def read(lo, hi):
+            return flat[lo:hi]
 
-    inter, total, ll = pairwise_sum(sums, 0, p_all.size)
-    num = 2.0 * inter + cfg.dice_eps
-    den = total + np.count_nonzero(y_all) + cfg.dice_eps
-    return float(num), float(den), float(-ll / p_all.size)
+    y_all = gt.data.reshape(-1)
+    o_all = [None if o is None else o.data.reshape(-1) for o in organs]
+
+    def sums(lo, hi):  # per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
+        run = read(lo, hi)
+        _require_unit(run)
+        y, out = y_all[lo:hi], []
+        for o in o_all:
+            p = run.astype(np.float64)
+            if o is not None:
+                p *= o[lo:hi]
+            out += [np.sum(p * y), np.sum(p)]
+            np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps, out=p)
+            q = 1.0 - p
+            np.copyto(q, p, where=y)
+            out.append(np.sum(np.log(q, out=q)))
+        return np.array(out)
+
+    n_true = np.count_nonzero(y_all)
+    return [
+        (float(2.0 * inter + cfg.dice_eps), float(total + n_true + cfg.dice_eps), float(-ll / y_all.size))
+        for inter, total, ll in pairwise_sum(sums, 0, y_all.size).reshape(-1, 3)
+    ]
 
 
 def _weighted(cfg: LossConfig, num: float, den: float, ce: float) -> float:
@@ -75,18 +91,18 @@ def _weighted(cfg: LossConfig, num: float, den: float, ce: float) -> float:
 
 def soft_dice_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> float:
     """1 - (2 * sum(P*Y) + eps) / (sum(P) + sum(Y) + eps)."""
-    num, den, _ = _score(gt, pred, cfg)
+    num, den, _ = _score(gt, pred, cfg, None)[0]
     return 1.0 - num / den
 
 
 def cross_entropy_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> float:
     """Mean binary cross-entropy with the prediction clamped away from {0, 1}."""
-    return _score(gt, pred, cfg)[2]
+    return _score(gt, pred, cfg, None)[0][2]
 
 
 def combined_loss(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> float:
     """Weighted sum of soft Dice and cross-entropy (the plain training loss)."""
-    return _weighted(cfg, *_score(gt, pred, cfg))
+    return _weighted(cfg, *_score(gt, pred, cfg, None)[0])
 
 
 def af_loss(
@@ -97,24 +113,24 @@ def af_loss(
     Only the prediction is multiplied by the mask; ground truth outside the
     mask still counts, which penalizes any mask that misses true lesion.
     """
-    return _weighted(cfg, *_score(gt, pred, cfg, organ))
+    return _weighted(cfg, *_score(gt, pred, cfg, organ)[0])
 
 
 def loss_report(
-    gt: VoxelGrid, pred: VoxelGrid, organ: VoxelGrid, cfg: LossConfig = LossConfig()
+    gt: VoxelGrid, pred: VoxelGrid | VolumeReader, organ: VoxelGrid, cfg: LossConfig = LossConfig()
 ) -> dict:
-    """{dice_loss, ce_loss, af_loss} from two passes, bitwise equal to the three calls."""
-    num, den, ce = _score(gt, pred, cfg)
-    return {
-        "dice_loss": 1.0 - num / den,
-        "ce_loss": ce,
-        "af_loss": af_loss(gt, pred, organ, cfg),
-    }
+    """{dice_loss, ce_loss, af_loss} from one pass, bitwise equal to the three calls.
+
+    ``pred`` may be a ``volio.VolumeReader``, so a prediction file is scored
+    without being held whole.
+    """
+    (num, den, ce), masked = _score(gt, pred, cfg, None, organ)
+    return {"dice_loss": 1.0 - num / den, "ce_loss": ce, "af_loss": _weighted(cfg, *masked)}
 
 
 def soft_dice_grad(gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """Analytic d(soft_dice_loss)/dP, same shape as the prediction."""
-    num, den, _ = _score(gt, pred, cfg)
+    num, den, _ = _score(gt, pred, cfg, None)[0]
     return (num - 2.0 * gt.data * den) / (den * den)
 
 
@@ -122,7 +138,9 @@ def cross_entropy_grad(
     gt: VoxelGrid, pred: VoxelGrid, cfg: LossConfig = LossConfig()
 ) -> np.ndarray:
     """Analytic d(cross_entropy_loss)/dP; zero where the clamp is active."""
-    _check(gt, pred)
+    require_same_geometry(pred, gt)
+    require_bool(gt.data)
+    _require_unit(pred.data)
     p = pred.data.astype(np.float64, copy=False)
     pc = np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps)
     g = np.where(gt.data, -1.0 / pc, 1.0 / (1.0 - pc)) / p.size

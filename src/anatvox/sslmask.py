@@ -37,23 +37,23 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     are copied bit-exactly. Integer images come back as floats so that the
     noise is not truncated; float images keep their dtype.
     """
-    return _fill_band(image, band, noise, copy=True)
-
-
-def _fill_band(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec, copy: bool) -> VoxelGrid:
-    """``mask_bowel_wall``'s result; without ``copy`` a float32 or float64 image is filled in place.
-
-    Only a caller that owns ``image``'s array may pass ``copy=False``.
-    """
     require_same_geometry(image, band)
     require_bool(band.data)
-    out = image.data.astype(np.promote_types(image.data.dtype, np.float32), copy=copy)
-    count = int(np.count_nonzero(band.data))
-    if count:
-        rng = np.random.default_rng(noise.seed)
-        draws = rng.normal(noise.mean, noise.stddev, count)
-        out[band.data] = draws.astype(out.dtype, copy=False)
+    out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
+    _fill_band(out.reshape(-1), band.data.reshape(-1), np.random.default_rng(noise.seed), noise)
     return image.with_data(out)
+
+
+def _fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, noise: NoiseSpec) -> None:
+    """Fill ``slab``'s ``band`` voxels, in place, with ``rng``'s next draws.
+
+    ``slab`` and ``band`` are a flat run of the image and of its band. Drawing
+    k normals in pieces gives the same stream as one draw of k, so filling the
+    runs of a grid in order with one generator fills it as one run would.
+    """
+    count = int(np.count_nonzero(band))
+    if count:
+        slab[band] = rng.normal(noise.mean, noise.stddev, count).astype(slab.dtype, copy=False)
 
 
 def l1_recon_loss(image: VoxelGrid, recon: VoxelGrid, restrict_to: VoxelGrid | None = None) -> float:

@@ -31,6 +31,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,13 +89,12 @@ def _natural_datatype(dtype: np.dtype) -> str:
     return "float32"
 
 
-def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
-    """Grid data in the little-endian ``datatype``, refusing any lossy conversion.
+def _encode_payload(data: np.ndarray, datatype: str, path) -> np.ndarray:
+    """``data`` in the little-endian ``datatype``, refusing any lossy conversion.
 
     Data already of that dtype is returned as it is, without a copy, and so is
-    a boolean grid written as uint8: False and True are the bytes 0 and 1.
+    boolean data written as uint8: False and True are the bytes 0 and 1.
     """
-    data = grid.data
     if data.dtype == np.bool_ and datatype == "uint8":
         payload = data.view(np.uint8)
         if payload.max() <= 1:  # else the array views other bytes as booleans
@@ -110,44 +110,42 @@ def _encode_payload(grid: VoxelGrid, datatype: str, path) -> np.ndarray:
     return cast
 
 
+class _Layout(NamedTuple):
+    """What a volume's header says: its geometry, where its voxels are and how to scale them."""
+
+    dims: Dims
+    spacing: Spacing
+    meta: VolumeMeta  # its datatype is the one the voxels are read as, after any scaling
+    payload: Path
+    offset: int
+    stored: str  # the datatype of the voxels in the file
+    exact: bool  # the payload must end where the file ends
+    scale: tuple[np.float32, np.float32] | None  # (scl_slope, scl_inter)
+
+
 # ---------------------------------------------------------------------------
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _build_header(grid: VoxelGrid, meta: VolumeMeta) -> bytes:
+def _nifti_header(shape, spacing: Spacing, meta: VolumeMeta) -> bytes:
     hdr = bytearray(meta.raw_header) if meta.raw_header else bytearray(HEADER_SIZE)
     if len(hdr) != HEADER_SIZE:
         raise ValueError("stored raw header has wrong size")
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    struct.pack_into("<8h", hdr, 40, 3, *grid.data.shape[::-1], 1, 1, 1, 1)
+    struct.pack_into("<8h", hdr, 40, 3, *shape[::-1], 1, 1, 1, 1)
     code, dtype = DATATYPES[meta.datatype]
     struct.pack_into("<2h", hdr, 70, code, 8 * dtype.itemsize)
     if not meta.raw_header:
         # fresh header: pixdim[0] is the qform handedness flag, units are mm
         struct.pack_into("<f", hdr, 76, 1.0)
         hdr[123] = 2
-    struct.pack_into("<3f", hdr, 80, *grid.spacing.zyx[::-1])
+    struct.pack_into("<3f", hdr, 80, *spacing.zyx[::-1])
     struct.pack_into("<3f", hdr, 108, VOX_OFFSET, 0.0, 0.0)
     hdr[344:348] = MAGIC
     return bytes(hdr)
 
 
-def _write_nifti(grid: VoxelGrid, payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_build_header(grid, meta).ljust(VOX_OFFSET, b"\x00"))
-        fh.write(payload)
-
-
-def _read_payload(path: Path, offset: int, datatype: str, dims: Dims, exact: bool) -> np.ndarray:
-    """Voxels at ``offset``, read once the file size shows them all (``exact``: and no more)."""
-    dtype = DATATYPES[datatype][1]
-    held, expected = max(path.stat().st_size - offset, 0), dims.n * dtype.itemsize
-    if held < expected or (exact and held > expected):
-        raise CorruptFileError(f"{path}: payload is {held} bytes, expected {expected}")
-    return np.fromfile(path, dtype=dtype, count=dims.n, offset=offset).reshape(dims.shape)
-
-
-def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
+def _parse_nifti(path: Path) -> _Layout:
     with open(path, "rb") as fh:
         hdr = fh.read(HEADER_SIZE)
     if len(hdr) < HEADER_SIZE:
@@ -183,18 +181,11 @@ def _read_nifti(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
         raise VolumeFormatError(f"{path}: non-finite vox_offset, scl_slope or scl_inter")
     if vox_offset < HEADER_SIZE:
         raise VolumeFormatError(f"{path}: vox_offset {vox_offset} inside the header")
-
-    arr = _read_payload(path, int(vox_offset), datatype, dims, exact=False)
+    scale = None
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
-        try:
-            with np.errstate(over="raise"):  # in place on one float32 array, rounded as (arr * slope) + inter
-                arr = arr.astype(np.float32, copy=False)
-                np.multiply(arr, np.float32(scl_slope), out=arr)
-                np.add(arr, np.float32(scl_inter), out=arr)
-        except FloatingPointError:
-            raise VolumeFormatError(f"{path}: scl_slope/scl_inter overflow float32") from None
-        datatype = "float32"
-    return VoxelGrid(arr, spacing), VolumeMeta(datatype, raw_header=hdr)
+        scale = (np.float32(scl_slope), np.float32(scl_inter))
+    meta = VolumeMeta("float32" if scale else datatype, raw_header=hdr)
+    return _Layout(dims, spacing, meta, path, int(vox_offset), datatype, False, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +197,7 @@ def _sidecar_paths(path: Path) -> tuple[Path, Path]:
     return stem.with_suffix(".raw"), stem.with_suffix(".json")
 
 
-def _write_rawjson(grid: VoxelGrid, payload: np.ndarray, meta: VolumeMeta, path: Path) -> None:
-    raw_path, json_path = _sidecar_paths(path)
-    raw_path.write_bytes(payload)
-    sidecar = {"dims": list(grid.data.shape), "spacing": list(grid.spacing.zyx),
-               "datatype": meta.datatype}
-    json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _read_rawjson(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
+def _parse_rawjson(path: Path) -> _Layout:
     raw_path, json_path = _sidecar_paths(path)
     try:
         sidecar = json.loads(json_path.read_text(encoding="utf-8"))
@@ -233,8 +216,7 @@ def _read_rawjson(path: Path) -> tuple[VoxelGrid, VolumeMeta]:
     datatype = sidecar["datatype"]
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"{json_path}: unsupported datatype {datatype!r}")
-    arr = _read_payload(raw_path, 0, datatype, dims, exact=True)
-    return VoxelGrid(arr, spacing), VolumeMeta(datatype)
+    return _Layout(dims, spacing, VolumeMeta(datatype), raw_path, 0, datatype, True, None)
 
 
 def _json_triple(value, kind) -> bool:
@@ -247,23 +229,119 @@ def _json_triple(value, kind) -> bool:
 # Public entry points
 # ---------------------------------------------------------------------------
 
-_WRITERS = {".nii": _write_nifti, ".raw": _write_rawjson, ".json": _write_rawjson}
-_READERS = {".nii": _read_nifti, ".raw": _read_rawjson, ".json": _read_rawjson}
+_PARSERS = {".nii": _parse_nifti, ".raw": _parse_rawjson, ".json": _parse_rawjson}
+
+# Voxels per slab where a volume is streamed: 4 MB of float32
+SLAB_VOXELS = 1 << 20
 
 
-def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
-    """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}."""
+def _volume_path(path) -> Path:
     path = Path(path)
-    if path.suffix not in _WRITERS:
+    if path.suffix not in _PARSERS:
         raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
-    if not grid.data.size:  # the readers refuse a zero-length axis
-        raise ValueError(f"{path}: cannot write an empty grid of shape {grid.data.shape}")
-    _WRITERS[path.suffix](grid, _encode_payload(grid, meta.datatype, path), meta, path)
+    return path
+
+
+class VolumeReader:
+    """A volume file opened for reading: its checked header, then its voxels run by run.
+
+    Opening parses the header and checks that the file holds the whole
+    payload, before any voxel is read. ``read(lo, hi)`` returns voxels
+    [lo, hi) of the flat, z-major array that ``read_volume`` gives, bitwise:
+    a scaled NIfTI run is scaled as ``read_volume`` scales, in place on one
+    float32 array. The first read of less than the whole scans a scaled
+    payload slab by slab, so a scaling overflow anywhere raises before any
+    voxel is returned. ``shape`` and ``spacing`` stand in for a grid's in
+    the geometry checks.
+    """
+
+    def __init__(self, path):
+        self.path = _volume_path(path)
+        layout = _PARSERS[self.path.suffix](self.path)
+        dtype = DATATYPES[layout.stored][1]
+        held = max(layout.payload.stat().st_size - layout.offset, 0)
+        expected = layout.dims.n * dtype.itemsize
+        if held < expected or (layout.exact and held > expected):
+            raise CorruptFileError(f"{layout.payload}: payload is {held} bytes, expected {expected}")
+        self.shape, self.size = layout.dims.shape, layout.dims.n
+        self.spacing, self.meta = layout.spacing, layout.meta
+        self._dtype, self._offset, self._scale = dtype, layout.offset, layout.scale
+        self._scanned = layout.scale is None
+        self._fh = open(layout.payload, "rb")
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "VolumeReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Voxels [lo, hi) in z-major order, as a new array of the file's values."""
+        if not self._scanned and (lo, hi) != (0, self.size):
+            for a in range(0, self.size, SLAB_VOXELS):
+                self._read(a, min(a + SLAB_VOXELS, self.size))
+        self._scanned = True
+        return self._read(lo, hi)
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        self._fh.seek(self._offset + lo * self._dtype.itemsize)
+        run = np.fromfile(self._fh, self._dtype, count=hi - lo)
+        if run.size != hi - lo:
+            raise CorruptFileError(f"{self.path}: payload shrank while it was read")
+        if self._scale is None:
+            return run
+        try:
+            with np.errstate(over="raise"):  # in place on one float32 array, rounded as (run * slope) + inter
+                run = run.astype(np.float32, copy=False)
+                np.multiply(run, self._scale[0], out=run)
+                np.add(run, self._scale[1], out=run)
+        except FloatingPointError:
+            raise VolumeFormatError(f"{self.path}: scl_slope/scl_inter overflow float32") from None
+        return run
 
 
 def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:
     """Read a volume; the format is chosen by extension (.nii or .raw/.json)."""
-    path = Path(path)
-    if path.suffix not in _READERS:
-        raise ValueError(f"{path}: unknown volume extension {path.suffix!r}")
-    return _READERS[path.suffix](path)
+    with VolumeReader(path) as src:
+        return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing), src.meta
+
+
+def write_slabs(path, shape, spacing: Spacing, meta: VolumeMeta, slabs) -> None:
+    """Write a volume of ``shape`` whose voxels come as ``slabs``, arrays in z-major order.
+
+    The header (or the JSON sidecar) is written first, then each slab as it
+    comes, encoded as ``write_volume`` encodes a grid. The slabs must hold
+    every voxel once.
+    """
+    path, n = _volume_path(path), math.prod(shape)
+    if not n:  # the readers refuse a zero-length axis
+        raise ValueError(f"{path}: cannot write an empty grid of shape {tuple(shape)}")
+    if path.suffix == ".nii":
+        payload_path, head = path, _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00")
+    else:
+        payload_path, json_path = _sidecar_paths(path)
+        sidecar = {"dims": list(shape), "spacing": list(spacing.zyx), "datatype": meta.datatype}
+        json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
+        head = b""
+    written = 0
+    with open(payload_path, "wb") as fh:
+        fh.write(head)
+        for slab in slabs:
+            fh.write(_encode_payload(slab, meta.datatype, path))
+            written += slab.size
+    if written != n:
+        raise ValueError(f"{path}: the slabs hold {written} voxels, not {n}")
+
+
+def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
+    """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}.
+
+    The grid is written as one slab, encoded before the file is opened, so a
+    lossy datatype is refused without touching the file.
+    """
+    path, data = _volume_path(path), grid.data
+    slabs = [_encode_payload(data, meta.datatype, path)] if data.size else []  # write_slabs refuses empty
+    write_slabs(path, data.shape, grid.spacing, meta, slabs)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import anatvox
-from anatvox import sampling
+from anatvox import sampling, volio
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid
+from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
 from conftest import JSON_VALUES, peak_bytes
@@ -379,6 +380,52 @@ def test_non_finite_voxels_rejected_at_load(workdir, stage, bad, capsys):
     assert not (workdir / "masked.nii").exists()
 
 
+def _loss_argv(workdir, pred):
+    return ["loss", "--gt", str(workdir / "tumor.nii"), "--pred", str(pred),
+            "--ooi", str(workdir / "tumor.nii"), "--out", str(workdir / "loss.json")]
+
+
+def _ssl_mask_argv(workdir, ct, out="masked.nii"):
+    return ["ssl-mask", "--ct", str(ct), "--wall", str(workdir / "tumor.nii"), "--seed", "4",
+            "--out", str(workdir / out)]
+
+
+@pytest.mark.parametrize("stage,bad", [("loss", np.nan), ("loss", 1.5), ("ssl-mask", np.nan)])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing, capsys):
+    ct, _ = read_volume(workdir / "ct.nii")
+    data = np.clip(ct.data, 0, 1) if stage == "loss" else ct.data.copy()
+    data.reshape(-1)[-1] = bad  # the last voxel, in the last run and the last slab read
+    write_volume(ct.with_data(data), VolumeMeta("float32"), workdir / "bad.nii")
+    out = workdir / ("loss.json" if stage == "loss" else "masked.nii")
+    if existing:
+        out.write_bytes(b"an earlier run's output\n")
+    argv = (_loss_argv if stage == "loss" else _ssl_mask_argv)(workdir, workdir / "bad.nii")
+    with mock.patch.object(volio, "SLAB_VOXELS", 4096):  # 24 slabs on this grid
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("bad.nii" in err and "non-finite" in err) if bad != 1.5 else "[0, 1]" in err
+    assert out.read_bytes() == b"an earlier run's output\n" if existing else not out.exists()
+
+
+@pytest.mark.parametrize("datatype", ["uint8", "int16", "int32"])
+def test_an_integer_ct_is_masked_as_mask_bowel_wall_then_float32(workdir, datatype):
+    ct, _ = read_volume(workdir / "ct.nii")
+    info = np.iinfo(datatype)
+    data = np.clip(np.rint(ct.data * 0.4 * info.max), info.min, info.max).astype(datatype)
+    write_volume(ct.with_data(data), VolumeMeta(datatype), workdir / "ct_int.nii")
+    with mock.patch.object(volio, "SLAB_VOXELS", 5000):  # slabs that split z slices unevenly
+        assert run(_ssl_mask_argv(workdir, workdir / "ct_int.nii")) == 0
+    band, _ = read_volume(workdir / "tumor.nii")
+    want = mask_bowel_wall(ct.with_data(data), band.with_data(band.data != 0), NoiseSpec(seed=4))
+    got, meta = read_volume(workdir / "masked.nii")
+    assert meta.datatype == "float32" and band.data.any()
+    assert got.data.tobytes() == want.data.astype(np.float32).tobytes()
+    assert run(_ssl_mask_argv(workdir, workdir / "ct_int.nii", "masked.raw")) == 0  # one slab
+    assert (workdir / "masked.raw").read_bytes() == got.data.tobytes()
+
+
 @pytest.mark.parametrize(
     "line,problem",
     [
@@ -638,18 +685,21 @@ _STAGE_PEAKS = {
              "--set-word", "1,2", "--dilate-times", "3", "--out", "{d}/ooi_again.nii"], 5.0),
     # the mask read in place, the dilated and eroded masks and one scratch grid (4.1, was 5.1)
     "wall": (["wall", "--ooi", "{d}/ooi0.nii", "--out", "{d}/wall.nii"], 4.6),
-    # the float32 CT takes the noise in place, next to the band and its draws (5.5, was 9.5)
+    # the band, one CT slab filled in place and its draws (1.62; was 5.5 holding the whole
+    # float32 CT, 9.5 with a copy of it)
     "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
-                  "--out", "{d}/masked.nii"], 6.5),
-    # two masks read in place and the float32 prediction (6.4, was 7.1)
+                  "--out", "{d}/masked.nii"], 1.75),
+    # two masks read in place and one prediction run at a time (2.59; was 6.4 holding the
+    # whole float32 prediction, 7.1 with a second copy of a mask)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
-              "--out", "{d}/loss.json"], 6.75),
+              "--out", "{d}/loss.json"], 2.75),
 }
 
 
 @pytest.mark.parametrize("stage", _STAGE_PEAKS)
 def test_stage_holds_one_copy_of_each_input(stage_inputs, stage):
     argv, bound = _STAGE_PEAKS[stage]
-    status, peak = peak_bytes(run, [a.format(d=stage_inputs) for a in argv])
+    with mock.patch.object(volio, "SLAB_VOXELS", 1 << 16):  # 16 slabs, as a CT-sized grid has dozens
+        status, peak = peak_bytes(run, [a.format(d=stage_inputs) for a in argv])
     assert status == 0
     assert peak < bound * math.prod(_STAGE_SHAPE)

@@ -16,7 +16,9 @@ from anatvox.volio import (
     UnsupportedDatatypeError,
     VolumeFormatError,
     VolumeMeta,
+    VolumeReader,
     read_volume,
+    write_slabs,
     write_volume,
 )
 
@@ -437,3 +439,60 @@ def test_read_allocates_one_array_and_write_none(tmp_path, rng):
         assert np.array_equal(g2.data, g.data)
         assert write_peak < 0.5 * g.data.nbytes
         assert read_peak < 1.5 * g.data.nbytes
+
+
+_SCALES = [None, (1.0, 0.0), (0.0, 5.0), (2.0, 0.0), (0.5, -3.0), (-0.25, 7.5)]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 7), st.integers(1, 9)),
+       datatype=st.sampled_from(["uint8", "int16", "int32", "float32"]),
+       ext=st.sampled_from([".nii", ".raw"]), scale=st.sampled_from(_SCALES),
+       step=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_reader_runs_are_read_volume_bitwise(tmp_path, shape, datatype, ext, scale, step, seed):
+    rng = np.random.default_rng(seed)
+    if datatype == "float32":
+        data = (1000 * rng.standard_normal(shape)).astype(np.float32)
+    else:
+        info = np.iinfo(datatype)
+        data = rng.integers(info.min, info.max, shape, endpoint=True).astype(datatype)
+    path = tmp_path / f"v{ext}"
+    write_volume(VoxelGrid(data, ANISO), VolumeMeta(datatype), path)
+    if scale is not None and ext == ".nii":  # the raw format has no scaling
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<2f", blob, 112, *scale)
+        path.write_bytes(bytes(blob))
+    grid, meta = read_volume(path)
+    with VolumeReader(path) as src:  # runs of ``step`` voxels, the last one shorter unless step divides
+        runs = [src.read(lo, min(lo + step, src.size)) for lo in range(0, src.size, step)]
+        assert (src.shape, src.spacing, src.meta) == (grid.shape, grid.spacing, meta)
+    got, want = np.concatenate(runs), grid.data.reshape(-1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the runs written as slabs give the bytes of the grid written whole
+    write_slabs(tmp_path / f"slabs{ext}", grid.shape, grid.spacing, meta, runs)
+    write_volume(grid, meta, tmp_path / f"whole{ext}")
+    for suffix in ((".nii",) if ext == ".nii" else (".raw", ".json")):
+        assert (tmp_path / f"slabs{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["truncated", "overflow"])
+def test_reader_raises_read_volumes_error_before_returning_a_run(tmp_path, fault):
+    data = np.ones((4, 8, 16), dtype=np.float32)
+    data.reshape(-1)[-1] = 3e38  # overflows float32 under slope 2, in the last run only
+    path = tmp_path / "probe.nii"
+    write_volume(VoxelGrid(data, ANISO), VolumeMeta("float32"), path)
+    blob = bytearray(path.read_bytes())
+    if fault == "truncated":
+        blob = blob[:-10]
+    else:
+        struct.pack_into("<2f", blob, 112, 2.0, 0.0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VolumeFormatError) as want:
+        read_volume(path)
+    runs = []
+    with pytest.raises(VolumeFormatError) as got:
+        with VolumeReader(path) as src:
+            for lo in range(0, src.size, 100):
+                runs.append(src.read(lo, min(lo + 100, src.size)))
+    assert runs == []
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from anatvox import grid, losses
 from anatvox.grid import Dims, VoxelGrid
+from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 from anatvox.losses import (
     LossConfig,
     af_loss,
@@ -270,12 +271,21 @@ def test_loss_report_is_the_three_calls(shape, dtype, gt_kind, organ_kind, seed)
     assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in calls.items()}
 
 
-def test_loss_report_scores_twice(rng):
-    y, o = (bool_grid(random_mask(rng, (4, 5, 6))) for _ in range(2))
-    p = VoxelGrid(rng.random((4, 5, 6)), ISO)
-    with mock.patch.object(losses, "_score", wraps=losses._score) as score:
-        loss_report(y, p, o, CFG)
-    assert score.call_count == 2
+@pytest.mark.parametrize("dtype", ["float32", "uint8"])
+def test_loss_report_reads_each_prediction_run_once(tmp_path, rng, dtype):
+    shape = (5, 16, 27)  # several runs of uneven length
+    y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
+    data = rng.random(shape)
+    p = VoxelGrid((data < 0.5).astype(np.uint8) if dtype == "uint8" else data.astype(dtype), ISO)
+    write_volume(p, VolumeMeta.for_grid(p), tmp_path / "pred.nii")
+    with VolumeReader(tmp_path / "pred.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+        with mock.patch.object(src, "read", wraps=src.read) as read:
+            report = loss_report(y, src, o, CFG)
+        want = loss_report(y, p, o, CFG)
+    runs = [c.args for c in read.call_args_list]
+    assert len(runs) > 8
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == p.data.size
+    assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in want.items()}
 
 
 def test_af_loss_allocates_less_than_one_float64_grid(rng):
