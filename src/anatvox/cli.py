@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, pad_value, require_same_geometry, to_bool
+from .grid import VoxelGrid, extract_patch, pad_value, require_same_geometry
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -144,29 +144,77 @@ def _require_finite(data: np.ndarray, path) -> None:
         raise ValueError(f"{path}: volume holds non-finite voxel values")
 
 
-def _load_grid(path) -> VoxelGrid:
-    grid, _ = volio.read_volume(path)
-    _require_finite(grid.data, path)
-    return grid
-
-
 class _Stream(volio.VolumeReader):
-    """A volume read run by run, each run checked as ``_load_grid`` checks a whole volume."""
+    """A volume read run by run, each run checked for non-finite voxels unless ``scan`` has checked all."""
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         run = super().read(lo, hi)
-        _require_finite(run, self.path)
+        if not self._scanned:
+            self._check(run)
         return run
 
+    def _check(self, run: np.ndarray) -> None:
+        _require_finite(run, self.path)
 
-def _load_mask(path) -> VoxelGrid:
-    grid = _load_grid(path)
-    data = grid.data
-    if data.dtype == np.uint8:  # this stage owns the array it read, so it becomes the mask in place
-        mask = data.view(np.bool_)
-        np.not_equal(data, 0, out=mask)  # an exact overlap, which numpy runs element by element
-        return grid.with_data(mask)
-    return to_bool(grid)
+    @classmethod
+    def load(cls, path) -> VoxelGrid:
+        """The whole volume as one grid, read as one run."""
+        with cls(path) as src:
+            return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing)
+
+
+class _MaskStream(_Stream):
+    """A ``_Stream`` whose runs come back as boolean masks of their nonzero voxels."""
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        run = super().read(lo, hi)
+        if run.dtype != np.uint8:
+            return run != 0
+        mask = run.view(np.bool_)  # this reader owns the run it read, so it becomes the mask in place
+        np.not_equal(run, 0, out=mask)  # an exact overlap, which numpy runs element by element
+        return mask
+
+
+_load_grid, _load_mask = _Stream.load, _MaskStream.load
+
+
+def _check_first(*srcs: _Stream) -> None:
+    """Refuse sources of two geometries, then check every voxel of each float32 one.
+
+    A stage that writes a volume calls this first, so a bad file writes
+    nothing. Only float32 voxels can be non-finite, and a scaled payload
+    reads as float32, so this one pass is also its overflow scan.
+    """
+    require_same_geometry(*srcs)
+    for src in srcs:
+        if src.meta.datatype == "float32":
+            src.scan()
+
+
+def _write_by_slab(path, kernel, halo: int, *srcs: _Stream) -> None:
+    """Write ``kernel`` of the sources' grids as a uint8 mask, z slab by z slab.
+
+    The sources are checked first (``_check_first``). Each slab is read
+    with ``halo`` more planes on both sides, clipped to the grid, and only
+    its own planes of the kernel's output are written. That equals the
+    kernel on the whole grid when the kernel is at most ``halo`` morphology
+    steps: a step moves information at most one plane in z, and an erosion's
+    cleared edge planes spoil at most one more plane per step, so only the
+    halo is wrong. A halo of nz or more makes the slab the whole grid.
+    """
+    _check_first(*srcs)
+    (nz, ny, nx), spacing = srcs[0].shape, srcs[0].spacing
+    halo = min(halo, nz)
+    step = max(volio.SLAB_VOXELS // (ny * nx), 4 * halo, 1)  # so halos add at most half the reads
+
+    def slab(z0):  # a function, so that its inputs are freed before the next slab is read
+        z1 = min(z0 + step, nz)
+        a, b = max(z0 - halo, 0), min(z1 + halo, nz)
+        grids = [VoxelGrid(src.read(a * ny * nx, b * ny * nx).reshape(b - a, ny, nx), spacing)
+                 for src in srcs]
+        return kernel(*grids).data[z0 - a : z1 - a]
+
+    volio.write_slabs(path, (nz, ny, nx), spacing, volio.VolumeMeta("uint8"), map(slab, range(0, nz, step)))
 
 
 def _write_uint8(grid: VoxelGrid, path) -> None:
@@ -248,18 +296,18 @@ def _effective_config(args) -> PipelineConfig:
 
 def _cmd_ooi(args, cfg: PipelineConfig) -> int:
     _require(args, "ts", "word", "out")
-    ts = _load_grid(args.ts)
-    word = _load_grid(args.word)
-    ooi = maskgen.build_ooi(ts, word, cfg.organ)
-    _write_uint8(ooi, args.out)
+    with _Stream(args.ts) as ts, _Stream(args.word) as word:
+        _write_by_slab(args.out, lambda t, w: maskgen.build_ooi(t, w, cfg.organ),
+                       cfg.organ.dilate_times, ts, word)
     return 0
 
 
 def _cmd_wall(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "out")
-    ooi = _load_mask(args.ooi)
-    band = maskgen.bowel_wall(ooi, cfg.organ.elem, cfg.organ.wall_r_out, cfg.organ.wall_r_in)
-    _write_uint8(band, args.out)
+    o = cfg.organ
+    with _MaskStream(args.ooi) as ooi:
+        _write_by_slab(args.out, lambda m: maskgen.bowel_wall(m, o.elem, o.wall_r_out, o.wall_r_in),
+                       max(o.wall_r_out, o.wall_r_in), ooi)
     return 0
 
 
@@ -300,30 +348,26 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
     noise = replace(cfg.noise, seed=args.seed)
-    with volio.VolumeReader(args.ct) as ct:
-        band = _load_mask(args.wall)
-        require_same_geometry(ct, band)
-        step = volio.SLAB_VOXELS
-        runs = [(lo, min(lo + step, ct.size)) for lo in range(0, ct.size, step)]
-        for lo, hi in runs:  # a pass of checks first, so a bad CT writes nothing
-            _require_finite(ct.read(lo, hi), args.ct)
-        flat, rng = band.data.reshape(-1), np.random.default_rng(noise.seed)
+    with _Stream(args.ct) as ct, _MaskStream(args.wall) as band:
+        _check_first(ct, band)
+        rng = np.random.default_rng(noise.seed)
 
-        def masked():  # the CT slab by slab, as float32 with its band voxels filled
-            for lo, hi in runs:
-                slab = ct.read(lo, hi).astype(np.float32, copy=False)
-                sslmask._fill_band(slab, flat[lo:hi], rng, noise)
-                yield slab
+        def masked(lo):  # CT voxels from lo on, one slab, as float32 with its band voxels filled
+            hi = min(lo + volio.SLAB_VOXELS, ct.size)
+            slab = ct.read(lo, hi).astype(np.float32, copy=False)
+            sslmask._fill_band(slab, band.read(lo, hi), rng, noise)
+            return slab
 
-        volio.write_slabs(args.out, ct.shape, ct.spacing, volio.VolumeMeta("float32"), masked())
+        runs = map(masked, range(0, ct.size, volio.SLAB_VOXELS))
+        volio.write_slabs(args.out, ct.shape, ct.spacing, volio.VolumeMeta("float32"), runs)
     return 0
 
 
 def _cmd_loss(args, cfg: PipelineConfig) -> int:
     _require(args, "gt", "pred", "ooi")
-    gt = _load_mask(args.gt)
-    with _Stream(args.pred) as pred:  # scored run by run, never held whole
-        report = loss_report(gt, pred, _load_mask(args.ooi), cfg.loss)
+    # every volume is scored run by run, never held whole
+    with _MaskStream(args.gt) as gt, _Stream(args.pred) as pred, _MaskStream(args.ooi) as ooi:
+        report = loss_report(gt, pred, ooi, cfg.loss)
     _emit_json(report, args.out)
     return 0
 

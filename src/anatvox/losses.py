@@ -7,10 +7,12 @@ move the loss; ground truth is never masked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import volio
 from .grid import VoxelGrid, pairwise_sum, require_bool, require_same_geometry
 from .volio import VolumeReader
 
@@ -37,39 +39,61 @@ def _require_unit(p: np.ndarray) -> None:
         raise ValueError("prediction values must lie in [0, 1]")
 
 
-def _score(gt: VoxelGrid, pred: VoxelGrid | VolumeReader, cfg: LossConfig, *organs):
+class _MaskSlabs:
+    """Runs of a mask that a ``VolumeReader`` reads as booleans, read a whole slab at a time.
+
+    ``pairwise_sum`` asks for ascending runs that tile the grid, so a slab of
+    ``volio.SLAB_VOXELS`` voxels, read from the start of the first run the
+    last slab does not hold whole, serves the runs that follow. Only the
+    head of a run that crosses a slab's end is read twice.
+    """
+
+    def __init__(self, src: VolumeReader):
+        self._src, self._lo, self._slab = src, 0, np.empty(0, dtype=np.bool_)
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if not self._lo <= lo <= hi <= self._lo + self._slab.size:
+            self._lo, self._slab = lo, None  # the old slab is freed before the new one is read
+            self._slab = self._src.read(lo, min(max(hi, lo + volio.SLAB_VOXELS), self._src.size))
+            require_bool(self._slab)
+        return self._slab[lo - self._lo : hi - self._lo]
+
+
+def _runs(volume, mask: bool):
+    """``read(lo, hi)`` of a grid's flat voxels, or of a reader's (a mask's slab by slab)."""
+    if isinstance(volume, VolumeReader):
+        return _MaskSlabs(volume) if mask else volume.read
+    if mask:
+        require_bool(volume.data)
+    flat = volume.data.reshape(-1)
+    return lambda lo, hi: flat[lo:hi]
+
+
+def _score(gt: VoxelGrid | VolumeReader, pred: VoxelGrid | VolumeReader, cfg: LossConfig, *organs):
     """[(num, den, ce)] per entry of ``organs``: soft Dice is 1 - num / den, ce the mean clamped CE.
 
     An entry is an organ mask to zero the prediction outside of, or None to
-    score it as it is. One pass reads the prediction run by run in its stored
-    dtype, from a grid or from a ``volio.VolumeReader``, checks that each run
-    lies in [0, 1] and widens only that run to float64, once per entry.
-    ``pairwise_sum`` splits the runs where numpy's pairwise summation does and
-    visits them in ascending order, so every sum is bitwise the full-grid sum
-    and a file is read once, front to back.
+    score it as it is. ``gt``, ``pred`` and each organ may be a grid or a
+    ``volio.VolumeReader``; a reader of a mask must read boolean runs. One
+    pass reads the prediction run by run in its stored dtype, checks that
+    each run lies in [0, 1] and widens only that run to float64, once per
+    entry. ``pairwise_sum`` splits the runs where numpy's pairwise summation
+    does and visits them in ascending order, so every sum is bitwise the
+    full-grid sum and a file is read once, front to back.
     """
-    masks = [gt, *(o for o in organs if o is not None)]
-    require_same_geometry(pred, *masks)  # from a reader's header, before the first read
-    require_bool(*(m.data for m in masks))
-    if isinstance(pred, VolumeReader):
-        read = pred.read
-    else:
-        flat = pred.data.reshape(-1)
+    require_same_geometry(pred, gt, *(o for o in organs if o is not None))  # a reader's from its header
+    read, read_y = _runs(pred, mask=False), _runs(gt, mask=True)
+    read_o = [None if o is None else _runs(o, mask=True) for o in organs]
 
-        def read(lo, hi):
-            return flat[lo:hi]
-
-    y_all = gt.data.reshape(-1)
-    o_all = [None if o is None else o.data.reshape(-1) for o in organs]
-
-    def sums(lo, hi):  # per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
+    def sums(lo, hi):  # |Y|, then per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
         run = read(lo, hi)
         _require_unit(run)
-        y, out = y_all[lo:hi], []
-        for o in o_all:
+        y = read_y(lo, hi)
+        out = [np.count_nonzero(y)]
+        for o in read_o:
             p = run.astype(np.float64)
             if o is not None:
-                p *= o[lo:hi]
+                p *= o(lo, hi)
             out += [np.sum(p * y), np.sum(p)]
             np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps, out=p)
             q = 1.0 - p
@@ -77,10 +101,11 @@ def _score(gt: VoxelGrid, pred: VoxelGrid | VolumeReader, cfg: LossConfig, *orga
             out.append(np.sum(np.log(q, out=q)))
         return np.array(out)
 
-    n_true = np.count_nonzero(y_all)
+    n = math.prod(gt.shape)
+    n_true, *terms = pairwise_sum(sums, 0, n)  # counts below 2^53 add exactly in float64
     return [
-        (float(2.0 * inter + cfg.dice_eps), float(total + n_true + cfg.dice_eps), float(-ll / y_all.size))
-        for inter, total, ll in pairwise_sum(sums, 0, y_all.size).reshape(-1, 3)
+        (float(2.0 * inter + cfg.dice_eps), float(total + n_true + cfg.dice_eps), float(-ll / n))
+        for inter, total, ll in np.reshape(terms, (-1, 3))
     ]
 
 
@@ -117,12 +142,13 @@ def af_loss(
 
 
 def loss_report(
-    gt: VoxelGrid, pred: VoxelGrid | VolumeReader, organ: VoxelGrid, cfg: LossConfig = LossConfig()
+    gt: VoxelGrid | VolumeReader, pred: VoxelGrid | VolumeReader, organ: VoxelGrid | VolumeReader,
+    cfg: LossConfig = LossConfig(),
 ) -> dict:
     """{dice_loss, ce_loss, af_loss} from one pass, bitwise equal to the three calls.
 
-    ``pred`` may be a ``volio.VolumeReader``, so a prediction file is scored
-    without being held whole.
+    Any input may be a ``volio.VolumeReader`` (the masks' reading boolean
+    runs), so the files are scored without being held whole.
     """
     (num, den, ce), masked = _score(gt, pred, cfg, None, organ)
     return {"dice_loss": 1.0 - num / den, "ce_loss": ce, "af_loss": _weighted(cfg, *masked)}

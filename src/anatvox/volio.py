@@ -250,9 +250,9 @@ class VolumeReader:
     [lo, hi) of the flat, z-major array that ``read_volume`` gives, bitwise:
     a scaled NIfTI run is scaled as ``read_volume`` scales, in place on one
     float32 array. The first read of less than the whole scans a scaled
-    payload slab by slab, so a scaling overflow anywhere raises before any
-    voxel is returned. ``shape`` and ``spacing`` stand in for a grid's in
-    the geometry checks.
+    payload (see ``scan``) unless it has been scanned, so a scaling overflow
+    anywhere raises before any voxel is returned. ``shape`` and ``spacing``
+    stand in for a grid's in the geometry checks.
     """
 
     def __init__(self, path):
@@ -266,7 +266,7 @@ class VolumeReader:
         self.shape, self.size = layout.dims.shape, layout.dims.n
         self.spacing, self.meta = layout.spacing, layout.meta
         self._dtype, self._offset, self._scale = dtype, layout.offset, layout.scale
-        self._scanned = layout.scale is None
+        self._scanned = False
         self._fh = open(layout.payload, "rb")
 
     def close(self) -> None:
@@ -280,11 +280,23 @@ class VolumeReader:
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Voxels [lo, hi) in z-major order, as a new array of the file's values."""
-        if not self._scanned and (lo, hi) != (0, self.size):
-            for a in range(0, self.size, SLAB_VOXELS):
-                self._read(a, min(a + SLAB_VOXELS, self.size))
-        self._scanned = True
+        if self._scale is not None and not self._scanned and (lo, hi) != (0, self.size):
+            self.scan()
         return self._read(lo, hi)
+
+    def scan(self) -> None:
+        """Read every slab once, so that a fault anywhere in the payload raises now.
+
+        Each slab is read as ``read`` reads it, scaled and so checked for
+        overflow, and then passed to ``_check``, which a subclass may override
+        with its own per-run check. A scanned payload is not scanned again.
+        """
+        for lo in range(0, self.size, SLAB_VOXELS):
+            self._check(self._read(lo, min(lo + SLAB_VOXELS, self.size)))
+        self._scanned = True
+
+    def _check(self, run: np.ndarray) -> None:
+        """Refuse a bad run; reading it has checked all this reader knows to check."""
 
     def _read(self, lo: int, hi: int) -> np.ndarray:
         self._fh.seek(self._offset + lo * self._dtype.itemsize)
@@ -332,6 +344,7 @@ def write_slabs(path, shape, spacing: Spacing, meta: VolumeMeta, slabs) -> None:
         for slab in slabs:
             fh.write(_encode_payload(slab, meta.datatype, path))
             written += slab.size
+            del slab  # so that the next slab is made without this one held
     if written != n:
         raise ValueError(f"{path}: the slabs hold {written} voxels, not {n}")
 

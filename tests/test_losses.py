@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anatvox import grid, losses
+from anatvox import grid, losses, volio
 from anatvox.grid import Dims, VoxelGrid
 from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 from anatvox.losses import (
@@ -286,6 +286,37 @@ def test_loss_report_reads_each_prediction_run_once(tmp_path, rng, dtype):
     assert len(runs) > 8
     assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == p.data.size
     assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+class _MaskReader(VolumeReader):
+    """A reader whose runs are boolean masks, as the cli's mask streams read them."""
+
+    def read(self, lo, hi):
+        return super().read(lo, hi) != 0
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 16), st.integers(1, 27)),
+       slab=st.integers(1, 3000), chunk=st.sampled_from([128, 200]), seed=st.integers(0, 2**32 - 1))
+def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, slab, chunk, seed):
+    rng = np.random.default_rng(seed)
+    y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
+    p = VoxelGrid(rng.random(shape).astype(np.float32), ISO)
+    for name, g in (("gt", y), ("organ", o), ("pred", p)):
+        write_volume(g, VolumeMeta.for_grid(g), tmp_path / f"{name}.nii")
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk), mock.patch.object(volio, "SLAB_VOXELS", slab):
+        with _MaskReader(tmp_path / "gt.nii") as gt, _MaskReader(tmp_path / "organ.nii") as organ, \
+                VolumeReader(tmp_path / "pred.nii") as pred:
+            got = loss_report(gt, pred, organ, CFG)
+        want = loss_report(y, p, o, CFG)
+    assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+def test_a_mask_reader_must_read_booleans(tmp_path, rng):
+    y = bool_grid(random_mask(rng, (2, 3, 4)))
+    write_volume(y, VolumeMeta.for_grid(y), tmp_path / "gt.nii")
+    with VolumeReader(tmp_path / "gt.nii") as gt, pytest.raises(ValueError, match="boolean mask"):
+        loss_report(gt, VoxelGrid(np.zeros((2, 3, 4)), ISO), y, CFG)
 
 
 def test_af_loss_allocates_less_than_one_float64_grid(rng):
