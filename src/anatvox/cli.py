@@ -178,31 +178,25 @@ class _MaskStream(_Stream):
 _load_grid, _load_mask = _Stream.load, _MaskStream.load
 
 
-def _check_first(*srcs: _Stream) -> None:
-    """Refuse sources of two geometries, then check every voxel of each float32 one.
+def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> None:
+    """Write ``kernel`` of the sources' grids as a ``datatype`` volume, z slab by z slab.
 
-    A stage that writes a volume calls this first, so a bad file writes
-    nothing. Only float32 voxels can be non-finite, and a scaled payload
-    reads as float32, so this one pass is also its overflow scan.
+    The sources must share one geometry, and every float32 one is checked
+    whole before the first write, so a bad file writes nothing. Only float32
+    voxels can be non-finite, and a scaled payload reads as float32, so that
+    one pass is also its overflow scan. Each slab is read with ``halo`` more
+    planes on both sides, clipped to the grid, and only its own planes of the
+    kernel's output are written. That equals the kernel on the whole grid
+    when the kernel is at most ``halo`` morphology steps: a step moves
+    information at most one plane in z, and an erosion's cleared edge planes
+    spoil at most one more plane per step, so only the halo is wrong. A halo
+    of nz or more makes the slab the whole grid. A kernel that draws from a
+    generator takes a halo of 0, so that it sees each voxel once, in order.
     """
     require_same_geometry(*srcs)
     for src in srcs:
         if src.meta.datatype == "float32":
             src.scan()
-
-
-def _write_by_slab(path, kernel, halo: int, *srcs: _Stream) -> None:
-    """Write ``kernel`` of the sources' grids as a uint8 mask, z slab by z slab.
-
-    The sources are checked first (``_check_first``). Each slab is read
-    with ``halo`` more planes on both sides, clipped to the grid, and only
-    its own planes of the kernel's output are written. That equals the
-    kernel on the whole grid when the kernel is at most ``halo`` morphology
-    steps: a step moves information at most one plane in z, and an erosion's
-    cleared edge planes spoil at most one more plane per step, so only the
-    halo is wrong. A halo of nz or more makes the slab the whole grid.
-    """
-    _check_first(*srcs)
     (nz, ny, nx), spacing = srcs[0].shape, srcs[0].spacing
     halo = min(halo, nz)
     step = max(volio.SLAB_VOXELS // (ny * nx), 4 * halo, 1)  # so halos add at most half the reads
@@ -214,7 +208,7 @@ def _write_by_slab(path, kernel, halo: int, *srcs: _Stream) -> None:
                  for src in srcs]
         return kernel(*grids).data[z0 - a : z1 - a]
 
-    volio.write_slabs(path, (nz, ny, nx), spacing, volio.VolumeMeta("uint8"), map(slab, range(0, nz, step)))
+    volio.write_slabs(path, (nz, ny, nx), spacing, volio.VolumeMeta(datatype), map(slab, range(0, nz, step)))
 
 
 def _write_uint8(grid: VoxelGrid, path) -> None:
@@ -297,7 +291,7 @@ def _effective_config(args) -> PipelineConfig:
 def _cmd_ooi(args, cfg: PipelineConfig) -> int:
     _require(args, "ts", "word", "out")
     with _Stream(args.ts) as ts, _Stream(args.word) as word:
-        _write_by_slab(args.out, lambda t, w: maskgen.build_ooi(t, w, cfg.organ),
+        _write_by_slab(args.out, "uint8", lambda t, w: maskgen.build_ooi(t, w, cfg.organ),
                        cfg.organ.dilate_times, ts, word)
     return 0
 
@@ -306,7 +300,8 @@ def _cmd_wall(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "out")
     o = cfg.organ
     with _MaskStream(args.ooi) as ooi:
-        _write_by_slab(args.out, lambda m: maskgen.bowel_wall(m, o.elem, o.wall_r_out, o.wall_r_in),
+        _write_by_slab(args.out, "uint8",
+                       lambda m: maskgen.bowel_wall(m, o.elem, o.wall_r_out, o.wall_r_in),
                        max(o.wall_r_out, o.wall_r_in), ooi)
     return 0
 
@@ -348,18 +343,15 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
     noise = replace(cfg.noise, seed=args.seed)
+    rng = np.random.default_rng(noise.seed)
+
+    def masked(ct, band):  # a CT slab as float32, its band voxels filled with the next draws
+        out = ct.data.astype(np.float32, copy=False)
+        sslmask._fill_band(out, band.data, rng, noise)
+        return ct.with_data(out)
+
     with _Stream(args.ct) as ct, _MaskStream(args.wall) as band:
-        _check_first(ct, band)
-        rng = np.random.default_rng(noise.seed)
-
-        def masked(lo):  # CT voxels from lo on, one slab, as float32 with its band voxels filled
-            hi = min(lo + volio.SLAB_VOXELS, ct.size)
-            slab = ct.read(lo, hi).astype(np.float32, copy=False)
-            sslmask._fill_band(slab, band.read(lo, hi), rng, noise)
-            return slab
-
-        runs = map(masked, range(0, ct.size, volio.SLAB_VOXELS))
-        volio.write_slabs(args.out, ct.shape, ct.spacing, volio.VolumeMeta("float32"), runs)
+        _write_by_slab(args.out, "float32", masked, 0, ct, band)
     return 0
 
 

@@ -73,7 +73,8 @@ class VoxelGrid:
 
     ``data`` is a C-contiguous (nz, ny, nx) array, so the flat view is in
     z-major order. Element kind is one of boolean, integer label, or real
-    scalar, carried by the numpy dtype.
+    scalar, carried by the numpy dtype. ``size`` and ``read`` are those of a
+    ``volio.VolumeReader``, so a kernel that reads runs takes either.
     """
 
     data: np.ndarray
@@ -87,6 +88,14 @@ class VoxelGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Voxels [lo, hi) in z-major order, as a view of ``data``."""
+        return self.data.reshape(-1)[lo:hi]
 
     def with_data(self, data: np.ndarray) -> "VoxelGrid":
         """New grid sharing this grid's spacing."""

@@ -7,14 +7,12 @@ move the loss; ground truth is never masked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import volio
 from .grid import VoxelGrid, pairwise_sum, require_bool, require_same_geometry
-from .volio import VolumeReader
 
 
 @dataclass(frozen=True)
@@ -39,61 +37,56 @@ def _require_unit(p: np.ndarray) -> None:
         raise ValueError("prediction values must lie in [0, 1]")
 
 
-class _MaskSlabs:
-    """Runs of a mask that a ``VolumeReader`` reads as booleans, read a whole slab at a time.
+class _Slabs:
+    """``read(lo, hi)`` of a run source's ascending runs, served from reads of a whole slab.
 
-    ``pairwise_sum`` asks for ascending runs that tile the grid, so a slab of
+    A run source is a ``VoxelGrid`` or a ``volio.VolumeReader``: its
+    ``read(lo, hi)`` gives voxels [lo, hi) in z-major order. ``pairwise_sum``
+    asks for ascending runs that tile the grid, so a slab of
     ``volio.SLAB_VOXELS`` voxels, read from the start of the first run the
-    last slab does not hold whole, serves the runs that follow. Only the
-    head of a run that crosses a slab's end is read twice.
+    last slab does not hold whole, serves the runs that follow. Only the head
+    of a run that crosses a slab's end is read twice.
     """
 
-    def __init__(self, src: VolumeReader):
-        self._src, self._lo, self._slab = src, 0, np.empty(0, dtype=np.bool_)
+    def __init__(self, src):
+        self._src, self._lo, self._hi, self._slab = src, 0, 0, None
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
-        if not self._lo <= lo <= hi <= self._lo + self._slab.size:
-            self._lo, self._slab = lo, None  # the old slab is freed before the new one is read
-            self._slab = self._src.read(lo, min(max(hi, lo + volio.SLAB_VOXELS), self._src.size))
-            require_bool(self._slab)
+        if not self._lo <= lo <= hi <= self._hi:
+            self._slab = None  # the old slab is freed before the new one is read
+            self._lo, self._hi = lo, min(max(hi, lo + volio.SLAB_VOXELS), self._src.size)
+            self._slab = self._src.read(self._lo, self._hi)
         return self._slab[lo - self._lo : hi - self._lo]
 
 
-def _runs(volume, mask: bool):
-    """``read(lo, hi)`` of a grid's flat voxels, or of a reader's (a mask's slab by slab)."""
-    if isinstance(volume, VolumeReader):
-        return _MaskSlabs(volume) if mask else volume.read
-    if mask:
-        require_bool(volume.data)
-    flat = volume.data.reshape(-1)
-    return lambda lo, hi: flat[lo:hi]
-
-
-def _score(gt: VoxelGrid | VolumeReader, pred: VoxelGrid | VolumeReader, cfg: LossConfig, *organs):
+def _score(gt, pred, cfg: LossConfig, *organs):
     """[(num, den, ce)] per entry of ``organs``: soft Dice is 1 - num / den, ce the mean clamped CE.
 
     An entry is an organ mask to zero the prediction outside of, or None to
-    score it as it is. ``gt``, ``pred`` and each organ may be a grid or a
-    ``volio.VolumeReader``; a reader of a mask must read boolean runs. One
-    pass reads the prediction run by run in its stored dtype, checks that
-    each run lies in [0, 1] and widens only that run to float64, once per
-    entry. ``pairwise_sum`` splits the runs where numpy's pairwise summation
-    does and visits them in ascending order, so every sum is bitwise the
-    full-grid sum and a file is read once, front to back.
+    score it as it is. ``gt``, ``pred`` and each organ are run sources, a
+    grid or a ``volio.VolumeReader``, each read through one ``_Slabs``; the
+    masks' runs must be boolean. One pass reads the prediction in its stored
+    dtype, checks that each run lies in [0, 1] and widens only that run to
+    float64, once per entry. ``pairwise_sum`` splits the runs where numpy's
+    pairwise summation does and visits them in ascending order, so every sum
+    is bitwise the full-grid sum and a file is read once, front to back.
     """
     require_same_geometry(pred, gt, *(o for o in organs if o is not None))  # a reader's from its header
-    read, read_y = _runs(pred, mask=False), _runs(gt, mask=True)
-    read_o = [None if o is None else _runs(o, mask=True) for o in organs]
+    read, read_y = _Slabs(pred), _Slabs(gt)
+    read_o = [None if o is None else _Slabs(o) for o in organs]
 
     def sums(lo, hi):  # |Y|, then per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
         run = read(lo, hi)
         _require_unit(run)
         y = read_y(lo, hi)
+        require_bool(y)
         out = [np.count_nonzero(y)]
         for o in read_o:
             p = run.astype(np.float64)
             if o is not None:
-                p *= o(lo, hi)
+                mask = o(lo, hi)
+                require_bool(mask)
+                p *= mask
             out += [np.sum(p * y), np.sum(p)]
             np.clip(p, cfg.ce_eps, 1.0 - cfg.ce_eps, out=p)
             q = 1.0 - p
@@ -101,10 +94,9 @@ def _score(gt: VoxelGrid | VolumeReader, pred: VoxelGrid | VolumeReader, cfg: Lo
             out.append(np.sum(np.log(q, out=q)))
         return np.array(out)
 
-    n = math.prod(gt.shape)
-    n_true, *terms = pairwise_sum(sums, 0, n)  # counts below 2^53 add exactly in float64
+    n_true, *terms = pairwise_sum(sums, 0, gt.size)  # counts below 2^53 add exactly in float64
     return [
-        (float(2.0 * inter + cfg.dice_eps), float(total + n_true + cfg.dice_eps), float(-ll / n))
+        (float(2.0 * inter + cfg.dice_eps), float(total + n_true + cfg.dice_eps), float(-ll / gt.size))
         for inter, total, ll in np.reshape(terms, (-1, 3))
     ]
 
@@ -141,14 +133,12 @@ def af_loss(
     return _weighted(cfg, *_score(gt, pred, cfg, organ)[0])
 
 
-def loss_report(
-    gt: VoxelGrid | VolumeReader, pred: VoxelGrid | VolumeReader, organ: VoxelGrid | VolumeReader,
-    cfg: LossConfig = LossConfig(),
-) -> dict:
+def loss_report(gt, pred, organ, cfg: LossConfig = LossConfig()) -> dict:
     """{dice_loss, ce_loss, af_loss} from one pass, bitwise equal to the three calls.
 
-    Any input may be a ``volio.VolumeReader`` (the masks' reading boolean
-    runs), so the files are scored without being held whole.
+    Each input is a grid or a ``volio.VolumeReader`` (the masks' reading
+    boolean runs), read one ``volio.SLAB_VOXELS`` slab at a time, so files
+    are scored without being held whole.
     """
     (num, den, ce), masked = _score(gt, pred, cfg, None, organ)
     return {"dice_loss": 1.0 - num / den, "ce_loss": ce, "af_loss": _weighted(cfg, *masked)}

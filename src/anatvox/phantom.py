@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sslmask, volio
 from .grid import Dims, Spacing, VoxelGrid, is_int
 from .jsoncheck import overlay_json
 
@@ -23,7 +24,6 @@ ARC_HALF_ANGLE = 0.75 * math.pi  # 270 degree arc
 _MAJOR_RADIUS_FRACTION = 0.6
 _REGIONS = ("background", "lumen", "wall", "tumor", "organ")
 _BOX_GROW = 2  # voxels added to each side of a shape's box against mm rounding
-_SLAB_VOXELS = 1 << 20  # CT noise over the whole grid is drawn about this many voxels at a time
 
 
 @dataclass(frozen=True)
@@ -203,19 +203,14 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
     # drawn whole or in pieces, so slabs and boxes give the full-grid draws.
     ct = np.empty(spec.dims.shape, dtype=np.float32)  # each draw is rounded once, as it is stored
 
-    def fill(out: np.ndarray, mask: np.ndarray, stats: TissueStats) -> None:
-        count = int(np.count_nonzero(mask))
-        if count:
-            out[mask] = rng.normal(stats.mean, stats.stddev, count)
-
-    step = max(1, _SLAB_VOXELS // (ny * nx))
+    step = max(1, volio.SLAB_VOXELS // (ny * nx))
     slabs = [np.s_[z0 : z0 + step] for z0 in range(0, nz, step)]
     for slab in slabs:
-        fill(ct[slab], labels[slab] == 0, spec.background)
-    fill(ct[tube], lumen, spec.lumen)
-    fill(ct[tube], wall, spec.wall)
+        sslmask._fill_band(ct[slab], labels[slab] == 0, rng, spec.background)
+    sslmask._fill_band(ct[tube], lumen, rng, spec.lumen)
+    sslmask._fill_band(ct[tube], wall, rng, spec.wall)
     for slab in slabs:
-        fill(ct[slab], labels[slab] >= 2, spec.organ)
-    fill(ct[lesion], tumor[lesion], spec.tumor)
+        sslmask._fill_band(ct[slab], labels[slab] >= 2, rng, spec.organ)
+    sslmask._fill_band(ct[lesion], tumor[lesion], rng, spec.tumor)
 
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

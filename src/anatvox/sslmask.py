@@ -40,20 +40,22 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     require_same_geometry(image, band)
     require_bool(band.data)
     out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
-    _fill_band(out.reshape(-1), band.data.reshape(-1), np.random.default_rng(noise.seed), noise)
+    _fill_band(out, band.data, np.random.default_rng(noise.seed), noise)
     return image.with_data(out)
 
 
 def _fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, noise: NoiseSpec) -> None:
-    """Fill ``slab``'s ``band`` voxels, in place, with ``rng``'s next draws.
+    """Fill ``slab``'s ``band`` voxels, in place and in C order, with ``rng``'s next draws.
 
-    ``slab`` and ``band`` are a flat run of the image and of its band. Drawing
-    k normals in pieces gives the same stream as one draw of k, so filling the
-    runs of a grid in order with one generator fills it as one run would.
+    ``slab`` and ``band`` are the same voxels of an image and of its mask: a
+    run, a z slab or a box. ``noise`` needs only a ``mean`` and a ``stddev``.
+    Each draw is rounded once to ``slab``'s dtype. Drawing k normals in pieces
+    gives the same stream as one draw of k, so filling the slabs of a grid in
+    order with one generator fills it as one slab would.
     """
     count = int(np.count_nonzero(band))
     if count:
-        slab[band] = rng.normal(noise.mean, noise.stddev, count).astype(slab.dtype, copy=False)
+        slab[band] = rng.normal(noise.mean, noise.stddev, count)  # cast as assigned, with no copy
 
 
 def l1_recon_loss(image: VoxelGrid, recon: VoxelGrid, restrict_to: VoxelGrid | None = None) -> float:

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,13 @@ def peak_bytes(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def scale_nifti(path, slope, inter) -> None:
+    """Set a NIfTI-1 file's scl_slope and scl_inter, so that its voxels read as stored * slope + inter."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, slope, inter)
+    path.write_bytes(bytes(blob))
 
 
 def make_grid(dims: Dims, spacing: Spacing, fill=0.0, dtype=None) -> VoxelGrid:

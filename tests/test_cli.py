@@ -4,7 +4,6 @@ import gc
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from anatvox.morphology import elem_from_name
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
-from conftest import JSON_VALUES, peak_bytes
+from conftest import JSON_VALUES, peak_bytes, scale_nifti
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
 
@@ -449,12 +448,6 @@ def test_ooi_sources_of_two_geometries_write_nothing(workdir, other, capsys):
     assert not (workdir / "ooi.nii").exists()
 
 
-def _scaled(path, slope, inter):
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<2f", blob, 112, slope, inter)
-    path.write_bytes(bytes(blob))
-
-
 @contextlib.contextmanager
 def _voxels_read():
     """A Counter of the payload voxels each file gives while the block runs, by file name."""
@@ -475,7 +468,7 @@ def test_ssl_mask_checks_a_float_ct_in_one_pass_before_the_fill(workdir, datatyp
     data = np.rint(ct.data * 100).astype(datatype)
     write_volume(ct.with_data(data), VolumeMeta(datatype), workdir / "ct_in.nii")
     if scale:  # the check pass is also the overflow scan, so a scaled CT is read twice, not three times
-        _scaled(workdir / "ct_in.nii", *scale)
+        scale_nifti(workdir / "ct_in.nii", *scale)
     with mock.patch.object(volio, "SLAB_VOXELS", 5000), _voxels_read() as read:
         assert run(_ssl_mask_argv(workdir, workdir / "ct_in.nii")) == 0
     assert read == {"ct_in.nii": passes * data.size, "tumor.nii": data.size}
@@ -486,14 +479,14 @@ def test_ssl_mask_checks_a_float_ct_in_one_pass_before_the_fill(workdir, datatyp
 
 
 def test_loss_reads_each_mask_once_a_slab_at_a_time(workdir):
-    # 8 pairwise leaves of 12288 voxels, and a mask slab serves three of them
+    # 8 pairwise leaves of 12288 voxels, and a slab of each input serves three of them
     with mock.patch.object(volio, "SLAB_VOXELS", 3 * 12288), _voxels_read() as read:
         with mock.patch.object(volio.VolumeReader, "read", autospec=True,
                                side_effect=volio.VolumeReader.read) as calls:
             assert run(_loss_argv(workdir, workdir / "tumor.nii")) == 0
     assert read == {"tumor.nii": 3 * math.prod(SPEC["dims"])}  # gt, prediction and organ, each read once
     per_reader = collections.Counter(id(c.args[0]) for c in calls.call_args_list)
-    assert sorted(per_reader.values()) == [3, 3, 8]  # a mask by slab, the prediction by leaf
+    assert sorted(per_reader.values()) == [3, 3, 3]  # the masks and the prediction, each by slab
     tumor, _ = read_volume(workdir / "tumor.nii")
     want = loss_report(to_bool(tumor), tumor, to_bool(tumor), LossConfig())
     assert json.loads((workdir / "loss.json").read_text()) == want
@@ -503,16 +496,18 @@ def test_loss_reads_each_mask_once_a_slab_at_a_time(workdir):
 @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 5), st.integers(1, 6)),
        elem=st.sampled_from(["face6", "full26"]), codes=st.integers(2, 6),
        density=st.sampled_from([0.3, 0.7, 0.95]), r_out=st.integers(0, 3), r_in=st.integers(0, 3),
-       slab=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+       ct_type=st.sampled_from(["int16", "float32"]), slab=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
 def test_slab_stages_write_the_whole_grid_kernels(tmp_path, shape, elem, codes, density, r_out, r_in,
-                                                  slab, seed, data):
+                                                  ct_type, slab, seed, data):
     times = data.draw(st.integers(0, shape[0] + 2), label="dilate_times")  # halos reach both ends
     rng = np.random.default_rng(seed)
     spacing = Spacing(2.0, 1.0, 1.0)
     ts, word = (VoxelGrid(rng.integers(0, codes, shape).astype(np.uint8), spacing) for _ in range(2))
     mask = VoxelGrid(rng.random(shape) < density, spacing)
-    for name, grid in (("ts", ts), ("word", word), ("mask", mask)):
-        write_volume(grid, VolumeMeta("uint8"), tmp_path / f"{name}.nii")
+    ct = VoxelGrid((rng.standard_normal(shape) * 300).astype(ct_type), spacing)
+    for name, grid in (("ts", ts), ("word", word), ("mask", mask), ("ct", ct)):
+        write_volume(grid, VolumeMeta.for_grid(grid), tmp_path / f"{name}.nii")
     cfg = OrganConfig(set_ts={1}, set_word={1, 2}, dilate_times=times, elem=elem_from_name(elem))
     # several slabs, and planes of up to 30 voxels that exceed a slab of fewer
     with mock.patch.object(volio, "SLAB_VOXELS", slab):
@@ -521,9 +516,13 @@ def test_slab_stages_write_the_whole_grid_kernels(tmp_path, shape, elem, codes, 
                     "--out", str(tmp_path / "ooi.nii")]) == 0
         assert run(["wall", "--ooi", str(tmp_path / "mask.nii"), "--elem", elem, "--r-out", str(r_out),
                     "--r-in", str(r_in), "--out", str(tmp_path / "wall.nii")]) == 0
-    for name, want in (("ooi", build_ooi(ts, word, cfg)), ("wall", bowel_wall(mask, cfg.elem, r_out, r_in))):
-        got, _ = read_volume(tmp_path / f"{name}.nii")
-        assert got.data.tobytes() == want.data.astype(np.uint8).tobytes(), name
+        assert run(["ssl-mask", "--ct", str(tmp_path / "ct.nii"), "--wall", str(tmp_path / "mask.nii"),
+                    "--seed", str(seed), "--out", str(tmp_path / "ssl-mask.nii")]) == 0
+    for name, want, datatype in (("ooi", build_ooi(ts, word, cfg), "uint8"),
+                                 ("wall", bowel_wall(mask, cfg.elem, r_out, r_in), "uint8"),
+                                 ("ssl-mask", mask_bowel_wall(ct, mask, NoiseSpec(seed=seed)), "float32")):
+        got, meta = read_volume(tmp_path / f"{name}.nii")
+        assert meta.datatype == datatype and got.data.tobytes() == want.data.astype(datatype).tobytes(), name
 
 
 @pytest.mark.parametrize("datatype", ["uint8", "int16", "int32"])
@@ -804,12 +803,12 @@ _STAGE_PEAKS = {
     # per z slab with its 1-plane halos: the mask read in place, the dilated and eroded
     # slabs and one scratch slab (0.49; was 4.1 on the whole grid, 5.1 with a copy)
     "wall": (["wall", "--ooi", "{d}/ooi0.nii", "--out", "{d}/wall.nii"], 1.0),
-    # one CT slab filled in place, its band slab and its draws (0.44; was 1.62 holding the
+    # one CT slab filled in place, its band slab and its draws (0.43; was 1.62 holding the
     # whole band, 5.5 holding the whole float32 CT, 9.5 with a copy of it)
     "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
                   "--out", "{d}/masked.nii"], 1.0),
-    # one slab of each mask and one prediction run at a time (0.71; was 2.59 holding the
-    # masks whole, 6.4 holding the whole float32 prediction too)
+    # one slab of each mask and of the float32 prediction (0.90; was 0.71 reading the prediction
+    # one pairwise run at a time, 2.59 holding the masks whole, 6.4 holding the prediction whole)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
               "--out", "{d}/loss.json"], 1.0),
 }

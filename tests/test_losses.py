@@ -32,6 +32,7 @@ from conftest import (
     make_grid,
     peak_bytes,
     random_mask,
+    scale_nifti,
     soft_dice_grad_full,
     soft_dice_loss_full,
 )
@@ -273,18 +274,21 @@ def test_loss_report_is_the_three_calls(shape, dtype, gt_kind, organ_kind, seed)
 
 @pytest.mark.parametrize("dtype", ["float32", "uint8"])
 def test_loss_report_reads_each_prediction_run_once(tmp_path, rng, dtype):
-    shape = (5, 16, 27)  # several runs of uneven length
+    shape = (5, 16, 27)  # leaves of uneven length, and several slabs that cut them
     y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
     data = rng.random(shape)
     p = VoxelGrid((data < 0.5).astype(np.uint8) if dtype == "uint8" else data.astype(dtype), ISO)
     write_volume(p, VolumeMeta.for_grid(p), tmp_path / "pred.nii")
-    with VolumeReader(tmp_path / "pred.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+    with VolumeReader(tmp_path / "pred.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128), \
+            mock.patch.object(volio, "SLAB_VOXELS", 500):
         with mock.patch.object(src, "read", wraps=src.read) as read:
             report = loss_report(y, src, o, CFG)
         want = loss_report(y, p, o, CFG)
     runs = [c.args for c in read.call_args_list]
-    assert len(runs) > 8
-    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == p.data.size
+    assert runs[0][0] == 0 and runs[-1][1] == p.data.size
+    # ascending slabs with no gap; the next starts at most one leaf back, at the run the last cut
+    assert all(lo < next_lo <= hi for (lo, hi), (next_lo, _) in zip(runs, runs[1:]))
+    assert all(hi - lo >= 500 for lo, hi in runs[:-1])  # a slab, not a leaf
     assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in want.items()}
 
 
@@ -297,26 +301,38 @@ class _MaskReader(VolumeReader):
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 16), st.integers(1, 27)),
-       slab=st.integers(1, 3000), chunk=st.sampled_from([128, 200]), seed=st.integers(0, 2**32 - 1))
-def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, slab, chunk, seed):
+       pred=st.sampled_from(["float32", "scaled int16"]), slab=st.integers(1, 3000),
+       chunk=st.sampled_from([128, 200]), seed=st.integers(0, 2**32 - 1))
+def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, pred, slab, chunk, seed):
     rng = np.random.default_rng(seed)
     y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
-    p = VoxelGrid(rng.random(shape).astype(np.float32), ISO)
-    for name, g in (("gt", y), ("organ", o), ("pred", p)):
+    for name, g in (("gt", y), ("organ", o)):
         write_volume(g, VolumeMeta.for_grid(g), tmp_path / f"{name}.nii")
+    if pred == "float32":
+        write_volume(VoxelGrid(rng.random(shape).astype(np.float32), ISO), VolumeMeta("float32"),
+                     tmp_path / "pred.nii")
+    else:  # stored 512..2560 read as stored / 2048 - 0.25, exactly [0, 1]
+        write_volume(VoxelGrid(rng.integers(512, 2561, shape).astype(np.int16), ISO), VolumeMeta("int16"),
+                     tmp_path / "pred.nii")
+        scale_nifti(tmp_path / "pred.nii", 2.0**-11, -0.25)
+    p, meta = volio.read_volume(tmp_path / "pred.nii")
+    assert meta.datatype == "float32"
     with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk), mock.patch.object(volio, "SLAB_VOXELS", slab):
         with _MaskReader(tmp_path / "gt.nii") as gt, _MaskReader(tmp_path / "organ.nii") as organ, \
-                VolumeReader(tmp_path / "pred.nii") as pred:
-            got = loss_report(gt, pred, organ, CFG)
+                VolumeReader(tmp_path / "pred.nii") as src:
+            got = loss_report(gt, src, organ, CFG)
         want = loss_report(y, p, o, CFG)
     assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
 
 
 def test_a_mask_reader_must_read_booleans(tmp_path, rng):
     y = bool_grid(random_mask(rng, (2, 3, 4)))
+    labels = y.with_data(y.data.astype(np.uint8))
     write_volume(y, VolumeMeta.for_grid(y), tmp_path / "gt.nii")
-    with VolumeReader(tmp_path / "gt.nii") as gt, pytest.raises(ValueError, match="boolean mask"):
-        loss_report(gt, VoxelGrid(np.zeros((2, 3, 4)), ISO), y, CFG)
+    with VolumeReader(tmp_path / "gt.nii") as reader:  # reads the uint8 runs as they are stored
+        for gt, organ in ((reader, y), (y, reader), (labels, y), (y, labels)):
+            with pytest.raises(ValueError, match="boolean mask"):
+                loss_report(gt, VoxelGrid(np.zeros((2, 3, 4)), ISO), organ, CFG)
 
 
 def test_af_loss_allocates_less_than_one_float64_grid(rng):
