@@ -357,7 +357,7 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
 
 def _cmd_loss(args, cfg: PipelineConfig) -> int:
     _require(args, "gt", "pred", "ooi")
-    # every volume is scored run by run, never held whole
+    # every volume is scored slab by slab, never held whole
     with _MaskStream(args.gt) as gt, _Stream(args.pred) as pred, _MaskStream(args.ooi) as ooi:
         report = loss_report(gt, pred, ooi, cfg.loss)
     _emit_json(report, args.out)
