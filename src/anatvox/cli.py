@@ -145,16 +145,12 @@ def _require_finite(data: np.ndarray, path) -> None:
 
 
 class _Stream(volio.VolumeReader):
-    """A volume read run by run, each run checked for non-finite voxels unless ``scan`` has checked all."""
+    """A volume read run by run, each run checked for non-finite voxels."""
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         run = super().read(lo, hi)
-        if not self._scanned:
-            self._check(run)
-        return run
-
-    def _check(self, run: np.ndarray) -> None:
         _require_finite(run, self.path)
+        return run
 
     @classmethod
     def load(cls, path) -> VoxelGrid:
@@ -181,10 +177,7 @@ _load_grid, _load_mask = _Stream.load, _MaskStream.load
 def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> None:
     """Write ``kernel`` of the sources' grids as a ``datatype`` volume, z slab by z slab.
 
-    The sources must share one geometry, and every float32 one is checked
-    whole before the first write, so a bad file writes nothing. Only float32
-    voxels can be non-finite, and a scaled payload reads as float32, so that
-    one pass is also its overflow scan. Each slab is read with ``halo`` more
+    The sources must share one geometry. Each slab is read with ``halo`` more
     planes on both sides, clipped to the grid, and only its own planes of the
     kernel's output are written. That equals the kernel on the whole grid
     when the kernel is at most ``halo`` morphology steps: a step moves
@@ -194,9 +187,6 @@ def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> No
     generator takes a halo of 0, so that it sees each voxel once, in order.
     """
     require_same_geometry(*srcs)
-    for src in srcs:
-        if src.meta.datatype == "float32":
-            src.scan()
     (nz, ny, nx), spacing = srcs[0].shape, srcs[0].spacing
     halo = min(halo, nz)
     step = max(volio.SLAB_VOXELS // (ny * nx), 4 * halo, 1)  # so halos add at most half the reads

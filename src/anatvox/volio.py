@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,10 +250,9 @@ class VolumeReader:
     payload, before any voxel is read. ``read(lo, hi)`` returns voxels
     [lo, hi) of the flat, z-major array that ``read_volume`` gives, bitwise:
     a scaled NIfTI run is scaled as ``read_volume`` scales, in place on one
-    float32 array. The first read of less than the whole scans a scaled
-    payload (see ``scan``) unless it has been scanned, so a scaling overflow
-    anywhere raises before any voxel is returned. ``shape`` and ``spacing``
-    stand in for a grid's in the geometry checks.
+    float32 array, and a run whose scaling overflows raises ``read_volume``'s
+    error. ``shape`` and ``spacing`` stand in for a grid's in the geometry
+    checks.
     """
 
     def __init__(self, path):
@@ -266,7 +266,6 @@ class VolumeReader:
         self.shape, self.size = layout.dims.shape, layout.dims.n
         self.spacing, self.meta = layout.spacing, layout.meta
         self._dtype, self._offset, self._scale = dtype, layout.offset, layout.scale
-        self._scanned = False
         self._fh = open(layout.payload, "rb")
 
     def close(self) -> None:
@@ -280,25 +279,6 @@ class VolumeReader:
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Voxels [lo, hi) in z-major order, as a new array of the file's values."""
-        if self._scale is not None and not self._scanned and (lo, hi) != (0, self.size):
-            self.scan()
-        return self._read(lo, hi)
-
-    def scan(self) -> None:
-        """Read every slab once, so that a fault anywhere in the payload raises now.
-
-        Each slab is read as ``read`` reads it, scaled and so checked for
-        overflow, and then passed to ``_check``, which a subclass may override
-        with its own per-run check. A scanned payload is not scanned again.
-        """
-        for lo in range(0, self.size, SLAB_VOXELS):
-            self._check(self._read(lo, min(lo + SLAB_VOXELS, self.size)))
-        self._scanned = True
-
-    def _check(self, run: np.ndarray) -> None:
-        """Refuse a bad run; reading it has checked all this reader knows to check."""
-
-    def _read(self, lo: int, hi: int) -> np.ndarray:
         self._fh.seek(self._offset + lo * self._dtype.itemsize)
         run = np.fromfile(self._fh, self._dtype, count=hi - lo)
         if run.size != hi - lo:
@@ -325,36 +305,41 @@ def write_slabs(path, shape, spacing: Spacing, meta: VolumeMeta, slabs) -> None:
     """Write a volume of ``shape`` whose voxels come as ``slabs``, arrays in z-major order.
 
     The header (or the JSON sidecar) is written first, then each slab as it
-    comes, encoded as ``write_volume`` encodes a grid. The slabs must hold
-    every voxel once.
+    comes, encoded losslessly in ``meta``'s datatype. The slabs must hold
+    every voxel once. Each file is written as ``<name>.part`` beside it and
+    moved over its own name only after the last slab, so a fault leaves no
+    output and any older file as it was, and ``path`` may name a volume that
+    is still being read.
     """
     path, n = _volume_path(path), math.prod(shape)
     if not n:  # the readers refuse a zero-length axis
         raise ValueError(f"{path}: cannot write an empty grid of shape {tuple(shape)}")
     if path.suffix == ".nii":
-        payload_path, head = path, _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00")
+        finals, head = [path], _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00")
     else:
-        payload_path, json_path = _sidecar_paths(path)
-        sidecar = {"dims": list(shape), "spacing": list(spacing.zyx), "datatype": meta.datatype}
-        json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
-        head = b""
-    written = 0
-    with open(payload_path, "wb") as fh:
-        fh.write(head)
-        for slab in slabs:
-            fh.write(_encode_payload(slab, meta.datatype, path))
-            written += slab.size
-            del slab  # so that the next slab is made without this one held
-    if written != n:
-        raise ValueError(f"{path}: the slabs hold {written} voxels, not {n}")
+        finals, head = list(_sidecar_paths(path)), b""
+    parts = [p.with_name(p.name + ".part") for p in finals]
+    try:
+        if path.suffix != ".nii":  # the raw payload's JSON sidecar
+            sidecar = {"dims": list(shape), "spacing": list(spacing.zyx), "datatype": meta.datatype}
+            parts[1].write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
+        written = 0
+        with open(parts[0], "wb") as fh:
+            fh.write(head)
+            for slab in slabs:
+                fh.write(_encode_payload(slab, meta.datatype, path))
+                written += slab.size
+                del slab  # so that the next slab is made without this one held
+        if written != n:
+            raise ValueError(f"{path}: the slabs hold {written} voxels, not {n}")
+        for part, final in zip(parts, finals):
+            os.replace(part, final)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
 
 
 def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
-    """Write a grid under ``meta``'s datatype; booleans encode as uint8 {0, 1}.
-
-    The grid is written as one slab, encoded before the file is opened, so a
-    lossy datatype is refused without touching the file.
-    """
-    path, data = _volume_path(path), grid.data
-    slabs = [_encode_payload(data, meta.datatype, path)] if data.size else []  # write_slabs refuses empty
-    write_slabs(path, data.shape, grid.spacing, meta, slabs)
+    """Write a grid under ``meta``'s datatype as one slab; booleans encode as uint8 {0, 1}."""
+    write_slabs(path, grid.data.shape, grid.spacing, meta, [grid.data])

@@ -33,6 +33,14 @@ def rng():
     return np.random.default_rng(2024)
 
 
+@pytest.fixture(autouse=True)
+def no_part_files_left(tmp_path):
+    """Fail a test that leaves a ``*.part`` file, a volume write never finished or cleared, under its tmp_path."""
+    yield
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.part"))
+    assert not left, f"temporary volume files left behind: {left}"
+
+
 def peak_bytes(fn, *args):
     """(fn(*args), the peak bytes traced while it ran)."""
     tracemalloc.start()

@@ -405,6 +405,8 @@ def _late_fault_argv(workdir, stage, bad):
         np.clip(data, 0, 1, out=data)
     data.reshape(-1)[-1] = bad  # the last voxel, in the last run and the last slab read
     write_volume(grid.with_data(data), VolumeMeta("float32"), workdir / "bad.nii")
+    if bad == 3e38:  # a scaled float32 CT whose scaling overflows in its last voxel only
+        scale_nifti(workdir / "bad.nii", 2.0, 0.0)
     bad_path, d = str(workdir / "bad.nii"), workdir
     return {
         "loss": (_loss_argv(d, bad_path), d / "loss.json"),
@@ -417,7 +419,7 @@ def _late_fault_argv(workdir, stage, bad):
     }[stage]
 
 
-@pytest.mark.parametrize("stage,bad", [("loss", np.nan), ("loss", 1.5), ("ssl-mask", np.nan),
+@pytest.mark.parametrize("stage,bad", [("loss", np.nan), ("loss", 1.5), ("ssl-mask", np.nan), ("ssl-mask", 3e38),
                                        ("ssl-mask-band", np.nan), ("ooi", np.nan), ("wall", np.nan)])
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing, capsys):
@@ -429,8 +431,29 @@ def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing,
     gc.collect()  # a reader left open warns as it is collected, which fails the test
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("bad.nii" in err and "non-finite" in err) if bad != 1.5 else "[0, 1]" in err
+    if bad == 1.5:
+        assert "[0, 1]" in err
+    else:
+        assert "bad.nii" in err and ("overflow float32" if bad == 3e38 else "non-finite") in err
     assert out.read_bytes() == b"an earlier run's output\n" if existing else not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["ooi", "wall", "ssl-mask"])
+def test_out_may_name_the_stages_input(workdir, stage):
+    assert _ooi(workdir, "ooi0.nii", times="0") == 0
+    src = workdir / "in.nii"
+    src.write_bytes((workdir / {"ooi": "labels.nii", "wall": "ooi0.nii", "ssl-mask": "ct.nii"}[stage]).read_bytes())
+
+    def argv(out):
+        return {"ooi": ["ooi", "--ts", str(src), "--word", str(src), "--set-ts", "1", "--set-word", "1"],
+                "wall": ["wall", "--ooi", str(src)],
+                "ssl-mask": ["ssl-mask", "--ct", str(src), "--wall", str(workdir / "tumor.nii"), "--seed", "4"],
+                }[stage] + ["--out", str(out)]
+
+    with mock.patch.object(volio, "SLAB_VOXELS", 4096):  # one z slice a slab: the input is still read after the first write
+        assert run(argv(workdir / "fresh.nii")) == 0
+        assert run(argv(src)) == 0
+    assert src.read_bytes() == (workdir / "fresh.nii").read_bytes()
 
 
 @pytest.mark.parametrize("other", ["shape", "spacing"])
@@ -451,27 +474,27 @@ def test_ooi_sources_of_two_geometries_write_nothing(workdir, other, capsys):
 @contextlib.contextmanager
 def _voxels_read():
     """A Counter of the payload voxels each file gives while the block runs, by file name."""
-    read, real = collections.Counter(), volio.VolumeReader._read
+    read, real = collections.Counter(), volio.VolumeReader.read
 
     def counting(self, lo, hi):
         read[self.path.name] += hi - lo
         return real(self, lo, hi)
 
-    with mock.patch.object(volio.VolumeReader, "_read", counting):
+    with mock.patch.object(volio.VolumeReader, "read", counting):
         yield read
 
 
-@pytest.mark.parametrize("datatype,scale,passes", [("int16", None, 1), ("int16", (0.5, -3.0), 2),
-                                                   ("float32", None, 2), ("float32", (2.0, 1.0), 2)])
-def test_ssl_mask_checks_a_float_ct_in_one_pass_before_the_fill(workdir, datatype, scale, passes):
+@pytest.mark.parametrize("datatype,scale", [("int16", None), ("int16", (0.5, -3.0)),
+                                            ("float32", None), ("float32", (2.0, 1.0))])
+def test_ssl_mask_reads_each_ct_once(workdir, datatype, scale):
     ct, _ = read_volume(workdir / "ct.nii")
     data = np.rint(ct.data * 100).astype(datatype)
     write_volume(ct.with_data(data), VolumeMeta(datatype), workdir / "ct_in.nii")
-    if scale:  # the check pass is also the overflow scan, so a scaled CT is read twice, not three times
+    if scale:
         scale_nifti(workdir / "ct_in.nii", *scale)
     with mock.patch.object(volio, "SLAB_VOXELS", 5000), _voxels_read() as read:
         assert run(_ssl_mask_argv(workdir, workdir / "ct_in.nii")) == 0
-    assert read == {"ct_in.nii": passes * data.size, "tumor.nii": data.size}
+    assert read == {"ct_in.nii": data.size, "tumor.nii": data.size}
     band, _ = read_volume(workdir / "tumor.nii")
     ct_in, _ = read_volume(workdir / "ct_in.nii")
     want = mask_bowel_wall(ct_in, band.with_data(band.data != 0), NoiseSpec(seed=4))

@@ -477,6 +477,7 @@ def test_reader_runs_are_read_volume_bitwise(tmp_path, shape, datatype, ext, sca
 
 @pytest.mark.parametrize("fault", ["truncated", "overflow"])
 def test_reader_raises_read_volumes_error_before_returning_a_run(tmp_path, fault):
+    """A short payload raises as the reader opens; an overflow raises at the run that holds it."""
     data = np.ones((4, 8, 16), dtype=np.float32)
     data.reshape(-1)[-1] = 3e38  # overflows float32 under slope 2, in the last run only
     path = tmp_path / "probe.nii"
@@ -494,5 +495,23 @@ def test_reader_raises_read_volumes_error_before_returning_a_run(tmp_path, fault
         with VolumeReader(path) as src:
             for lo in range(0, src.size, 100):
                 runs.append(src.read(lo, min(lo + 100, src.size)))
-    assert runs == []
+    assert len(runs) == (0 if fault == "truncated" else data.size // 100)  # every run before the last
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ext", [".nii", ".raw"])
+@pytest.mark.parametrize("fault", ["short", "long", "lossy"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_refused_write_leaves_no_file_and_keeps_an_older_one(tmp_path, ext, fault, existing):
+    data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    # each stream is refused at its end, after the header and the first slab are written
+    slabs, match = {"short": ([data[0]], "hold 12 voxels, not 24"),
+                    "long": ([data[0], data[1], data[1]], "hold 36 voxels, not 24"),
+                    "lossy": ([data[0], data[1] + 0.5], "cannot losslessly")}[fault]
+    names = ["v.nii"] if ext == ".nii" else ["v.json", "v.raw"]
+    for name in names if existing else []:
+        (tmp_path / name).write_bytes(b"an older file\n")
+    with pytest.raises(ValueError, match=match):
+        write_slabs(tmp_path / f"v{ext}", data.shape, ANISO, VolumeMeta("int16"), slabs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (names if existing else [])
+    assert all((tmp_path / name).read_bytes() == b"an older file\n" for name in names if existing)
