@@ -20,6 +20,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, pad_value, require_same_geometry
+from .grid import VoxelGrid, extract_patch, hits_box, pad_value, require_same_geometry
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -152,12 +153,6 @@ class _Stream(volio.VolumeReader):
         _require_finite(run, self.path)
         return run
 
-    @classmethod
-    def load(cls, path) -> VoxelGrid:
-        """The whole volume as one grid, read as one run."""
-        with cls(path) as src:
-            return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing)
-
 
 class _MaskStream(_Stream):
     """A ``_Stream`` whose runs come back as boolean masks of their nonzero voxels."""
@@ -171,7 +166,21 @@ class _MaskStream(_Stream):
         return mask
 
 
-_load_grid, _load_mask = _Stream.load, _MaskStream.load
+def _load_mask(path) -> VoxelGrid:
+    """A mask volume as one boolean grid, read as one run."""
+    with _MaskStream(path) as src:
+        return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing)
+
+
+def _slab_planes(shape, halo: int = 0) -> int:
+    """The z planes of one slab of a grid of ``shape``: ``volio.SLAB_VOXELS``, at least 4 halos and 1."""
+    return max(volio.SLAB_VOXELS // (shape[1] * shape[2]), 4 * halo, 1)  # so halos add at most half the reads
+
+
+def _read_planes(src, a: int, b: int) -> np.ndarray:
+    """Planes [a, b) of a run source as a (b - a, ny, nx) array."""
+    ny, nx = src.shape[1:]
+    return src.read(a * ny * nx, b * ny * nx).reshape(b - a, ny, nx)
 
 
 def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> None:
@@ -189,16 +198,28 @@ def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> No
     require_same_geometry(*srcs)
     (nz, ny, nx), spacing = srcs[0].shape, srcs[0].spacing
     halo = min(halo, nz)
-    step = max(volio.SLAB_VOXELS // (ny * nx), 4 * halo, 1)  # so halos add at most half the reads
+    step = _slab_planes((nz, ny, nx), halo)
 
     def slab(z0):  # a function, so that its inputs are freed before the next slab is read
         z1 = min(z0 + step, nz)
         a, b = max(z0 - halo, 0), min(z1 + halo, nz)
-        grids = [VoxelGrid(src.read(a * ny * nx, b * ny * nx).reshape(b - a, ny, nx), spacing)
-                 for src in srcs]
-        return kernel(*grids).data[z0 - a : z1 - a]
+        return kernel(*[VoxelGrid(_read_planes(src, a, b), spacing) for src in srcs]).data[z0 - a : z1 - a]
 
     volio.write_slabs(path, (nz, ny, nx), spacing, volio.VolumeMeta(datatype), map(slab, range(0, nz, step)))
+
+
+def _require_new_volumes(*paths) -> None:
+    """Refuse an output volume that names a directory, has no directory to go in or shares a file with another."""
+    owner = {}
+    for k, path in enumerate(paths):
+        for f in volio.volume_files(path):
+            if f.is_dir():
+                raise ValueError(f"{path}: is a directory")
+            if not f.parent.is_dir():
+                raise ValueError(f"{path}: {f.parent} is not an existing directory")
+            other = owner.setdefault(f.resolve(), k)
+            if other != k:
+                raise ValueError(f"{path}: writes {f}, as {paths[other]} does")
 
 
 def _write_uint8(grid: VoxelGrid, path) -> None:
@@ -211,28 +232,32 @@ def _write_float(grid: VoxelGrid, path) -> None:
 
 
 def _emit_json(obj, out_path) -> None:
-    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    _emit_text([json.dumps(obj, indent=2, sort_keys=True) + "\n"], out_path)
 
 
-def _emit_text(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit_text(chunks, out_path) -> None:
+    """Write the strings of ``chunks`` in turn to ``out_path``, or to stdout without one."""
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 # One center as json.dumps(indent=2) writes it inside the "centers" list.
 _CENTER_ROW = "    [\n      %d,\n      %d,\n      %d\n    ]"
+_CENTER_CHUNK = 1 << 12  # rows formatted at once, so the text is never held whole
 
 
-def _centers_json(count: int, seed: int, centers: np.ndarray) -> str:
-    """The text ``_emit_json`` writes for {count, seed, centers}, byte for byte.
+def _centers_json(count: int, seed: int, centers: np.ndarray):
+    """The text ``_emit_json`` writes for {count, seed, centers}, byte for byte, in chunks of rows.
 
     ``json.dumps(indent=2)`` runs the pure-Python encoder, which is slow on
     many rows; one ``%`` template per center writes the same text.
     """
-    rows = ",\n".join([_CENTER_ROW] * len(centers)) % tuple(centers.ravel().tolist())
-    return '{\n  "centers": [\n%s\n  ],\n  "count": %d,\n  "seed": %d\n}\n' % (rows, count, seed)
+    yield '{\n  "centers": [\n'
+    for lo in range(0, len(centers), _CENTER_CHUNK):
+        rows = centers[lo : lo + _CENTER_CHUNK]
+        yield (",\n" if lo else "") + ",\n".join([_CENTER_ROW] * len(rows)) % tuple(rows.ravel().tolist())
+    yield '\n  ],\n  "count": %d,\n  "seed": %d\n}\n' % (count, seed)
 
 
 def _parse_json(data: bytes, where: str):
@@ -296,37 +321,103 @@ def _cmd_wall(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _union_box(srcs, grow, step: int):
+    """``bounding_box`` of the union of the sources' masks grown by ``grow``, from one pass of z slabs."""
+    hits = [np.zeros(n, dtype=bool) for n in srcs[0].shape]  # the planes across each axis that hold the union
+    for z0 in range(0, hits[0].size, step):
+        z1 = min(z0 + step, hits[0].size)
+        union = _read_planes(srcs[0], z0, z1)
+        for src in srcs[1:]:
+            union |= _read_planes(src, z0, z1)
+        hits[0][z0:z1] = union.any(axis=(1, 2))
+        hits[1] |= union.any(axis=(0, 2))
+        hits[2] |= union.any(axis=(0, 1))
+    return hits_box(hits, grow)
+
+
+def _read_box(src, box, step: int) -> np.ndarray:
+    """A mask source's voxels in ``box``, reading only the box's z planes, ``step`` at a time."""
+    bz, by, bx = box
+    out = np.empty([sl.stop - sl.start for sl in box], dtype=bool)
+    for z0 in range(bz.start, bz.stop, step):
+        z1 = min(z0 + step, bz.stop)
+        out[z0 - bz.start : z1 - bz.start] = _read_planes(src, z0, z1)[:, by, bx]
+    return out
+
+
 def _cmd_psm(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "tumor", "out")
-    ooi = _load_mask(args.ooi)
-    tumor = _load_mask(args.tumor)
-    _write_float(sampling.mixed_psm(ooi, tumor, cfg.patch, cfg.mu, cfg.lam), args.out)
+    with _MaskStream(args.ooi) as ooi, _MaskStream(args.tumor) as tumor:
+        require_same_geometry(ooi, tumor)
+        shape, step = ooi.shape, _slab_planes(ooi.shape)
+        # mixed_psm's box, from a pass that checks every run; an empty union leaves an empty box
+        bz, by, bx = box = _union_box((ooi, tumor), cfg.patch.radii, step) or (slice(0, 0),) * 3
+        s, c = sampling._box_psm(_read_box(ooi, box, step), _read_box(tumor, box, step),
+                                 ooi.size, cfg.patch, cfg.mu, cfg.lam)
+
+        def slab(z0):  # the constant, with the box's planes of the slab pasted in
+            z1 = min(z0 + step, shape[0])
+            out = np.full((z1 - z0, *shape[1:]), c, dtype=np.float32)
+            a, b = max(z0, bz.start), min(z1, bz.stop)
+            if a < b:
+                out[a - z0 : b - z0, by, bx] = s[a - bz.start : b - bz.start]
+            return out
+
+        volio.write_slabs(args.out, shape, ooi.spacing, volio.VolumeMeta("float32"), map(slab, range(0, shape[0], step)))
     return 0
+
+
+def _swept_patches(image, centers: np.ndarray, size, pad):
+    """(i, ``extract_patch`` of the image around ``centers[i]``) for every center, reading the image by z slab.
+
+    The centers are taken in order of z, a stable sort. The planes
+    [max(z0 - rz, 0), min(z1 - 1 - rz + dz, nz)) hold every plane inside the
+    grid of each patch (dz planes, rz = dz // 2 of them before its center)
+    whose center lies in [z0, z1), so the patch cut from that slab, its
+    center shifted by the slab's first plane, is padded as on the whole image.
+    """
+    nz, (dz, rz) = image.shape[0], (size[0], size[0] // 2)
+    step = _slab_planes(image.shape)
+    order = np.argsort(centers[:, 0], kind="stable")
+    bounds = np.searchsorted(centers[order, 0], range(0, nz + step, step))
+    for z0, lo, hi in zip(range(0, nz, step), bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        a, b = max(z0 - rz, 0), min(min(z0 + step, nz) - 1 - rz + dz, nz)
+        slab = VoxelGrid(_read_planes(image, a, b), image.spacing)
+        for i in order[lo:hi]:
+            z, y, x = centers[i]
+            yield i, extract_patch(slab, (z - a, y, x), size, pad=pad)
+        del slab  # before the next slab is read
 
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
     _require(args, "psm", "seed")
     if args.patch_dir:
-        _require(args, "image")  # before the centers file is written
-    grid = _load_grid(args.psm)
-    try:
-        centers = sampling.draw_centers(grid, args.count, args.seed)
-    except ValueError as exc:
-        raise ValueError(f"sampling from {args.psm}: {exc}") from None
-    if args.patch_dir:  # every check on the image comes before the first write
-        image = _load_grid(args.image)
-        if image.data.shape != grid.data.shape:
-            raise ValueError(f"{args.image}: shape {image.data.shape} is not the map's {grid.data.shape}")
-        pad_value(args.pad, image.data.dtype)
-        out_dir = Path(args.patch_dir)  # its nearest existing ancestor must be a directory
-        if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
-            raise ValueError(f"{out_dir}: --patch-dir is not a directory and cannot be made one")
-    _emit_text(_centers_json(args.count, args.seed, centers), args.out)
+        _require(args, "image")  # before anything is written
+    with _Stream(args.psm) as psm:
+        try:
+            centers = sampling.draw_centers(psm, args.count, args.seed)
+        except ValueError as exc:
+            if str(psm.path) in str(exc):  # a run that could not be read names the map already
+                raise
+            raise ValueError(f"sampling from {args.psm}: {exc}") from None
+        shape = psm.shape
     if args.patch_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, c in enumerate(centers):
-            patch = extract_patch(image, c, cfg.patch.size, pad=args.pad)
-            _write_float(patch, out_dir / f"patch_{i:04d}.nii")
+        with _Stream(args.image) as image:  # every check on the image comes before the first write
+            if image.shape != shape:
+                raise ValueError(f"{args.image}: shape {image.shape} is not the map's {shape}")
+            pad_value(args.pad, volio.DATATYPES[image.meta.datatype][1])
+            out_dir = Path(args.patch_dir)  # its nearest existing ancestor must be a directory
+            if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+                raise ValueError(f"{out_dir}: --patch-dir is not a directory and cannot be made one")
+            if image.meta.datatype == "float32":  # an unscaled integer image is finite
+                for lo in range(0, image.size, volio.SLAB_VOXELS):
+                    image.read(lo, min(lo + volio.SLAB_VOXELS, image.size))  # each run is checked as it is read
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for i, patch in _swept_patches(image, centers, cfg.patch.size, args.pad):
+                _write_float(patch, out_dir / f"patch_{i:04d}.nii")
+    _emit_text(_centers_json(args.count, args.seed, centers), args.out)  # after the sweep, so --out may name the image
     return 0
 
 
@@ -398,6 +489,7 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         spec = phantom.PhantomSpec.from_json(obj)
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad phantom spec {args.spec}: {exc}") from None
+    _require_new_volumes(args.out_ct, args.out_labels, args.out_tumor)  # so that no write fails after another
     ct, labels, tumor = phantom.gen_phantom(spec)
     _write_float(ct, args.out_ct)
     _write_uint8(labels, args.out_labels)

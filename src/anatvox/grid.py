@@ -155,13 +155,23 @@ def bounding_box(mask: np.ndarray, grow=(0, 0, 0)) -> tuple[slice, ...] | None:
 
     Each axis is grown by ``grow`` voxels on both sides and clipped to the grid.
     """
+    axes = range(mask.ndim)
+    return hits_box((np.any(mask, axis=tuple(a for a in axes if a != axis)) for axis in axes), grow)
+
+
+def hits_box(hits, grow=(0, 0, 0)) -> tuple[slice, ...] | None:
+    """Per-axis slices from the first to the last true entry of each 1D ``hits``, or None if one has none.
+
+    ``hits[axis]`` marks the planes across that axis that hold a true voxel,
+    so the slices are those planes' bounding box. Each axis is grown by
+    ``grow`` voxels on both sides and clipped to its length.
+    """
     box = []
-    for axis, g in enumerate(grow):
-        others = tuple(a for a in range(mask.ndim) if a != axis)
-        hit = np.flatnonzero(np.any(mask, axis=others))
-        if hit.size == 0:
+    for hit, g in zip(hits, grow):
+        at = np.flatnonzero(hit)
+        if at.size == 0:
             return None
-        box.append(slice(max(int(hit[0]) - g, 0), min(int(hit[-1]) + 1 + g, mask.shape[axis])))
+        box.append(slice(max(int(at[0]) - g, 0), min(int(at[-1]) + 1 + g, hit.size)))
     return tuple(box)
 
 

@@ -37,43 +37,21 @@ def _require_unit(p: np.ndarray) -> None:
         raise ValueError("prediction values must lie in [0, 1]")
 
 
-class _Slabs:
-    """``read(lo, hi)`` of a run source's ascending runs, served from reads of a whole slab.
-
-    A run source is a ``VoxelGrid`` or a ``volio.VolumeReader``: its
-    ``read(lo, hi)`` gives voxels [lo, hi) in z-major order. ``pairwise_sum``
-    asks for ascending runs that tile the grid, so a slab of
-    ``volio.SLAB_VOXELS`` voxels, read from the start of the first run the
-    last slab does not hold whole, serves the runs that follow. Only the head
-    of a run that crosses a slab's end is read twice.
-    """
-
-    def __init__(self, src):
-        self._src, self._lo, self._hi, self._slab = src, 0, 0, None
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        if not self._lo <= lo <= hi <= self._hi:
-            self._slab = None  # the old slab is freed before the new one is read
-            self._lo, self._hi = lo, min(max(hi, lo + volio.SLAB_VOXELS), self._src.size)
-            self._slab = self._src.read(self._lo, self._hi)
-        return self._slab[lo - self._lo : hi - self._lo]
-
-
 def _score(gt, pred, cfg: LossConfig, *organs):
     """[(num, den, ce)] per entry of ``organs``: soft Dice is 1 - num / den, ce the mean clamped CE.
 
     An entry is an organ mask to zero the prediction outside of, or None to
     score it as it is. ``gt``, ``pred`` and each organ are run sources, a
-    grid or a ``volio.VolumeReader``, each read through one ``_Slabs``; the
-    masks' runs must be boolean. One pass reads the prediction in its stored
+    grid or a ``volio.VolumeReader``, each read through one
+    ``volio.SlabCache``; the masks' runs must be boolean. One pass reads the prediction in its stored
     dtype, checks that each run lies in [0, 1] and widens only that run to
     float64, once per entry. ``pairwise_sum`` splits the runs where numpy's
     pairwise summation does and visits them in ascending order, so every sum
     is bitwise the full-grid sum and a file is read once, front to back.
     """
     require_same_geometry(pred, gt, *(o for o in organs if o is not None))  # a reader's from its header
-    read, read_y = _Slabs(pred), _Slabs(gt)
-    read_o = [None if o is None else _Slabs(o) for o in organs]
+    read, read_y = volio.SlabCache(pred), volio.SlabCache(gt)
+    read_o = [None if o is None else volio.SlabCache(o) for o in organs]
 
     def sums(lo, hi):  # |Y|, then per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
         run = read(lo, hi)

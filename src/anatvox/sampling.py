@@ -8,8 +8,9 @@ passes.
 The gain field is turned into a probability map by an additive blend with
 the uniform distribution followed by renormalization, organ- and
 tumor-driven maps are mixed linearly, and centers are drawn by inverse-CDF
-lookup over the flat z-major order with a seeded generator. The draw walks
-the cdf slab by slab, so it never holds a full-size float64 array.
+lookup over the flat z-major order with a seeded generator. The draw reads
+the map as a run source, a grid or a ``volio.VolumeReader``, and walks its
+cdf slab by slab, so it holds neither the map nor a full-size float64 array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import volio
 from .grid import VoxelGrid, bounding_box, is_int, pairwise_sum, require_bool, require_same_geometry
 
 
@@ -129,11 +131,11 @@ def mixed_psm(
     """``combine_psm`` of the two masks' ``psm_from_gain`` maps, as a float32 grid.
 
     Off the box of ``ooi | tumor`` grown by the patch radii both gains are 0,
-    so each map is the constant (1/n) / Z there. The maps are built in float64
-    on that box only, with Z = box sum + (n - box size) / n, and mixed in
-    ``combine_psm``'s operand order into a grid filled with the mixed
-    constant. Z rounds unlike a full-grid sum, so a value may differ from the
-    reference in its last float64 bits; stored, it is within float32 rounding.
+    so the mixed map there is one constant. ``_box_psm`` builds the map on
+    that box from the two masks cropped to it, and the box is written into a
+    grid filled with the constant. A value may differ from the reference in
+    its last float64 bits (see ``_box_psm``); stored, it is within float32
+    rounding.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be finite and > 0, got {mu}")
@@ -141,12 +143,27 @@ def mixed_psm(
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_same_geometry(ooi, tumor)
     require_bool(ooi.data, tumor.data)
-    n = ooi.data.size
-    # an empty union leaves an empty box, so both maps are their constant
+    # an empty union leaves an empty box, so the map is its constant
     box = bounding_box(ooi.data | tumor.data, patch.radii) or (slice(0, 0),) * 3
+    s, c = _box_psm(ooi.data[box], tumor.data[box], ooi.data.size, patch, mu, lam)
+    out = np.full(ooi.data.shape, c, dtype=np.float32)
+    out[box] = s
+    return ooi.with_data(out)
 
-    def part(mask: VoxelGrid):  # (map on the box, map off the box)
-        s = _gain(mask.data[box], patch)
+
+def _box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
+    """(the float64 mixed map on the box, the mixed constant off it) for masks cropped to their box.
+
+    ``ooi`` and ``tumor`` are boolean masks of a grid of ``n`` voxels, both
+    cropped to the box of their union grown by the patch radii, so neither
+    gain reaches past the box and each map off it is the constant
+    (1/n) / Z. Each map is built in float64 on the box only, with Z = box
+    sum + (n - box size) / n, and the two are mixed in ``combine_psm``'s
+    operand order. Z rounds unlike a full-grid sum, so a value may differ
+    from the reference in its last float64 bits.
+    """
+    def part(mask: np.ndarray):  # (map on the box, map off the box)
+        s = _gain(mask, patch)
         s /= mu
         s += 1.0 / n
         z = np.sum(s, dtype=np.float64) + (n - s.size) * (1.0 / n)
@@ -155,11 +172,9 @@ def mixed_psm(
 
     s_o, c_o = part(ooi)
     s_t, c_t = part(tumor)
-    out = np.full(ooi.data.shape, c_o * (1.0 - lam) + lam * c_t, dtype=np.float32)
     s_o *= 1.0 - lam
     s_o += lam * s_t
-    out[box] = s_o
-    return ooi.with_data(out)
+    return s_o, c_o * (1.0 - lam) + lam * c_t
 
 
 # Voxels the draw widens at once, into one reused 2 MB float64 buffer (2^16..2^20 draw equally fast).
@@ -168,22 +183,23 @@ _SLAB = 1 << 18
 _NO_DISTRIBUTION = "a sampling map needs finite voxels >= 0 and a positive sum"
 
 
-def _invert_sorted(flat: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
+def _invert_sorted(src, total: float, u: np.ndarray) -> np.ndarray:
     """``searchsorted(cdf, u, "right")`` clipped to n - 1, for sorted uniforms ``u``.
 
-    The cdf of ``flat / total`` is built one slab at a time in a reused float64
-    buffer, the slab's first value carrying the previous slab's last cdf value.
-    ``np.cumsum`` adds in order, so each slab's values are bitwise the full
-    cdf's. The uniforms below a slab's last cdf value land in that slab.
-    Raises ValueError at a slab holding a negative voxel.
+    ``src`` is a run source, a grid or a ``volio.VolumeReader``, read one slab
+    at a time. The cdf of its voxels / ``total`` is built slab by slab in a
+    reused float64 buffer, the slab's first value carrying the previous slab's
+    last cdf value. ``np.cumsum`` adds in order, so each slab's values are
+    bitwise the full cdf's. The uniforms below a slab's last cdf value land in
+    that slab. Raises ValueError at a slab holding a negative voxel.
     """
-    n = flat.size
+    n = src.size
     idx = np.full(u.size, n - 1, dtype=np.intp)
     buf = np.empty(min(_SLAB, n))
     carry, done = 0.0, 0
     for lo in range(0, n, _SLAB):
         c = buf[: min(n - lo, _SLAB)]
-        c[...] = flat[lo : lo + c.size]
+        c[...] = src.read(lo, lo + c.size)
         if not c.min() >= 0:
             raise ValueError(_NO_DISTRIBUTION)
         c /= total
@@ -196,24 +212,28 @@ def _invert_sorted(flat: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def draw_centers(grid: VoxelGrid, count: int, seed: int) -> np.ndarray:
+def draw_centers(src, count: int, seed: int) -> np.ndarray:
     """``count`` seeded categorical draws from a map, as a (count, 3) int array.
 
     The map may hold any finite weights >= 0 with a positive sum, such as a
     float32 map as stored. Row i is the (z, y, x) voxel of draw i: the first
     voxel whose z-major float64 cdf of map / sum exceeds the i-th uniform of
-    ``default_rng(seed)``, or the last voxel if none does. The sum and the cdf
-    are bitwise those of the map widened to float64, but only one run or slab
-    is ever widened; identical (map, count, seed) reproduces the identical array.
+    ``default_rng(seed)``, or the last voxel if none does. ``src`` is a run
+    source, a grid or a ``volio.VolumeReader``, read twice, one slab at a time:
+    once through a ``volio.SlabCache`` for the sum, once for the cdf. The sum
+    and the cdf are bitwise those of the map widened to float64, but only one
+    run or slab is ever widened; identical (map, count, seed) reproduces the
+    identical array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    flat = grid.data.reshape(-1)
-    total = pairwise_sum(lambda lo, hi: np.sum(flat[lo:hi].astype(np.float64, copy=False)), 0, flat.size)
+    read = volio.SlabCache(src)
+    total = pairwise_sum(lambda lo, hi: np.sum(read(lo, hi).astype(np.float64, copy=False)), 0, src.size)
+    del read  # its slab, before the cdf's slabs are read
     if not 0 < total < math.inf:  # written so that NaN fails too
         raise ValueError(_NO_DISTRIBUTION)
     u = np.random.default_rng(seed).random(count)
     order = np.argsort(u)
     idx = np.empty(count, dtype=np.intp)
-    idx[order] = _invert_sorted(flat, total, u[order])
-    return np.stack(np.unravel_index(idx, grid.data.shape), axis=1)
+    idx[order] = _invert_sorted(src, total, u[order])
+    return np.stack(np.unravel_index(idx, src.shape), axis=1)

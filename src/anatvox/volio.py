@@ -243,6 +243,12 @@ def _volume_path(path) -> Path:
     return path
 
 
+def volume_files(path) -> list[Path]:
+    """The files a volume at ``path`` is written to: the .nii, or the .raw payload and its .json sidecar."""
+    path = _volume_path(path)
+    return [path] if path.suffix == ".nii" else list(_sidecar_paths(path))
+
+
 class VolumeReader:
     """A volume file opened for reading: its checked header, then its voxels run by run.
 
@@ -295,6 +301,28 @@ class VolumeReader:
         return run
 
 
+class SlabCache:
+    """``read(lo, hi)`` of a run source's ascending runs, served from reads of a whole slab.
+
+    A run source is a ``VoxelGrid`` or a ``VolumeReader``: its ``read(lo, hi)``
+    gives voxels [lo, hi) in z-major order. ``pairwise_sum`` asks for
+    ascending runs that tile the grid, so a slab of ``SLAB_VOXELS`` voxels,
+    read from the start of the first run the last slab does not hold whole,
+    serves the runs that follow. Only the head of a run that crosses a slab's
+    end is read twice.
+    """
+
+    def __init__(self, src):
+        self._src, self._lo, self._hi, self._slab = src, 0, 0, None
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if not self._lo <= lo <= hi <= self._hi:
+            self._slab = None  # the old slab is freed before the new one is read
+            self._lo, self._hi = lo, min(max(hi, lo + SLAB_VOXELS), self._src.size)
+            self._slab = self._src.read(self._lo, self._hi)
+        return self._slab[lo - self._lo : hi - self._lo]
+
+
 def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:
     """Read a volume; the format is chosen by extension (.nii or .raw/.json)."""
     with VolumeReader(path) as src:
@@ -311,13 +339,10 @@ def write_slabs(path, shape, spacing: Spacing, meta: VolumeMeta, slabs) -> None:
     output and any older file as it was, and ``path`` may name a volume that
     is still being read.
     """
-    path, n = _volume_path(path), math.prod(shape)
+    path, finals, n = _volume_path(path), volume_files(path), math.prod(shape)
     if not n:  # the readers refuse a zero-length axis
         raise ValueError(f"{path}: cannot write an empty grid of shape {tuple(shape)}")
-    if path.suffix == ".nii":
-        finals, head = [path], _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00")
-    else:
-        finals, head = list(_sidecar_paths(path)), b""
+    head = _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00") if path.suffix == ".nii" else b""
     parts = [p.with_name(p.name + ".part") for p in finals]
     try:
         if path.suffix != ".nii":  # the raw payload's JSON sidecar

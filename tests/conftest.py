@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.morphology import StructElem
@@ -71,6 +72,26 @@ def make_grid(dims: Dims, spacing: Spacing, fill=0.0, dtype=None) -> VoxelGrid:
 
 def bool_grid(mask: np.ndarray, spacing: Spacing = ISO) -> VoxelGrid:
     return VoxelGrid(np.asarray(mask, dtype=np.bool_), spacing)
+
+
+@st.composite
+def boxed_mask(draw, shape):
+    """A random mask of ``shape`` filling a random sub-box of it, faces included."""
+    lo = [draw(st.integers(0, n - 1)) for n in shape]
+    hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(map(slice, lo, hi))] = draw(arrays(np.bool_, tuple(b - a for a, b in zip(lo, hi))))
+    return mask
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two random masks of one grid in their own sub-boxes; either may be empty."""
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    return tuple(
+        np.zeros(shape, dtype=bool) if draw(st.integers(0, 3)) == 0 else draw(boxed_mask(shape))
+        for _ in range(2)
+    )
 
 
 def random_mask(rng, shape, density=0.3) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,16 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import anatvox
-from anatvox import sampling, volio
+from anatvox import cli, sampling, volio
 from anatvox.cli import PipelineConfig, run
-from anatvox.grid import Spacing, VoxelGrid, to_bool
+from anatvox.grid import Spacing, VoxelGrid, extract_patch, to_bool
 from anatvox.losses import LossConfig, loss_report
 from anatvox.maskgen import OrganConfig, bowel_wall, build_ooi
 from anatvox.morphology import elem_from_name
+from anatvox.sampling import PatchSpec, mixed_psm
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
-from conftest import JSON_VALUES, peak_bytes, scale_nifti
+from conftest import ANISO, JSON_VALUES, mask_pairs, peak_bytes, scale_nifti
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
 
@@ -61,6 +63,31 @@ def test_phantom_outputs_exist_and_load(workdir):
     assert ct.data.shape == (24, 64, 64)
     assert meta.datatype == "uint8"
     assert set(np.unique(labels.data)) >= {0, 1}
+
+
+@pytest.mark.parametrize("case", ["directory", "no_parent", "file_parent", "same_path", "same_raw_pair"])
+def test_phantom_refuses_an_output_it_cannot_write_before_writing_any(tmp_path, case, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    out = {"ct": tmp_path / "ct.nii", "labels": tmp_path / "labels.nii", "tumor": tmp_path / "tumor.nii"}
+    if case == "directory":
+        out["labels"].mkdir()
+    elif case == "no_parent":
+        out["labels"] = tmp_path / "missing" / "labels.nii"
+    elif case == "file_parent":
+        (tmp_path / "file").write_text("not a directory\n")
+        out["labels"] = tmp_path / "file" / "labels.nii"
+    elif case == "same_path":
+        out["tumor"] = out["labels"]
+    else:  # pair.raw and pair.json are one raw volume's two files
+        out["labels"], out["tumor"] = tmp_path / "pair.raw", tmp_path / "pair.json"
+    before = sorted(tmp_path.iterdir())
+    argv = ["phantom", "--spec", str(tmp_path / "spec.json"), "--out-ct", str(out["ct"]),
+            "--out-labels", str(out["labels"]), "--out-tumor", str(out["tumor"])]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out["tumor"] if case.startswith("same") else out["labels"]) in err
+    assert sorted(tmp_path.iterdir()) == before  # no ct.nii, no other volume
 
 
 def test_pipeline_stage_chain(workdir):
@@ -416,11 +443,16 @@ def _late_fault_argv(workdir, stage, bad):
         "ooi": (["ooi", "--ts", str(d / "labels.nii"), "--word", bad_path, "--set-ts", "1", "--set-word", "1",
                  "--out", str(d / "ooi.nii")], d / "ooi.nii"),
         "wall": (["wall", "--ooi", bad_path, "--out", str(d / "wall.nii")], d / "wall.nii"),
+        "psm": (["psm", "--ooi", str(d / "tumor.nii"), "--tumor", bad_path, "--out", str(d / "psm.nii")],
+                d / "psm.nii"),
+        "sample": (["sample", "--psm", bad_path, "--count", "5", "--seed", "1", "--out", str(d / "c.json")],
+                   d / "c.json"),
     }[stage]
 
 
 @pytest.mark.parametrize("stage,bad", [("loss", np.nan), ("loss", 1.5), ("ssl-mask", np.nan), ("ssl-mask", 3e38),
-                                       ("ssl-mask-band", np.nan), ("ooi", np.nan), ("wall", np.nan)])
+                                       ("ssl-mask-band", np.nan), ("ooi", np.nan), ("wall", np.nan),
+                                       ("psm", np.nan), ("sample", np.nan)])
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing, capsys):
     argv, out = _late_fault_argv(workdir, stage, bad)
@@ -438,22 +470,26 @@ def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing,
     assert out.read_bytes() == b"an earlier run's output\n" if existing else not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["ooi", "wall", "ssl-mask"])
+@pytest.mark.parametrize("stage", ["ooi", "wall", "ssl-mask", "sample"])
 def test_out_may_name_the_stages_input(workdir, stage):
     assert _ooi(workdir, "ooi0.nii", times="0") == 0
     src = workdir / "in.nii"
-    src.write_bytes((workdir / {"ooi": "labels.nii", "wall": "ooi0.nii", "ssl-mask": "ct.nii"}[stage]).read_bytes())
+    src.write_bytes((workdir / {"ooi": "labels.nii", "wall": "ooi0.nii"}.get(stage, "ct.nii")).read_bytes())
 
     def argv(out):
         return {"ooi": ["ooi", "--ts", str(src), "--word", str(src), "--set-ts", "1", "--set-word", "1"],
                 "wall": ["wall", "--ooi", str(src)],
                 "ssl-mask": ["ssl-mask", "--ct", str(src), "--wall", str(workdir / "tumor.nii"), "--seed", "4"],
+                "sample": _sample_argv(workdir, "--image", str(src), "--patch-dir", str(workdir / f"{out.stem}_patches")),
                 }[stage] + ["--out", str(out)]
 
     with mock.patch.object(volio, "SLAB_VOXELS", 4096):  # one z slice a slab: the input is still read after the first write
         assert run(argv(workdir / "fresh.nii")) == 0
         assert run(argv(src)) == 0
     assert src.read_bytes() == (workdir / "fresh.nii").read_bytes()
+    if stage == "sample":  # the patches were cut from the image, not from the centers written over it
+        fresh, again = (sorted(p.read_bytes() for p in (workdir / d).iterdir()) for d in ("fresh_patches", "in_patches"))
+        assert len(fresh) == 3 and fresh == again
 
 
 @pytest.mark.parametrize("other", ["shape", "spacing"])
@@ -681,6 +717,21 @@ def test_centers_text_is_the_json_dumps_text(tmp_path, capsys, centers, seed):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7])
+def test_centers_text_written_in_chunks_is_the_json_dumps_text(tmp_path, capsys, count):
+    centers = np.arange(3 * count).reshape(count, 3) * 997
+    psm = VoxelGrid(np.ones((2, 3, 4), dtype=np.float32), Spacing(1.0, 1.0, 1.0))
+    write_volume(psm, VolumeMeta.for_grid(psm), tmp_path / "psm.nii")
+    argv = ["sample", "--psm", str(tmp_path / "psm.nii"), "--count", str(count), "--seed", "6"]
+    capsys.readouterr()
+    with mock.patch.object(cli, "_CENTER_CHUNK", 2), mock.patch.object(sampling, "draw_centers", return_value=centers):
+        assert run([*argv, "--out", str(tmp_path / "c.json")]) == 0
+        assert run(argv) == 0
+    want = _centers_text(count, 6, centers)
+    assert (tmp_path / "c.json").read_bytes() == want.encode()
+    assert capsys.readouterr().out == want
+
+
 def test_drawn_centers_text_is_the_json_dumps_text(workdir, capsys):
     argv = ["sample", "--psm", str(workdir / "labels.nii"), "--count", "500", "--seed", "9"]
     assert run(argv) == 0
@@ -718,21 +769,23 @@ def test_sample_stage_widens_the_map_one_slab_at_a_time(tmp_path):
     argv = ["sample", "--psm", str(tmp_path / "psm.nii"), "--count", "1000", "--seed", "1", "--out", str(tmp_path / "c.json")]
     status, peak = peak_bytes(run, argv)
     assert status == 0
-    # the float32 map as read (4 B/voxel), one float64 slab (1 B/voxel here) and the per-draw
-    # arrays; a full float64 copy of the map would add 8 B/voxel
-    assert peak < 6 * math.prod(shape)
+    # one 2^20-voxel float32 slab of the map for the sum (2 B/voxel here), or one float64 slab of the
+    # cdf and its run (1.5 B/voxel), and the per-draw arrays (2.1 in all); the float32 map held whole
+    # would add 4 B/voxel, a full float64 copy of it 8 B/voxel
+    assert peak < 3 * math.prod(shape)
 
 
-@pytest.mark.parametrize("image", ["nan", "wrong_dims"])
+@pytest.mark.parametrize("image", ["nan", "wrong_dims", "nan_last"])
 def test_a_bad_image_leaves_no_centers_or_patches(workdir, image, capsys):
     ct, _ = read_volume(workdir / "ct.nii")
     data = ct.data.copy()
-    data[3, 4, 5] = np.nan
-    bad = ct.with_data(data if image == "nan" else ct.data[:-1])  # or one z slice short
+    data[(-1, -1, -1) if image == "nan_last" else (3, 4, 5)] = np.nan
+    bad = ct.with_data(ct.data[:-1] if image == "wrong_dims" else data)  # or one z slice short
     write_volume(bad, VolumeMeta.for_grid(bad), workdir / "bad.nii")
     argv = _sample_argv(workdir, "--out", str(workdir / "c.json"), "--image", str(workdir / "bad.nii"),
                         "--patch-dir", str(workdir / "patches"))
-    assert run(argv) == 1
+    with mock.patch.object(volio, "SLAB_VOXELS", 4096):  # one z slice a slab: the last NaN is in the last run
+        assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "bad.nii" in err
     assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
@@ -755,6 +808,90 @@ def test_patch_dir_that_is_a_file_leaves_no_centers(workdir, patch_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "patches" in err
     assert not (workdir / "c.json").exists()
+
+
+def _psm_stage_and_mixed_psm_bytes(d: Path, ooi, tumor, spec: PatchSpec, mu, lam, slab) -> tuple[bytes, bytes]:
+    """(what the psm stage writes with ``SLAB_VOXELS = slab``, ``mixed_psm``'s grid written whole)."""
+    for name, mask in (("ooi", ooi), ("tumor", tumor)):
+        grid = VoxelGrid(mask.astype(np.uint8), ANISO)
+        write_volume(grid, VolumeMeta.for_grid(grid), d / f"{name}.nii")
+    argv = ["psm", "--ooi", str(d / "ooi.nii"), "--tumor", str(d / "tumor.nii"), "--mu", repr(mu),
+            "--lambda", repr(lam), "--patch-size", ",".join(map(str, spec.size)), "--out", str(d / "psm.nii")]
+    with mock.patch.object(volio, "SLAB_VOXELS", slab):
+        assert run(argv + ["--sigma-is-stddev"] * spec.sigma_is_stddev) == 0
+    want = mixed_psm(VoxelGrid(ooi, ANISO), VoxelGrid(tumor, ANISO), spec, mu, lam)
+    write_volume(want, VolumeMeta("float32"), d / "want.nii")
+    return (d / "psm.nii").read_bytes(), (d / "want.nii").read_bytes()
+
+
+@settings(max_examples=100)
+@given(
+    masks=mask_pairs(),
+    size=st.tuples(*[st.integers(1, 30)] * 3),
+    stddev=st.booleans(),
+    lam=st.sampled_from([0.0, 0.33, 1.0]),
+    mu=st.sampled_from([0.3, 1.0]),
+    slab=st.sampled_from([1, 40, 10**6]),  # one plane, a few planes, the whole grid
+)
+def test_psm_stage_writes_mixed_psm_bitwise(masks, size, stddev, lam, mu, slab):
+    # patch radii reach up to 15 voxels, past every axis of the grid
+    with tempfile.TemporaryDirectory() as d:
+        got, want = _psm_stage_and_mixed_psm_bytes(Path(d), *masks, PatchSpec(size, stddev), mu, lam, slab)
+    assert got == want
+
+
+# (ooi voxels, tumor voxels, patch size) on a 7x6x5 grid
+_PSM_EDGES = {
+    "empty_union": ([], [], (3, 3, 3)),
+    "z_faces": ([(0, 2, 2)], [(6, 3, 1)], (3, 2, 2)),  # the union runs from the first plane to the last
+    "huge_patch": ([(3, 1, 2), (3, 2, 2)], [(2, 4, 4)], (31, 30, 29)),
+}
+
+
+@pytest.mark.parametrize("slab", [1, 30, 10**6])
+@pytest.mark.parametrize("case", _PSM_EDGES)
+def test_psm_stage_writes_mixed_psm_bitwise_at_the_edges(tmp_path, case, slab):
+    masks = [np.zeros((7, 6, 5), dtype=bool) for _ in range(2)]
+    for mask, voxels in zip(masks, _PSM_EDGES[case]):
+        for v in voxels:
+            mask[v] = True
+    got, want = _psm_stage_and_mixed_psm_bytes(tmp_path, *masks, PatchSpec(_PSM_EDGES[case][2]), 1.0, 0.33, slab)
+    assert got == want
+
+
+@st.composite
+def patch_cases(draw):
+    """(image shape, patch size, centers): sizes odd, even or taller than the grid, centers often on a border."""
+    shape = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    size = tuple(draw(st.integers(1, 2 * n + 3)) for n in shape)
+    coord = [st.sampled_from([0, n - 1]) | st.integers(0, n - 1) for n in shape]
+    centers = draw(st.lists(st.tuples(*coord), min_size=1, max_size=12))
+    return shape, size, np.array(centers, dtype=np.int64)
+
+
+@settings(max_examples=100)
+@given(case=patch_cases(), dtype=st.sampled_from([np.float32, np.int16]), slab=st.sampled_from([1, 60, 10**6]))
+def test_each_swept_patch_is_extract_patch_on_the_whole_image(case, dtype, slab):
+    shape, size, centers = case
+    image = VoxelGrid(np.random.default_rng(len(centers)).integers(-99, 99, shape).astype(dtype), ANISO)
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        psm = image.with_data(np.ones(shape, dtype=np.float32))
+        write_volume(psm, VolumeMeta.for_grid(psm), d / "psm.nii")
+        write_volume(image, VolumeMeta.for_grid(image), d / "image.nii")
+        image, _ = read_volume(d / "image.nii")  # its spacing as stored
+        argv = ["sample", "--psm", str(d / "psm.nii"), "--count", str(len(centers)), "--seed", "1",
+                "--out", str(d / "c.json"), "--image", str(d / "image.nii"), "--patch-dir", str(d / "patches"),
+                "--patch-size", ",".join(map(str, size)), "--pad", "-7"]
+        with mock.patch.object(volio, "SLAB_VOXELS", slab), \
+                mock.patch.object(sampling, "draw_centers", return_value=centers):
+            assert run(argv) == 0
+        assert len(list((d / "patches").iterdir())) == len(centers)
+        for i, c in enumerate(centers):
+            got, _ = read_volume(d / "patches" / f"patch_{i:04d}.nii")
+            want = extract_patch(image, c, size, pad=-7)
+            assert got.spacing == want.spacing
+            assert np.array_equal(got.data, want.data.astype(np.float32))
 
 
 def _json_input_argv(workdir, which, path, out):
@@ -796,13 +933,15 @@ _STAGE_SHAPE = (64, 128, 128)  # 1 Mvox, so the fixed cost of a run is under 0.5
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """Label, CT, ground-truth and prediction volumes, the ooi stage's two masks and a wall band."""
+    """Label, CT, ground-truth, tumor and prediction volumes, the ooi stage's two masks, a wall band and a map."""
     d = tmp_path_factory.mktemp("stages")
     labels = np.zeros(_STAGE_SHAPE, dtype=np.uint8)
     labels[:, 20:60, 20:60] = 1
     labels[:, 70:90, 30:50] = 2
+    tumor = np.zeros(_STAGE_SHAPE, dtype=np.uint8)
+    tumor[28:36, 60:68, 60:68] = 1  # its box grown by the patch radii is 4% of the grid
     rng = np.random.default_rng(5)
-    arrays = {"labels": labels, "gt": (labels == 1).astype(np.uint8),
+    arrays = {"labels": labels, "gt": (labels == 1).astype(np.uint8), "tumor": tumor,
               "ct": rng.standard_normal(_STAGE_SHAPE, dtype=np.float32),
               "pred": rng.random(_STAGE_SHAPE, dtype=np.float32)}
     for name, data in arrays.items():
@@ -812,6 +951,7 @@ def stage_inputs(tmp_path_factory):
         assert run(["ooi", "--ts", str(d / "labels.nii"), "--word", str(d / "labels.nii"), "--set-ts", "1",
                     "--set-word", "1,2", "--dilate-times", times, "--out", str(d / f"{out}.nii")]) == 0
     assert run(["wall", "--ooi", str(d / "ooi0.nii"), "--out", str(d / "band.nii")]) == 0
+    assert run(["psm", "--ooi", str(d / "tumor.nii"), "--tumor", str(d / "tumor.nii"), "--out", str(d / "psm.nii")]) == 0
     return d
 
 
@@ -834,6 +974,17 @@ _STAGE_PEAKS = {
     # one pairwise run at a time, 2.59 holding the masks whole, 6.4 holding the prediction whole)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
               "--out", "{d}/loss.json"], 1.0),
+    # one slab of each mask, then both masks cropped to the union's box and the float64 maps and
+    # gain passes on that box, then one float32 slab of the map (1.74; was 6.97 holding both masks,
+    # their union and the float32 map whole)
+    "psm": (["psm", "--ooi", "{d}/tumor.nii", "--tumor", "{d}/tumor.nii", "--out", "{d}/psm_again.nii"], 3.0),
+    # one float32 slab of the map for the sum, then the draw's fixed 2 MB float64 buffer and the
+    # 1 MB run read into it (3.13; was 6.12 holding the map whole)
+    "sample": (["sample", "--psm", "{d}/psm.nii", "--count", "1000", "--seed", "1", "--out", "{d}/c.json"], 4.5),
+    # the draw above sets it; the check pass reads one image slab, the sweep one slab with its
+    # patch-radius halo planes (1.2) and a patch (3.08; was 8.21 holding the map and the image whole)
+    "sample-patches": (["sample", "--psm", "{d}/psm.nii", "--count", "64", "--seed", "1", "--out", "{d}/pc.json",
+                        "--image", "{d}/ct.nii", "--patch-dir", "{d}/patches"], 4.5),
 }
 
 

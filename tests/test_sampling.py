@@ -1,6 +1,8 @@
 import gc
 import math
+import tempfile
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox import sampling
+from anatvox import sampling, volio
 from anatvox.grid import Dims, VoxelGrid
 from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
@@ -21,8 +23,11 @@ from anatvox.sampling import (
     mixed_psm,
     psm_from_gain,
 )
+from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 
-from conftest import ANISO, ISO, bool_grid, gain_at_naive, gain_map_full, make_grid, peak_bytes, random_mask
+from conftest import (
+    ANISO, ISO, bool_grid, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, peak_bytes, random_mask,
+)
 
 
 def test_patch_spec_derived_quantities():
@@ -108,16 +113,7 @@ def test_gain_separable_matches_naive_everywhere(rng):
 @st.composite
 def boxed_masks(draw):
     """A random mask filling a random sub-box of a random grid, faces included."""
-    return draw(_boxed_mask(draw(st.tuples(*[st.integers(1, 12)] * 3))))
-
-
-@st.composite
-def _boxed_mask(draw, shape):
-    lo = [draw(st.integers(0, n - 1)) for n in shape]
-    hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple(map(slice, lo, hi))] = draw(arrays(np.bool_, tuple(b - a for a, b in zip(lo, hi))))
-    return mask
+    return draw(boxed_mask(draw(st.tuples(*[st.integers(1, 12)] * 3))))
 
 
 @settings(max_examples=300)
@@ -255,16 +251,6 @@ def _reference_psm(ooi, tumor, spec, mu, lam) -> np.ndarray:
     return combine_psm(s_organ, s_tumor, lam).data
 
 
-@st.composite
-def mask_pairs(draw):
-    """Two random masks of one grid in their own sub-boxes; either may be empty."""
-    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
-    return tuple(
-        np.zeros(shape, dtype=bool) if draw(st.integers(0, 3)) == 0 else draw(_boxed_mask(shape))
-        for _ in range(2)
-    )
-
-
 @settings(max_examples=300)
 @given(
     masks=mask_pairs(),
@@ -378,6 +364,20 @@ def test_draw_centers_walks_slab_edges_like_the_full_cdf(prob, slab, count, seed
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=100)
+@given(prob=slab_walk_maps(), slab=st.sampled_from([1, 7, 64]), stream=st.sampled_from([1, 5, 256]),
+       ext=st.sampled_from([".nii", ".raw"]), count=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_draw_centers_draws_from_a_volume_reader_what_it_draws_from_the_grid(prob, slab, stream, ext, count, seed):
+    grid = VoxelGrid(prob, ISO)
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(sampling, "_SLAB", slab), \
+            mock.patch.object(volio, "SLAB_VOXELS", stream):  # the sum's slabs and the cdf's differ
+        path = Path(d) / f"map{ext}"
+        write_volume(grid, VolumeMeta.for_grid(grid), path)
+        with VolumeReader(path) as src:
+            got = draw_centers(src, count, seed)
+    assert np.array_equal(got, draw_centers(grid, count, seed))
+
+
 @pytest.mark.parametrize("slab", [1, 7, 64])
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_draw_centers_rejects_a_bad_voxel_in_the_last_slab_only(slab, bad):
@@ -396,7 +396,7 @@ def test_a_uniform_equal_to_a_slab_edge_cdf_goes_to_the_next_voxel_with_mass(sla
     u = np.sort(np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0)]))
     want = np.clip(np.searchsorted(cdf, u, "right"), 0, flat.size - 1)
     with mock.patch.object(sampling, "_SLAB", slab):
-        assert np.array_equal(sampling._invert_sorted(flat, total, u), want)
+        assert np.array_equal(sampling._invert_sorted(VoxelGrid(flat.reshape(1, 1, -1), ISO), total, u), want)
 
 
 def test_draw_centers_frees_the_map_without_the_cycle_collector():
