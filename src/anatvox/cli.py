@@ -452,17 +452,27 @@ def _metric_case(paths, cfg: PipelineConfig) -> metrics.MetricReport:
 
 
 def _read_manifest(path) -> list:
-    """(case_id, (gt, pred)) per nonblank JSON line of a cohort manifest."""
+    """(where, case_id, (gt, pred)) per nonblank JSON line of a cohort manifest; ``where`` is "<path> line N"."""
     cases = []
     for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
-        rec = _parse_json(line, f"{path} line {n}")
+        where = f"{path} line {n}"
+        rec = _parse_json(line, where)
         if not (isinstance(rec, dict) and "case_id" in rec
                 and isinstance(rec.get("gt"), str) and isinstance(rec.get("pred"), str)):
-            raise UsageError(f"{path} line {n}: need a JSON object with case_id, gt and pred paths")
-        cases.append((str(rec["case_id"]), (rec["gt"], rec["pred"])))
+            raise UsageError(f"{where}: need a JSON object with case_id, gt and pred paths")
+        cases.append((where, str(rec["case_id"]), (rec["gt"], rec["pred"])))
     return cases
+
+
+def _cohort_case(case, cfg: PipelineConfig) -> metrics.MetricReport:
+    """``_metric_case`` for one manifest case, whose read or geometry error names its line and case."""
+    where, case_id, paths = case
+    try:
+        return _metric_case(paths, cfg)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"{where} ({case_id}): {exc}") from None
 
 
 def _cmd_metrics(args, cfg: PipelineConfig) -> int:
@@ -470,8 +480,9 @@ def _cmd_metrics(args, cfg: PipelineConfig) -> int:
         _require(args, "out")
         cases = _read_manifest(args.cohort)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda c: _metric_case(c[1], cfg), cases))
-        pairs = [(case_id, report) for (case_id, _), report in zip(cases, reports)]
+            # map yields in manifest order, so the first failing case is the one reported
+            reports = list(pool.map(lambda c: _cohort_case(c, cfg), cases))
+        pairs = [(case_id, report) for (_, case_id, _), report in zip(cases, reports)]
         metrics.write_cohort_report(args.out, pairs)
         return 0
     _require(args, "gt", "pred")

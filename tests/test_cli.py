@@ -791,6 +791,29 @@ def test_a_bad_image_leaves_no_centers_or_patches(workdir, image, capsys):
     assert not (workdir / "c.json").exists() and not (workdir / "patches").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("problem", ["spacing", "missing"])
+def test_a_failing_cohort_case_names_its_line_and_case(workdir, problem, jobs, capsys):
+    tumor, _ = read_volume(workdir / "tumor.nii")
+    coarse = VoxelGrid(tumor.data, Spacing(9.0, 1.0, 1.0))
+    write_volume(coarse, VolumeMeta.for_grid(coarse), workdir / "coarse.nii")
+    bad = {"spacing": str(workdir / "coarse.nii"), "missing": str(workdir / "absent.nii")}
+    other = bad["missing" if problem == "spacing" else "spacing"]
+
+    def case(case_id, pred):
+        return json.dumps({"case_id": case_id, "gt": str(workdir / "tumor.nii"), "pred": pred})
+
+    manifest = workdir / "cases.jsonl"
+    # both later cases fail; the report names the first of them in manifest order
+    manifest.write_text("\n".join([case("a", str(workdir / "tumor.nii")), "", case("b", bad[problem]),
+                                   case("c", other)]) + "\n")
+    assert run(["metrics", "--cohort", str(manifest), "--out", str(workdir / "c.jsonl"), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} line 3 (b): ") and err.count("\n") == 1
+    assert ("grid geometry mismatch" if problem == "spacing" else "absent.nii") in err
+    assert not (workdir / "c.jsonl").exists()
+
+
 def test_empty_cohort_leaves_no_report(workdir, capsys):
     manifest = workdir / "cases.jsonl"
     manifest.write_text("\n")
@@ -978,6 +1001,9 @@ _STAGE_PEAKS = {
     # gain passes on that box, then one float32 slab of the map (1.74; was 6.97 holding both masks,
     # their union and the float32 map whole)
     "psm": (["psm", "--ooi", "{d}/tumor.nii", "--tumor", "{d}/tumor.nii", "--out", "{d}/psm_again.nii"], 3.0),
+    # both masks whole, then per surface box its distances along x and the lower-envelope pass along
+    # z, scored along y at the other surface's voxels only (9.08; was 9.12 building each full box EDT)
+    "metrics": (["metrics", "--gt", "{d}/gt.nii", "--pred", "{d}/ooi.nii", "--out", "{d}/metrics.json"], 9.1),
     # one float32 slab of the map for the sum, then the draw's fixed 2 MB float64 buffer and the
     # 1 MB run read into it (3.13; was 6.12 holding the map whole)
     "sample": (["sample", "--psm", "{d}/psm.nii", "--count", "1000", "--seed", "1", "--out", "{d}/c.json"], 4.5),

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from anatvox import metrics
 from anatvox.grid import Dims, Spacing, VoxelGrid
 from anatvox.losses import LossConfig, soft_dice_loss
 from anatvox.metrics import (
@@ -18,7 +20,7 @@ from anatvox.metrics import (
     write_cohort_report,
 )
 
-from conftest import ANISO, ISO, bool_grid, brute_edt, directed_surface_distances, make_grid, random_mask
+from conftest import ANISO, ISO, bool_grid, brute_edt, directed_surface_distances, make_grid, peak_bytes, random_mask
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,65 @@ def test_edt_requires_bool():
     g = make_grid(Dims(2, 2, 2), ISO, 0.0)
     with pytest.raises(ValueError):
         edt(g)
+
+
+@st.composite
+def edt_at_cases(draw):
+    shape = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    mask = draw(arrays(np.bool_, shape, elements=st.booleans() | st.just(False)))
+    # blank whole lines along one axis and whole planes across another, so passes meet empty lines
+    axis = draw(st.integers(0, 2))
+    mask &= np.expand_dims(draw(arrays(np.bool_, shape[:axis] + shape[axis + 1:])), axis)
+    plane = draw(st.integers(0, 2))
+    mask &= draw(arrays(np.bool_, shape[plane])).reshape([-1 if a == plane else 1 for a in range(3)])
+    at = draw(arrays(np.bool_, shape))
+    # in-plane spacings as a NIfTI header stores them (float32), CT-like slice steps along z
+    sy, sx = (float(np.float32(draw(st.floats(0.3, 1.6)))) for _ in range(2))
+    spacing = Spacing(draw(st.sampled_from([1.25, 2.5, 5.0])), sy, sx)
+    chunk = draw(st.sampled_from([1, 7, metrics._AT_CHUNK]))
+    return mask, at, spacing, chunk
+
+
+@settings(max_examples=300)
+@given(case=edt_at_cases())
+def test_edt_at_voxels_is_the_full_transform_read_there(case):
+    mask, at, spacing, chunk = case
+    before, at_before = mask.copy(), at.copy()
+    grid = VoxelGrid(mask, spacing)
+    with mock.patch.object(metrics, "_AT_CHUNK", chunk):
+        got = edt(grid, at)
+    assert np.array_equal(mask, before) and np.array_equal(at, at_before)  # neither input is written through
+    assert got.dtype == np.float64 and got.shape == (int(np.count_nonzero(at)),)
+    assert np.array_equal(got, edt(grid).data[at])  # bitwise, infinities included
+    if mask.any():
+        assert np.abs(got - brute_edt(mask, spacing)[at]).max(initial=0.0) <= 1e-9
+    else:
+        assert np.all(np.isinf(got))
+
+
+def test_edt_at_no_voxels_is_empty():
+    got = edt(make_grid(Dims(3, 4, 5), ANISO, True), np.zeros((3, 4, 5), bool))
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize("at", [np.ones((3, 4, 6), bool), np.ones((3, 4, 5), np.uint8), [[[True] * 5] * 4] * 3])
+def test_edt_at_must_be_a_bool_array_of_the_mask_shape(at):
+    with pytest.raises(ValueError):
+        edt(make_grid(Dims(3, 4, 5), ANISO, True), at)
+
+
+def test_edt_at_surface_memory_stays_under_the_full_transform():
+    # a cohort-shaped box: a colon-like cross-section filling 14 CT slices, scored at a shifted copy's surface
+    shape = (14, 64, 58)
+    _, y, x = np.ogrid[:1, :64, :58]
+    solid = np.broadcast_to(((y - 31.5) / 30) ** 2 + ((x - 28.5) / 27) ** 2 <= 1, shape)
+    spacing = Spacing(2.5, 0.78125, 0.78125)
+    surf = surface_voxels(VoxelGrid(solid.copy(), spacing))
+    other = surface_voxels(VoxelGrid(np.roll(solid, 2, axis=2), spacing))
+    got, peak = peak_bytes(edt, surf, other.data)
+    assert got.size == np.count_nonzero(other.data)
+    # the whole-box transform of the earlier version measured 37.7 B/voxel here; this one 37.1
+    assert peak < 38 * math.prod(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +318,16 @@ def test_seg_metrics_shape_mismatch():
     p = make_grid(Dims(4, 4, 5), ISO, False)
     with pytest.raises(ValueError):
         seg_metrics(y, p)
+
+
+@settings(max_examples=200)
+@given(values=arrays(np.float64, st.integers(1, 60), elements=st.sampled_from([0.0, 0.5, 1.25, 3.0, 1e3])
+                     | st.floats(0.0, 50.0)))
+def test_nearest_rank_95_is_the_sorted_rank(values):
+    # ties come from the few sampled values; m = 1 from the smallest size
+    before = values.copy()
+    assert metrics._nearest_rank_95(values) == np.sort(values)[math.ceil(0.95 * values.size) - 1]
+    assert np.array_equal(values, before)
 
 
 # ---------------------------------------------------------------------------
