@@ -166,12 +166,6 @@ class _MaskStream(_Stream):
         return mask
 
 
-def _load_mask(path) -> VoxelGrid:
-    """A mask volume as one boolean grid, read as one run."""
-    with _MaskStream(path) as src:
-        return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing)
-
-
 def _slab_planes(shape, halo: int = 0) -> int:
     """The z planes of one slab of a grid of ``shape``: ``volio.SLAB_VOXELS``, at least 4 halos and 1."""
     return max(volio.SLAB_VOXELS // (shape[1] * shape[2]), 4 * halo, 1)  # so halos add at most half the reads
@@ -321,39 +315,44 @@ def _cmd_wall(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _union_box(srcs, grow, step: int):
-    """``bounding_box`` of the union of the sources' masks grown by ``grow``, from one pass of z slabs."""
-    hits = [np.zeros(n, dtype=bool) for n in srcs[0].shape]  # the planes across each axis that hold the union
-    for z0 in range(0, hits[0].size, step):
-        z1 = min(z0 + step, hits[0].size)
+def _read_union_box(srcs, grow=(0, 0, 0)):
+    """(``bounding_box`` of the union of the mask sources grown by ``grow``, each source's voxels in that box).
+
+    The sources are ``_MaskStream``s of one geometry; the first one's runs,
+    which it owns, take the union in place. One pass of z slabs gathers the
+    planes across each axis that hold the union, checking every run as it is
+    read; then only the box's z planes are read again and cropped. An empty
+    union gives an empty box, of three empty slices.
+    """
+    require_same_geometry(*srcs)
+    shape = srcs[0].shape
+    step = _slab_planes(shape)
+    hits = [np.zeros(n, dtype=bool) for n in shape]  # the planes across each axis that hold the union
+    for z0 in range(0, shape[0], step):
+        z1 = min(z0 + step, shape[0])
         union = _read_planes(srcs[0], z0, z1)
         for src in srcs[1:]:
             union |= _read_planes(src, z0, z1)
         hits[0][z0:z1] = union.any(axis=(1, 2))
         hits[1] |= union.any(axis=(0, 2))
         hits[2] |= union.any(axis=(0, 1))
-    return hits_box(hits, grow)
-
-
-def _read_box(src, box, step: int) -> np.ndarray:
-    """A mask source's voxels in ``box``, reading only the box's z planes, ``step`` at a time."""
-    bz, by, bx = box
-    out = np.empty([sl.stop - sl.start for sl in box], dtype=bool)
+    del union  # before the box is read
+    bz, by, bx = box = hits_box(hits, grow) or (slice(0, 0),) * 3
+    crops = [np.empty([sl.stop - sl.start for sl in box], dtype=bool) for _ in srcs]
     for z0 in range(bz.start, bz.stop, step):
         z1 = min(z0 + step, bz.stop)
-        out[z0 - bz.start : z1 - bz.start] = _read_planes(src, z0, z1)[:, by, bx]
-    return out
+        for src, crop in zip(srcs, crops):
+            crop[z0 - bz.start : z1 - bz.start] = _read_planes(src, z0, z1)[:, by, bx]
+    return box, crops
 
 
 def _cmd_psm(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "tumor", "out")
     with _MaskStream(args.ooi) as ooi, _MaskStream(args.tumor) as tumor:
-        require_same_geometry(ooi, tumor)
+        (bz, by, bx), crops = _read_union_box((ooi, tumor), cfg.patch.radii)
+        s, c = sampling.box_psm(*crops, ooi.size, cfg.patch, cfg.mu, cfg.lam)
+        del crops  # before the map is written
         shape, step = ooi.shape, _slab_planes(ooi.shape)
-        # mixed_psm's box, from a pass that checks every run; an empty union leaves an empty box
-        bz, by, bx = box = _union_box((ooi, tumor), cfg.patch.radii, step) or (slice(0, 0),) * 3
-        s, c = sampling._box_psm(_read_box(ooi, box, step), _read_box(tumor, box, step),
-                                 ooi.size, cfg.patch, cfg.mu, cfg.lam)
 
         def slab(z0):  # the constant, with the box's planes of the slab pasted in
             z1 = min(z0 + step, shape[0])
@@ -395,6 +394,8 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     _require(args, "psm", "seed")
     if args.patch_dir:
         _require(args, "image")  # before anything is written
+    elif args.image is not None:
+        raise UsageError("--image is read only to cut patches into --patch-dir")
     with _Stream(args.psm) as psm:
         try:
             centers = sampling.draw_centers(psm, args.count, args.seed)
@@ -428,7 +429,7 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
 
     def masked(ct, band):  # a CT slab as float32, its band voxels filled with the next draws
         out = ct.data.astype(np.float32, copy=False)
-        sslmask._fill_band(out, band.data, rng, noise)
+        sslmask.fill_band(out, band.data, rng, noise)
         return ct.with_data(out)
 
     with _Stream(args.ct) as ct, _MaskStream(args.wall) as band:
@@ -446,9 +447,10 @@ def _cmd_loss(args, cfg: PipelineConfig) -> int:
 
 
 def _metric_case(paths, cfg: PipelineConfig) -> metrics.MetricReport:
-    gt = _load_mask(paths[0])
-    pred = _load_mask(paths[1])
-    return metrics.seg_metrics(gt, pred, cfg.nsd_tol_mm, cfg.hd_penalty_mm)
+    """``seg_metrics`` of two mask files, handed only the box of gt | pred: off it both are background."""
+    with _MaskStream(paths[0]) as gt, _MaskStream(paths[1]) as pred:
+        _, crops = _read_union_box((gt, pred))
+    return metrics.seg_metrics(*(VoxelGrid(crop, gt.spacing) for crop in crops), cfg.nsd_tol_mm, cfg.hd_penalty_mm)
 
 
 def _read_manifest(path) -> list:
@@ -477,6 +479,8 @@ def _cohort_case(case, cfg: PipelineConfig) -> metrics.MetricReport:
 
 def _cmd_metrics(args, cfg: PipelineConfig) -> int:
     if args.cohort:
+        if args.gt is not None or args.pred is not None:
+            raise UsageError("--cohort takes its cases from the manifest, not from --gt or --pred")
         _require(args, "out")
         cases = _read_manifest(args.cohort)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

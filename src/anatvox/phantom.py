@@ -206,11 +206,11 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
     step = max(1, volio.SLAB_VOXELS // (ny * nx))
     slabs = [np.s_[z0 : z0 + step] for z0 in range(0, nz, step)]
     for slab in slabs:
-        sslmask._fill_band(ct[slab], labels[slab] == 0, rng, spec.background)
-    sslmask._fill_band(ct[tube], lumen, rng, spec.lumen)
-    sslmask._fill_band(ct[tube], wall, rng, spec.wall)
+        sslmask.fill_band(ct[slab], labels[slab] == 0, rng, spec.background)
+    sslmask.fill_band(ct[tube], lumen, rng, spec.lumen)
+    sslmask.fill_band(ct[tube], wall, rng, spec.wall)
     for slab in slabs:
-        sslmask._fill_band(ct[slab], labels[slab] >= 2, rng, spec.organ)
-    sslmask._fill_band(ct[lesion], tumor[lesion], rng, spec.tumor)
+        sslmask.fill_band(ct[slab], labels[slab] >= 2, rng, spec.organ)
+    sslmask.fill_band(ct[lesion], tumor[lesion], rng, spec.tumor)
 
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -125,43 +125,27 @@ def combine_psm(s_organ: VoxelGrid, s_tumor: VoxelGrid, lam: float) -> VoxelGrid
     return s_organ.with_data(mixed)
 
 
-def mixed_psm(
-    ooi: VoxelGrid, tumor: VoxelGrid, patch: PatchSpec, mu: float = 1.0, lam: float = 0.33
-) -> VoxelGrid:
-    """``combine_psm`` of the two masks' ``psm_from_gain`` maps, as a float32 grid.
+def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
+    """(the float64 mixed map on the box, the mixed constant off it): ``combine_psm`` of two ``psm_from_gain`` maps.
 
-    Off the box of ``ooi | tumor`` grown by the patch radii both gains are 0,
-    so the mixed map there is one constant. ``_box_psm`` builds the map on
-    that box from the two masks cropped to it, and the box is written into a
-    grid filled with the constant. A value may differ from the reference in
-    its last float64 bits (see ``_box_psm``); stored, it is within float32
-    rounding.
+    ``ooi`` and ``tumor`` are boolean masks of a grid of ``n`` voxels, both
+    cropped to the box of their union grown by the patch radii (an empty
+    union crops to an empty box). Neither gain reaches past the box, so each
+    map off it is the constant (1/n) / Z. The grid's map is the constant as
+    float32 with the box pasted in. Each map is built in float64 on the box
+    only, with Z = box sum + (n - box size) / n, and the two are mixed in
+    ``combine_psm``'s operand order. Z rounds unlike a full-grid sum, so a
+    value may differ from the reference in its last float64 bits; stored, it
+    is within float32 rounding.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    require_same_geometry(ooi, tumor)
-    require_bool(ooi.data, tumor.data)
-    # an empty union leaves an empty box, so the map is its constant
-    box = bounding_box(ooi.data | tumor.data, patch.radii) or (slice(0, 0),) * 3
-    s, c = _box_psm(ooi.data[box], tumor.data[box], ooi.data.size, patch, mu, lam)
-    out = np.full(ooi.data.shape, c, dtype=np.float32)
-    out[box] = s
-    return ooi.with_data(out)
+    require_bool(ooi, tumor)
+    if ooi.shape != tumor.shape:
+        raise ValueError(f"mask box shapes differ: {ooi.shape} vs {tumor.shape}")
 
-
-def _box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
-    """(the float64 mixed map on the box, the mixed constant off it) for masks cropped to their box.
-
-    ``ooi`` and ``tumor`` are boolean masks of a grid of ``n`` voxels, both
-    cropped to the box of their union grown by the patch radii, so neither
-    gain reaches past the box and each map off it is the constant
-    (1/n) / Z. Each map is built in float64 on the box only, with Z = box
-    sum + (n - box size) / n, and the two are mixed in ``combine_psm``'s
-    operand order. Z rounds unlike a full-grid sum, so a value may differ
-    from the reference in its last float64 bits.
-    """
     def part(mask: np.ndarray):  # (map on the box, map off the box)
         s = _gain(mask, patch)
         s /= mu

@@ -40,11 +40,11 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     require_same_geometry(image, band)
     require_bool(band.data)
     out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
-    _fill_band(out, band.data, np.random.default_rng(noise.seed), noise)
+    fill_band(out, band.data, np.random.default_rng(noise.seed), noise)
     return image.with_data(out)
 
 
-def _fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, noise: NoiseSpec) -> None:
+def fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, noise: NoiseSpec) -> None:
     """Fill ``slab``'s ``band`` voxels, in place and in C order, with ``rng``'s next draws.
 
     ``slab`` and ``band`` are the same voxels of an image and of its mask: a

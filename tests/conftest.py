@@ -8,10 +8,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox.grid import Dims, Spacing, VoxelGrid
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box
 from anatvox.morphology import StructElem
 from anatvox.phantom import PhantomSpec, centerline_distance, tumor_center_voxel
-from anatvox.sampling import PatchSpec
+from anatvox.sampling import PatchSpec, box_psm
 
 # No per-example time limit: the suite runs on shared hosts whose speed
 # swings by a third, which makes hypothesis deadlines flaky.
@@ -230,6 +230,19 @@ def gain_map_full(interest: VoxelGrid, patch: PatchSpec) -> np.ndarray:
         acc = nxt
     acc *= patch.norm_const
     return acc
+
+
+def mixed_psm(ooi: VoxelGrid, tumor: VoxelGrid, patch: PatchSpec, mu: float, lam: float) -> VoxelGrid:
+    """The float32 map the psm stage writes, on the whole grid; the oracle for the stage's box reads and slab writes.
+
+    ``box_psm`` of the two masks cropped to the box of ``ooi | tumor`` grown
+    by the patch radii, pasted into a grid filled with its off-box constant.
+    """
+    box = bounding_box(ooi.data | tumor.data, patch.radii) or (slice(0, 0),) * 3
+    s, c = box_psm(ooi.data[box], tumor.data[box], ooi.data.size, patch, mu, lam)
+    out = np.full(ooi.data.shape, c, dtype=np.float32)
+    out[box] = s
+    return ooi.with_data(out)
 
 
 # Full-grid losses: each widens the whole prediction to float64 and builds

@@ -19,15 +19,16 @@ from hypothesis.extra.numpy import arrays
 import anatvox
 from anatvox import cli, sampling, volio
 from anatvox.cli import PipelineConfig, run
-from anatvox.grid import Spacing, VoxelGrid, extract_patch, to_bool
+from anatvox.grid import Spacing, VoxelGrid, bounding_box, extract_patch, to_bool
 from anatvox.losses import LossConfig, loss_report
 from anatvox.maskgen import OrganConfig, bowel_wall, build_ooi
+from anatvox.metrics import cohort_lines, seg_metrics
 from anatvox.morphology import elem_from_name
-from anatvox.sampling import PatchSpec, mixed_psm
+from anatvox.sampling import PatchSpec
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
-from conftest import ANISO, JSON_VALUES, mask_pairs, peak_bytes, scale_nifti
+from conftest import ANISO, JSON_VALUES, mask_pairs, mixed_psm, peak_bytes, scale_nifti
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
 
@@ -193,7 +194,7 @@ def test_metrics_cohort_jsonl(workdir):
     assert (workdir / "cohort.jsonl").read_bytes() == (workdir / "cohort1.jsonl").read_bytes()
 
 
-def test_usage_errors_exit_2(workdir):
+def test_usage_errors_exit_2(workdir, capsys):
     assert run(["sample", "--psm", str(workdir / "tumor.nii"), "--count", "0", "--seed", "1"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["ooi", "--ts", str(workdir / "labels.nii")]) == 2  # missing required args
@@ -207,6 +208,17 @@ def test_usage_errors_exit_2(workdir):
     assert run(["phantom", "--spec", str(workdir / "spec.json"), "--seed", "-1", "--out-ct", str(workdir / "c.nii"),
                 "--out-labels", str(workdir / "l.nii"), "--out-tumor", str(workdir / "t.nii")]) == 2
     assert not (workdir / "m.nii").exists() and not (workdir / "c.nii").exists()
+    # a flag the stage would ignore: --image without --patch-dir, --gt or --pred beside --cohort
+    tumor, manifest = str(workdir / "tumor.nii"), workdir / "cases.jsonl"
+    manifest.write_text(json.dumps({"case_id": "a", "gt": tumor, "pred": tumor}) + "\n")
+    capsys.readouterr()
+    for argv in (["sample", "--psm", tumor, "--seed", "1", "--image", str(workdir / "ct.nii")],
+                 ["metrics", "--cohort", str(manifest), "--gt", tumor],
+                 ["metrics", "--cohort", str(manifest), "--pred", tumor]):
+        assert run(argv + ["--out", str(workdir / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "out.json").exists()
 
 
 def test_missing_input_exit_1(workdir):
@@ -447,12 +459,14 @@ def _late_fault_argv(workdir, stage, bad):
                 d / "psm.nii"),
         "sample": (["sample", "--psm", bad_path, "--count", "5", "--seed", "1", "--out", str(d / "c.json")],
                    d / "c.json"),
+        "metrics": (["metrics", "--gt", str(d / "tumor.nii"), "--pred", bad_path, "--out", str(d / "m.json")],
+                    d / "m.json"),
     }[stage]
 
 
 @pytest.mark.parametrize("stage,bad", [("loss", np.nan), ("loss", 1.5), ("ssl-mask", np.nan), ("ssl-mask", 3e38),
                                        ("ssl-mask-band", np.nan), ("ooi", np.nan), ("wall", np.nan),
-                                       ("psm", np.nan), ("sample", np.nan)])
+                                       ("psm", np.nan), ("sample", np.nan), ("metrics", np.nan)])
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing, capsys):
     argv, out = _late_fault_argv(workdir, stage, bad)
@@ -833,12 +847,19 @@ def test_patch_dir_that_is_a_file_leaves_no_centers(workdir, patch_dir, capsys):
     assert not (workdir / "c.json").exists()
 
 
+def _write_masks(d: Path, masks) -> list[Path]:
+    """Two masks written as uint8 volumes a.nii and b.nii under ``d``."""
+    paths = [d / "a.nii", d / "b.nii"]
+    for path, mask in zip(paths, masks):
+        grid = VoxelGrid(mask.astype(np.uint8), ANISO)
+        write_volume(grid, VolumeMeta.for_grid(grid), path)
+    return paths
+
+
 def _psm_stage_and_mixed_psm_bytes(d: Path, ooi, tumor, spec: PatchSpec, mu, lam, slab) -> tuple[bytes, bytes]:
     """(what the psm stage writes with ``SLAB_VOXELS = slab``, ``mixed_psm``'s grid written whole)."""
-    for name, mask in (("ooi", ooi), ("tumor", tumor)):
-        grid = VoxelGrid(mask.astype(np.uint8), ANISO)
-        write_volume(grid, VolumeMeta.for_grid(grid), d / f"{name}.nii")
-    argv = ["psm", "--ooi", str(d / "ooi.nii"), "--tumor", str(d / "tumor.nii"), "--mu", repr(mu),
+    ooi_path, tumor_path = _write_masks(d, (ooi, tumor))
+    argv = ["psm", "--ooi", str(ooi_path), "--tumor", str(tumor_path), "--mu", repr(mu),
             "--lambda", repr(lam), "--patch-size", ",".join(map(str, spec.size)), "--out", str(d / "psm.nii")]
     with mock.patch.object(volio, "SLAB_VOXELS", slab):
         assert run(argv + ["--sigma-is-stddev"] * spec.sigma_is_stddev) == 0
@@ -861,6 +882,36 @@ def test_psm_stage_writes_mixed_psm_bitwise(masks, size, stddev, lam, mu, slab):
     with tempfile.TemporaryDirectory() as d:
         got, want = _psm_stage_and_mixed_psm_bytes(Path(d), *masks, PatchSpec(size, stddev), mu, lam, slab)
     assert got == want
+
+
+@settings(max_examples=100)
+@given(masks=mask_pairs(), grow=st.tuples(*[st.integers(0, 13)] * 3), slab=st.sampled_from([1, 40, 10**6]))
+def test_union_box_reads_the_bounding_box_of_the_union(masks, grow, slab):
+    with tempfile.TemporaryDirectory() as d:
+        paths = _write_masks(Path(d), masks)
+        with cli._MaskStream(paths[0]) as a, cli._MaskStream(paths[1]) as b, \
+                mock.patch.object(volio, "SLAB_VOXELS", slab):
+            box, crops = cli._read_union_box((a, b), grow)
+    want = bounding_box(masks[0] | masks[1], grow) or (slice(0, 0),) * 3  # an empty union, an empty box
+    assert box == want
+    for crop, mask in zip(crops, masks):
+        assert crop.dtype == np.bool_ and np.array_equal(crop, mask[want])
+
+
+@settings(max_examples=100)
+@given(masks=mask_pairs(), slab=st.sampled_from([1, 40, 10**6]))
+def test_metrics_stage_reports_seg_metrics_of_the_whole_grids(masks, slab):
+    # either mask, or both, may be empty
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        gt, pred = _write_masks(d, masks)
+        (d / "cases.jsonl").write_text(json.dumps({"case_id": "a", "gt": str(gt), "pred": str(pred)}) + "\n")
+        with mock.patch.object(volio, "SLAB_VOXELS", slab):
+            assert run(["metrics", "--gt", str(gt), "--pred", str(pred), "--out", str(d / "m.json")]) == 0
+            assert run(["metrics", "--cohort", str(d / "cases.jsonl"), "--out", str(d / "c.jsonl")]) == 0
+        want = seg_metrics(*(to_bool(read_volume(p)[0]) for p in (gt, pred)))  # the spacing as stored
+        assert (d / "m.json").read_text() == json.dumps(want.as_dict(), indent=2, sort_keys=True) + "\n"
+        assert (d / "c.jsonl").read_text() == "\n".join(cohort_lines([("a", want)])) + "\n"
 
 
 # (ooi voxels, tumor voxels, patch size) on a 7x6x5 grid
@@ -1001,9 +1052,13 @@ _STAGE_PEAKS = {
     # gain passes on that box, then one float32 slab of the map (1.74; was 6.97 holding both masks,
     # their union and the float32 map whole)
     "psm": (["psm", "--ooi", "{d}/tumor.nii", "--tumor", "{d}/tumor.nii", "--out", "{d}/psm_again.nii"], 3.0),
-    # both masks whole, then per surface box its distances along x and the lower-envelope pass along
-    # z, scored along y at the other surface's voxels only (9.08; was 9.12 building each full box EDT)
-    "metrics": (["metrics", "--gt", "{d}/gt.nii", "--pred", "{d}/ooi.nii", "--out", "{d}/metrics.json"], 9.1),
+    # one slab of each mask, then both masks cropped to the box of gt | pred, then per surface box its
+    # distances along x and the lower-envelope pass along z, scored along y at the other surface's voxels
+    # only (7.51; was 9.08 holding both masks whole, 9.12 building each full box EDT)
+    "metrics": (["metrics", "--gt", "{d}/gt.nii", "--pred", "{d}/ooi.nii", "--out", "{d}/metrics.json"], 8.0),
+    # the same on an 8x8x8 tumor box: one slab of each mask, then the two box crops
+    # (0.22; was 3.08 holding both masks whole)
+    "metrics-box": (["metrics", "--gt", "{d}/tumor.nii", "--pred", "{d}/tumor.nii", "--out", "{d}/mbox.json"], 1.0),
     # one float32 slab of the map for the sum, then the draw's fixed 2 MB float64 buffer and the
     # 1 MB run read into it (3.13; was 6.12 holding the map whole)
     "sample": (["sample", "--psm", "{d}/psm.nii", "--count", "1000", "--seed", "1", "--out", "{d}/c.json"], 4.5),

@@ -19,14 +19,15 @@ from anatvox.sampling import (
     PatchSpec,
     combine_psm,
     draw_centers,
+    box_psm,
     gain_map,
-    mixed_psm,
     psm_from_gain,
 )
 from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 
 from conftest import (
-    ANISO, ISO, bool_grid, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, peak_bytes, random_mask,
+    ANISO, ISO, bool_grid, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, mixed_psm, peak_bytes,
+    random_mask,
 )
 
 
@@ -279,17 +280,17 @@ def test_mixed_psm_is_the_stored_reference_on_the_criterion_11_phantom():
     assert np.array_equal(mixed_psm(ooi, tumor, spec, 1.0, 0.33).data, want)
 
 
-def test_mixed_psm_rejects_bad_arguments():
-    o = make_grid(Dims(3, 3, 3), ISO, False)
+def test_box_psm_rejects_bad_arguments():
+    o = np.zeros((3, 3, 3), dtype=bool)
     spec = PatchSpec((2, 2, 2))
     bad = ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1.0, 1.5), (1.0, -0.1), (1.0, math.nan))
     for mu, lam in bad:
         with pytest.raises(ValueError):
-            mixed_psm(o, o, spec, mu, lam)
+            box_psm(o, o, o.size, spec, mu, lam)
     with pytest.raises(ValueError):
-        mixed_psm(o, make_grid(Dims(3, 3, 4), ISO, False), spec)
+        box_psm(o, np.zeros((3, 3, 1), dtype=bool), o.size, spec, 1.0, 0.33)  # it would broadcast
     with pytest.raises(ValueError):
-        mixed_psm(o, make_grid(Dims(3, 3, 3), ISO, 0.0), spec)
+        box_psm(o, np.zeros((3, 3, 3)), o.size, spec, 1.0, 0.33)
 
 
 def test_draw_centers_rejects_maps_without_a_distribution():
