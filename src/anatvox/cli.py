@@ -216,10 +216,6 @@ def _require_new_volumes(*paths) -> None:
                 raise ValueError(f"{path}: writes {f}, as {paths[other]} does")
 
 
-def _write_uint8(grid: VoxelGrid, path) -> None:
-    volio.write_volume(grid, volio.VolumeMeta.for_grid(grid, "uint8"), path)
-
-
 def _write_float(grid: VoxelGrid, path) -> None:
     out = grid.with_data(grid.data.astype(np.float32, copy=False))
     volio.write_volume(out, volio.VolumeMeta.for_grid(out, "float32"), path)
@@ -504,11 +500,16 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         spec = phantom.PhantomSpec.from_json(obj)
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad phantom spec {args.spec}: {exc}") from None
-    _require_new_volumes(args.out_ct, args.out_labels, args.out_tumor)  # so that no write fails after another
-    ct, labels, tumor = phantom.gen_phantom(spec)
-    _write_float(ct, args.out_ct)
-    _write_uint8(labels, args.out_labels)
-    _write_uint8(tumor, args.out_tumor)
+    volumes = (  # each volume in its own pass; only the ct's draws noise, and only the tumor's skips the labels
+        (args.out_ct, "float32", lambda z0, z1: phantom.phantom_slab(spec, z0, z1)[0]),
+        (args.out_labels, "uint8", lambda z0, z1: phantom.phantom_slab(spec, z0, z1, ct=False)[1]),
+        (args.out_tumor, "uint8", lambda z0, z1: phantom.tumor_mask(spec, z0, z1)),
+    )
+    _require_new_volumes(*(path for path, _, _ in volumes))  # so that no write fails after another
+    nz, step = spec.dims.nz, _slab_planes(spec.dims.shape)
+    for path, datatype, build in volumes:
+        slabs = (build(z0, min(z0 + step, nz)) for z0 in range(0, nz, step))
+        volio.write_slabs(path, spec.dims.shape, spec.spacing, volio.VolumeMeta(datatype), slabs)
     return 0
 
 

@@ -7,6 +7,10 @@ wall at the middle of the arc, growing into the lumen, which is where such
 lesions live. Distractor ellipsoids with label codes >= 2 exercise
 multi-label selection. All geometry derives from the spec fields; the seed
 only moves intensities and distractor placement.
+
+The volumes are built one z slab at a time. The CT noise of plane z is drawn
+from its own generator, seeded with ``[seed, z]``, so a slab's bytes do not
+depend on how the grid is cut into slabs.
 """
 
 from __future__ import annotations
@@ -126,20 +130,29 @@ def arc_params(spec: PhantomSpec) -> tuple[tuple[float, float, float], float]:
 
 
 def centerline_distance(spec: PhantomSpec, box=None) -> np.ndarray:
-    """Distance in mm from every voxel center in ``box`` (default: the grid) to the arc centerline."""
+    """Distance in mm from every voxel center in ``box`` (default: the grid) to the arc centerline.
+
+    A (y, x) column whose angle lies on the arc takes the distance to the arc,
+    any other the distance to the nearer arc end; each is computed only on its
+    own columns.
+    """
     (cz, cy, cx), radius = arc_params(spec)
     z, y, x = _grid_coords_mm(spec, box)
-    rho = np.hypot(y - cy, x - cx)
-    phi = np.arctan2(y - cy, x - cx)
-    in_arc = np.abs(phi) <= ARC_HALF_ANGLE
-    d_arc = np.hypot(rho - radius, z - cz)
+    rho = np.hypot(y - cy, x - cx)[0]
+    arc = (np.abs(np.arctan2(y - cy, x - cx)) <= ARC_HALF_ANGLE)[0]
+    dz = z[:, :, 0] - cz
+    out = np.empty((len(dz), *arc.shape))
+    out[:, arc] = np.hypot(rho[arc] - radius, dz)
+    gap = ~arc
+    yg, xg = (np.broadcast_to(v[0], arc.shape)[gap] for v in (y, x))
     d_end = None
     for ang in (ARC_HALF_ANGLE, -ARC_HALF_ANGLE):
         ey = cy + radius * math.sin(ang)
         ex = cx + radius * math.cos(ang)
-        d = np.sqrt((z - cz) ** 2 + (y - ey) ** 2 + (x - ex) ** 2)
+        d = np.sqrt(dz ** 2 + (yg - ey) ** 2 + (xg - ex) ** 2)
         d_end = d if d_end is None else np.minimum(d_end, d)
-    return np.where(in_arc, d_arc, d_end)
+    out[:, gap] = d_end
+    return out
 
 
 def tumor_center_voxel(spec: PhantomSpec) -> tuple[int, int, int]:
@@ -150,67 +163,130 @@ def tumor_center_voxel(spec: PhantomSpec) -> tuple[int, int, int]:
     return (round(cz / sz), round(cy / sy), round((cx + radius - r_c) / sx))
 
 
-def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
-    """Build (ct, labels, tumor_gt). Identical spec gives bit-identical output.
+def _cut(box, z0: int, z1: int):
+    """``box`` cut to the z planes [z0, z1): (in grid planes, in the slab's), empty on all axes if it misses them."""
+    a = min(max(box[0].start, z0), z1)
+    b = max(min(box[0].stop, z1), a)
+    yx = box[1:] if a < b else (slice(0, 0),) * 2
+    return (slice(a, b), *yx), (slice(a - z0, b - z0), *yx)
 
-    Label codes: 0 background, 1 colon (wall + lumen), 2..k distractors. The
-    tumor mask is separate and overlaps the colon wall by construction.
 
-    Each shape is evaluated only on its own voxel box and the CT noise is
-    drawn region by region in C order, the full-grid regions one z slab at a
-    time, so no float64 temporary spans the grid.
+def _slab_shape(spec: PhantomSpec, z0: int, z1: int) -> tuple[int, int, int]:
+    nz, ny, nx = spec.dims.shape
+    if not 0 <= z0 < z1 <= nz:
+        raise ValueError(f"planes [{z0}, {z1}) are not a slab of a grid of {nz} planes")
+    return z1 - z0, ny, nx
+
+
+def _lesion_box(spec: PhantomSpec) -> tuple[slice, slice, slice]:
+    sz, sy, sx = spec.spacing.zyx
+    tz, ty, tx = tumor_center_voxel(spec)
+    r = spec.tumor_radius_mm
+    return _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
+
+
+def _fill_tumor(spec: PhantomSpec, z0: int, tumor: np.ndarray) -> None:
+    """Set the tumor's voxels of the zeroed ``tumor``, the planes from z0."""
+    sz, sy, sx = spec.spacing.zyx
+    tz, ty, tx = tumor_center_voxel(spec)
+    lesion, at = _cut(_lesion_box(spec), z0, z0 + len(tumor))
+    z, y, x = _grid_coords_mm(spec, lesion)
+    tumor[at] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
+
+
+def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarray):
+    """Set the shapes' voxels of the zeroed ``labels`` and ``tumor``, the planes from z0.
+
+    Returns what the CT draw needs of the colon: the tube's box cut to the
+    slab, in the slab's planes, and the lumen and the wall on that box.
     """
+    z1 = z0 + len(labels)
+    nz, ny, nx = spec.dims.shape
     sz, sy, sx = spec.spacing.zyx
     arc_center, radius = arc_params(spec)
     reach = radius + spec.tube_radius_mm
-    tube = _box(spec, arc_center, (spec.tube_radius_mm, reach, reach))
+    tube, tube_at = _cut(_box(spec, arc_center, (spec.tube_radius_mm, reach, reach)), z0, z1)
     dist = centerline_distance(spec, tube)
     colon = dist <= spec.tube_radius_mm
     wall = colon & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
-    lumen = colon & ~wall
-
-    labels = np.zeros(spec.dims.shape, dtype=np.uint8)
-    labels[tube][colon] = 1
-
-    tz, ty, tx = tumor_center_voxel(spec)
-    r = spec.tumor_radius_mm
-    lesion = _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
-    z, y, x = _grid_coords_mm(spec, lesion)
-    tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
-    tumor[lesion] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= r
-
-    rng = np.random.default_rng(spec.seed)
+    labels[tube_at][colon] = 1
+    _fill_tumor(spec, z0, tumor)
 
     # Distractor ellipsoids claim only background voxels so labels stay a
     # partition; their geometry is the only seed-dependent shape.
-    nz, ny, nx = spec.dims.shape
+    rng = np.random.default_rng(spec.seed)
     extent = np.array([(nz - 1) * sz, (ny - 1) * sy, (nx - 1) * sx])
     for k in range(spec.n_distractors):
         center = extent * rng.uniform(0.15, 0.85, 3)
         semi = rng.uniform(2.5, 8.0, 3)
-        box = _box(spec, center, semi)
+        box, at = _cut(_box(spec, center, semi), z0, z1)
         z, y, x = _grid_coords_mm(spec, box)
         inside = (
             ((z - center[0]) / semi[0]) ** 2
             + ((y - center[1]) / semi[1]) ** 2
             + ((x - center[2]) / semi[2]) ** 2
         ) <= 1.0
-        organ = labels[box]
+        organ = labels[at]
         organ[inside & (organ == 0)] = 2 + k
+    return tube_at, colon & ~wall, wall
 
-    # A region's voxels take consecutive draws in C order; a box's C order is
-    # the grid's restricted to the box, and the normal stream is the same
-    # drawn whole or in pieces, so slabs and boxes give the full-grid draws.
-    ct = np.empty(spec.dims.shape, dtype=np.float32)  # each draw is rounded once, as it is stored
 
+def _draw_ct(spec: PhantomSpec, z0: int, ct: np.ndarray, labels, tumor, tube_at, lumen, wall) -> None:
+    """Fill ``ct``, the planes from z0, with each plane's draws: labels 0, 1 and 2.. cover every voxel."""
+    yx = _lesion_box(spec)[1:]
+    for k, plane in enumerate(ct):
+        rng = np.random.default_rng([spec.seed, z0 + k])
+        sslmask.fill_band(plane, labels[k] == 0, rng, spec.background)
+        t = k - tube_at[0].start
+        if 0 <= t < len(lumen):
+            sslmask.fill_band(plane[tube_at[1:]], lumen[t], rng, spec.lumen)
+            sslmask.fill_band(plane[tube_at[1:]], wall[t], rng, spec.wall)
+        sslmask.fill_band(plane, labels[k] >= 2, rng, spec.organ)
+        sslmask.fill_band(plane[yx], tumor[k][yx], rng, spec.tumor)
+
+
+def tumor_mask(spec: PhantomSpec, z0: int, z1: int) -> np.ndarray:
+    """The tumor ground truth of the z planes [z0, z1): the voxels whose centers lie within its radius of its center."""
+    tumor = np.zeros(_slab_shape(spec, z0, z1), dtype=np.bool_)
+    _fill_tumor(spec, z0, tumor)
+    return tumor
+
+
+def phantom_slab(spec: PhantomSpec, z0: int, z1: int, ct: bool = True):
+    """(ct, labels, tumor_gt) of the z planes [z0, z1), as arrays; ``ct=False`` skips the noise and gives None.
+
+    Each shape is evaluated only on its own voxel box cut to the slab, and the
+    distractors are placed by the same draws from ``default_rng(spec.seed)``
+    in every slab, so labels and tumor are the grid's planes whatever the
+    slab. The CT noise of plane z comes from its own ``default_rng([spec.seed,
+    z])``: the plane's background, lumen, wall, organ and tumor voxels take
+    its consecutive draws in that order, each region in C order, and a later
+    region overwrites an earlier one where they meet (the tumor the wall).
+    """
+    shape = _slab_shape(spec, z0, z1)
+    labels, tumor = np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.bool_)
+    colon = _fill_shapes(spec, z0, labels, tumor)
+    if not ct:
+        return None, labels, tumor
+    out = np.empty(shape, dtype=np.float32)  # allocated after the shapes' float64 temporaries are gone
+    _draw_ct(spec, z0, out, labels, tumor, *colon)
+    return out, labels, tumor
+
+
+def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
+    """Build (ct, labels, tumor_gt) whole, filled by ~``volio.SLAB_VOXELS`` z slabs as ``phantom_slab`` fills one.
+
+    Label codes: 0 background, 1 colon (wall + lumen), 2..k distractors. The
+    tumor mask is separate and overlaps the colon wall by construction.
+    Identical spec gives bit-identical output, and no float64 temporary spans
+    the grid.
+    """
+    nz, ny, nx = spec.dims.shape
+    ct = np.empty(spec.dims.shape, dtype=np.float32)
+    labels = np.zeros(spec.dims.shape, dtype=np.uint8)
+    tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
     step = max(1, volio.SLAB_VOXELS // (ny * nx))
-    slabs = [np.s_[z0 : z0 + step] for z0 in range(0, nz, step)]
-    for slab in slabs:
-        sslmask.fill_band(ct[slab], labels[slab] == 0, rng, spec.background)
-    sslmask.fill_band(ct[tube], lumen, rng, spec.lumen)
-    sslmask.fill_band(ct[tube], wall, rng, spec.wall)
-    for slab in slabs:
-        sslmask.fill_band(ct[slab], labels[slab] >= 2, rng, spec.organ)
-    sslmask.fill_band(ct[lesion], tumor[lesion], rng, spec.tumor)
-
+    for z0 in range(0, nz, step):
+        slab = np.s_[z0 : z0 + step]
+        _draw_ct(spec, z0, ct[slab], labels[slab], tumor[slab], *_fill_shapes(spec, z0, labels[slab], tumor[slab]))
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -331,9 +331,11 @@ def gen_phantom_full(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid
         (labels >= 2, spec.organ),
         (tumor, spec.tumor),
     ]
-    for mask, stats in regions:
-        count = int(np.count_nonzero(mask))
-        if count:
-            ct[mask] = rng.normal(stats.mean, stats.stddev, count)
+    for p in range(nz):  # each plane draws every region in turn from its own generator
+        rng = np.random.default_rng([spec.seed, p])
+        for mask, stats in regions:
+            count = int(np.count_nonzero(mask[p]))
+            if count:
+                ct[p][mask[p]] = rng.normal(stats.mean, stats.stddev, count)
 
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

@@ -24,6 +24,7 @@ from anatvox.losses import LossConfig, loss_report
 from anatvox.maskgen import OrganConfig, bowel_wall, build_ooi
 from anatvox.metrics import cohort_lines, seg_metrics
 from anatvox.morphology import elem_from_name
+from anatvox.phantom import PhantomSpec, gen_phantom
 from anatvox.sampling import PatchSpec
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
@@ -373,6 +374,24 @@ def test_bad_phantom_spec_exits_2(bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad phantom spec {tmp_path / 'spec.json'}: ") and err.count("\n") == 1
     assert not any(Path(f).exists() for f in out)
+
+
+STREAM_SPEC = {"dims": [25, 48, 44], "spacing": [2.0, 1.0, 1.0], "tube_radius_mm": 6.0, "wall_thickness_mm": 2.0,
+               "tumor_radius_mm": 2.5, "n_distractors": 6, "seed": 11}
+
+
+@pytest.mark.parametrize("slab", [1, 5000, 48 * 44, 25 * 48 * 44])  # 1 plane, 2 with a last slab of 1, 1, all 25
+def test_phantom_stage_streams_the_library_grids(tmp_path, slab):
+    (tmp_path / "spec.json").write_text(json.dumps(STREAM_SPEC))
+    want = dict(zip(("ct", "labels", "tumor"), gen_phantom(PhantomSpec.from_json(STREAM_SPEC))))
+    for name, grid in want.items():
+        write_volume(grid, VolumeMeta.for_grid(grid), tmp_path / f"want_{name}.nii")
+    with mock.patch.object(volio, "SLAB_VOXELS", slab):
+        assert run(["phantom", "--spec", str(tmp_path / "spec.json"), "--out-ct", str(tmp_path / "ct.nii"),
+                    "--out-labels", str(tmp_path / "labels.nii"), "--out-tumor", str(tmp_path / "tumor.nii")]) == 0
+    assert set(np.unique(want["labels"].data)) >= {0, 1, 2} and want["tumor"].data.any()
+    for name in want:
+        assert (tmp_path / f"{name}.nii").read_bytes() == (tmp_path / f"want_{name}.nii").read_bytes(), name
 
 
 def test_phantom_seed_flag_overlays_the_spec(workdir):
@@ -1007,7 +1026,8 @@ _STAGE_SHAPE = (64, 128, 128)  # 1 Mvox, so the fixed cost of a run is under 0.5
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """Label, CT, ground-truth, tumor and prediction volumes, the ooi stage's two masks, a wall band and a map."""
+    """A phantom spec; label, CT, ground-truth, tumor and prediction volumes, the ooi stage's two masks, a wall band
+    and a map."""
     d = tmp_path_factory.mktemp("stages")
     labels = np.zeros(_STAGE_SHAPE, dtype=np.uint8)
     labels[:, 20:60, 20:60] = 1
@@ -1021,6 +1041,7 @@ def stage_inputs(tmp_path_factory):
     for name, data in arrays.items():
         grid = VoxelGrid(data, Spacing(2.0, 1.0, 1.0))
         write_volume(grid, VolumeMeta.for_grid(grid), d / f"{name}.nii")
+    (d / "spec.json").write_text(json.dumps({"dims": list(_STAGE_SHAPE), "spacing": [2.0, 1.0, 1.0], "seed": 3}))
     for out, times in (("ooi", "3"), ("ooi0", "0")):
         assert run(["ooi", "--ts", str(d / "labels.nii"), "--word", str(d / "labels.nii"), "--set-ts", "1",
                     "--set-word", "1,2", "--dilate-times", times, "--out", str(d / f"{out}.nii")]) == 0
@@ -1032,6 +1053,11 @@ def stage_inputs(tmp_path_factory):
 # Per stage: its argv and a bound on its traced peak in B/voxel, between this
 # version's peak (in the comment) and the peak of the version that held each input whole.
 _STAGE_PEAKS = {
+    # per z slab: the float32 CT slab, its label and tumor slabs and the float64 distances on the
+    # tube's box cut to the slab (0.92; was 7.92 holding the three grids whole, 6 B/voxel of
+    # outputs, plus the noise draws and the distances on the whole tube box)
+    "phantom": (["phantom", "--spec", "{d}/spec.json", "--out-ct", "{d}/ph_ct.nii", "--out-labels", "{d}/ph_labels.nii",
+                 "--out-tumor", "{d}/ph_tumor.nii"], 2.0),
     # per z slab with its 3-plane halos: two uint8 label slabs, the union and one bool
     # temporary, then one dilation scratch slab (1.23); the whole grids reached 4.1, and
     # isin, the dilation's copies and the uint8 write's copy 8.1

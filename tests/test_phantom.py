@@ -17,6 +17,7 @@ from anatvox.phantom import (
     arc_params,
     centerline_distance,
     gen_phantom,
+    phantom_slab,
     tumor_center_voxel,
 )
 
@@ -240,6 +241,130 @@ def test_shapes_touching_every_face_of_their_box_match_the_oracle():
     assert tumor_center_voxel(spec) == (8, 30, 42)
     assert bounding_box(tumor.data) == (slice(4, 13), slice(26, 35), slice(38, 47))
     assert _same_bytes(out, gen_phantom_full(spec))
+
+
+def _coords(spec, box):
+    nz, ny, nx = spec.dims.shape
+    sz, sy, sx = spec.spacing.zyx
+    return ((np.arange(nz) * sz)[box[0]][:, None, None], (np.arange(ny) * sy)[box[1]][None, :, None],
+            (np.arange(nx) * sx)[None, None, box[2]])
+
+
+def _centerline_distance_on_every_column(spec, box):
+    """centerline_distance as it was computed before it took each column's distance on its own columns only:
+    both distances on the whole box, then the arc's where the column's angle lies on the arc."""
+    (cz, cy, cx), radius = arc_params(spec)
+    z, y, x = _coords(spec, box)
+    rho = np.hypot(y - cy, x - cx)
+    in_arc = np.abs(np.arctan2(y - cy, x - cx)) <= ARC_HALF_ANGLE
+    d_arc = np.hypot(rho - radius, z - cz)
+    d_end = None
+    for ang in (ARC_HALF_ANGLE, -ARC_HALF_ANGLE):
+        ey, ex = cy + radius * math.sin(ang), cx + radius * math.cos(ang)
+        d = np.sqrt((z - cz) ** 2 + (y - ey) ** 2 + (x - ex) ** 2)
+        d_end = d if d_end is None else np.minimum(d_end, d)
+    return np.where(in_arc, d_arc, d_end)
+
+
+@settings(max_examples=100)
+@given(spec=phantom_specs(), data=st.data())
+def test_centerline_distance_is_bitwise_the_every_column_construction(spec, data):
+    box = tuple(slice(*sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2))))
+                for n in spec.dims.shape)
+    got = centerline_distance(spec, box)
+    assert got.tobytes() == _centerline_distance_on_every_column(spec, box).tobytes()
+    full = (slice(0, spec.dims.nz), slice(0, spec.dims.ny), slice(0, spec.dims.nx))
+    assert centerline_distance(spec).tobytes() == _centerline_distance_on_every_column(spec, full).tobytes()
+
+
+def _labels_and_tumor_built_whole(spec):
+    """Labels and tumor as gen_phantom built them on whole-grid arrays, shape box by shape box, before it
+    streamed z slabs: a copy of that construction, so that the streamed bytes are pinned to it."""
+    def grown_box(center_mm, half_mm):
+        return tuple(
+            slice(max(math.floor((c - h) / s) - 2, 0), min(math.floor((c + h) / s) + 1 + 2, n))
+            for c, h, s, n in zip(center_mm, half_mm, spec.spacing.zyx, spec.dims.shape)
+        )
+
+    sz, sy, sx = spec.spacing.zyx
+    arc_center, radius = arc_params(spec)
+    reach = radius + spec.tube_radius_mm
+    tube = grown_box(arc_center, (spec.tube_radius_mm, reach, reach))
+    labels = np.zeros(spec.dims.shape, dtype=np.uint8)
+    labels[tube][_centerline_distance_on_every_column(spec, tube) <= spec.tube_radius_mm] = 1
+
+    tz, ty, tx = tumor_center_voxel(spec)
+    r = spec.tumor_radius_mm
+    lesion = grown_box((tz * sz, ty * sy, tx * sx), (r, r, r))
+    z, y, x = _coords(spec, lesion)
+    tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
+    tumor[lesion] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= r
+
+    rng = np.random.default_rng(spec.seed)
+    nz, ny, nx = spec.dims.shape
+    extent = np.array([(nz - 1) * sz, (ny - 1) * sy, (nx - 1) * sx])
+    for k in range(spec.n_distractors):
+        center = extent * rng.uniform(0.15, 0.85, 3)
+        semi = rng.uniform(2.5, 8.0, 3)
+        box = grown_box(center, semi)
+        z, y, x = _coords(spec, box)
+        inside = (
+            ((z - center[0]) / semi[0]) ** 2 + ((y - center[1]) / semi[1]) ** 2 + ((x - center[2]) / semi[2]) ** 2
+        ) <= 1.0
+        organ = labels[box]
+        organ[inside & (organ == 0)] = 2 + k
+    return labels, tumor
+
+
+CRITERION_11 = PhantomSpec(dims=Dims(64, 96, 96), spacing=Spacing(5.0, 0.78, 0.78), seed=7)
+
+
+@settings(max_examples=100)
+@given(spec=phantom_specs(), slab=st.integers(1, 16000))
+@example(spec=CRITERION_11, slab=5000)
+@example(spec=PhantomSpec(dims=Dims(40, 60, 70), spacing=Spacing(1.0, 1.0, 1.0), wall_thickness_mm=2.0,
+                          tumor_radius_mm=6.0, n_distractors=250, seed=5), slab=4200)
+def test_streamed_labels_and_tumor_keep_the_whole_grid_bytes(spec, slab):
+    with mock.patch.object(volio, "SLAB_VOXELS", slab):
+        _, labels, tumor = gen_phantom(spec)
+    want_labels, want_tumor = _labels_and_tumor_built_whole(spec)
+    assert labels.data.tobytes() == want_labels.tobytes()
+    assert tumor.data.tobytes() == want_tumor.tobytes()
+
+
+def test_each_tissue_keeps_its_noise_and_planes_draw_independently():
+    spec = CRITERION_11
+    ct, labels, tumor = (g.data for g in gen_phantom(spec))
+    dist = centerline_distance(spec)
+    wall = (labels == 1) & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
+    tissues = {"background": labels == 0, "lumen": (labels == 1) & ~wall, "wall": wall, "organ": labels >= 2}
+    tissues = {name: mask & ~tumor for name, mask in tissues.items()} | {"tumor": tumor}  # the tumor is drawn last
+    for name, mask in tissues.items():
+        stats, values = getattr(spec, name), ct[mask].astype(np.float64)
+        n = values.size
+        assert n >= 45, name
+        # criterion 10's bounds as standard errors: 5 / sqrt(n) on the mean, and on the stddev the
+        # 0.02 that is 5 / sqrt(2n) at its 32768 voxels
+        assert abs(values.mean() - stats.mean) < 5.0 * stats.stddev / math.sqrt(n), name
+        assert abs(values.std() - stats.stddev) < 5.0 * stats.stddev / math.sqrt(2 * n), name
+
+    # a plane's draws share no stream with the next plane's
+    bg = tissues["background"]
+    for z in range(spec.dims.nz - 1):
+        both = bg[z] & bg[z + 1]
+        r = np.corrcoef(ct[z][both], ct[z + 1][both])[0, 1]
+        assert abs(r) < 5.0 / math.sqrt(int(both.sum())), z
+
+    # plane z is drawn from default_rng([seed, z]) whatever the slab it is built in
+    oracle = gen_phantom_full(spec)[0].data
+    for z in range(spec.dims.nz):
+        assert phantom_slab(spec, z, z + 1)[0].tobytes() == oracle[z].tobytes() == ct[z].tobytes()
+
+
+def test_a_slab_outside_the_grid_is_refused():
+    for z0, z1 in [(-1, 2), (3, 3), (5, 4), (0, SMALL.dims.nz + 1)]:
+        with pytest.raises(ValueError, match="not a slab"):
+            phantom_slab(SMALL, z0, z1)
 
 
 def test_centerline_distance_on_a_box_is_the_full_grid_slice():

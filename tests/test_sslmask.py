@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anatvox.grid import Dims, VoxelGrid
-from anatvox.sslmask import NoiseSpec, l1_recon_loss, mask_bowel_wall
+from anatvox.sslmask import NoiseSpec, fill_band, l1_recon_loss, mask_bowel_wall
 
 from conftest import ISO, bool_grid, make_grid, random_mask
 
@@ -39,6 +39,18 @@ def test_full_band_noise_statistics():
     n = out.data.size
     assert abs(out.data.mean()) < 5.0 / np.sqrt(n)
     assert abs(out.data.std() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mean, stddev", [(-1.0, 0.05), (0.0, 1.0), (-0.0, 0.0), (3.7, 123.456), (1e300, 1e300)])
+def test_fill_band_takes_rng_normal_draws_bit_for_bit(rng, dtype, mean, stddev):
+    band = random_mask(rng, (9, 10, 11), 0.6)
+    got = np.zeros(band.shape, dtype=dtype)
+    with np.errstate(over="ignore"):  # 1e300-scale draws overflow float32 to inf on both sides
+        fill_band(got, band, np.random.default_rng(8), NoiseSpec(mean=mean, stddev=stddev))
+        want = np.zeros(band.shape, dtype=dtype)
+        want[band] = np.random.default_rng(8).normal(mean, stddev, int(band.sum()))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_masking_is_deterministic_and_outside_untouched(rng):
