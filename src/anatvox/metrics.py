@@ -121,6 +121,7 @@ def _nearest_site_pass(mask: np.ndarray, step: float) -> np.ndarray:
 
 
 _AT_CHUNK = 1 << 13  # candidate sums per step of the last pass at given voxels
+_LINES = 1 << 15  # z lines per block of the z envelope pass, whose state is ~29 B per voxel of a block
 
 
 def _min_along_y(sq: np.ndarray, at: np.ndarray, step: float) -> np.ndarray:
@@ -144,9 +145,10 @@ def edt(mask: VoxelGrid, at: np.ndarray | None = None) -> VoxelGrid | np.ndarray
 
     Exact under anisotropic spacing. Pass 1 gives each voxel its squared
     distance to the nearest true voxel on its x line in closed form; a
-    lower-envelope pass along z and then one along y fold in those axes. An
-    empty mask yields +inf everywhere (the one documented infinity in the
-    package).
+    lower-envelope pass along z and then one along y fold in those axes. The
+    z pass runs on blocks of y rows of at most ``_LINES`` lines, so its state
+    is bounded by a block, not the box. An empty mask yields +inf everywhere
+    (the one documented infinity in the package).
 
     With ``at``, a boolean array of the mask's shape, the y pass runs only at
     ``at``'s true voxels, as a minimum over each voxel's y line, and the
@@ -158,7 +160,9 @@ def edt(mask: VoxelGrid, at: np.ndarray | None = None) -> VoxelGrid | np.ndarray
         raise ValueError(f"at must be a boolean array of shape {mask.data.shape}")
     sz, sy, sx = mask.spacing.zyx
     sq = _nearest_site_pass(mask.data, sx)
-    _envelope_pass(sq, 0, sz)
+    rows = max(1, _LINES // sq.shape[2])
+    for y0 in range(0, sq.shape[1], rows):  # lines are independent, so any blocks give the same bits
+        _envelope_pass(sq[:, y0 : y0 + rows], 0, sz)
     if at is not None:
         d = _min_along_y(sq, at, sy)
         return np.sqrt(d, out=d)

@@ -63,6 +63,25 @@ def _axis_kernel(radius: int, variance: float) -> np.ndarray:
     return np.exp(-(t * t) / (2.0 * variance))
 
 
+# Voxels in one block of the gain passes, the size of the y pass's block buffer and of the tap scratch.
+_BLOCK = 1 << 16
+
+
+def _taps(dst: np.ndarray, src: np.ndarray, k: np.ndarray, axis: int, scratch: np.ndarray) -> None:
+    """dst = 0, then dst[v] += k[i] * src[v + t] for each tap t = i - r that lands in the array, in tap order.
+
+    Each product goes into a view of the flat float64 ``scratch``.
+    """
+    n, r = src.shape[axis], k.size // 2
+    lead = (slice(None),) * axis
+    dst[...] = 0.0
+    for i, t in enumerate(range(-r, r + 1)):
+        part = src[lead + (slice(max(t, 0), n - max(-t, 0)),)]
+        prod = scratch[: part.size].reshape(part.shape)
+        np.multiply(k[i], part, out=prod)
+        dst[lead + (slice(max(-t, 0), n - max(t, 0)),)] += prod
+
+
 def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     """Float64 gain field of a boolean mask array: three separable truncated-Gaussian passes.
 
@@ -71,26 +90,38 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     voxel falls inside the patch box, so the passes run only on the mask's
     bounding box grown by the patch radii: every term the box leaves out adds
     ``k * 0.0``, so the field is bitwise the same as passes over the array.
+
+    One float64 buffer of the box is held, with two blocks of ``_BLOCK``
+    voxels (or of one y row or z plane, if that is larger). The z pass fills
+    it from the boolean crop a block of y rows at a time (``k * True`` is
+    ``k * 1.0``). Then, a block of z planes at a time, the y pass goes into a
+    block buffer and the x pass back into the box buffer. Every voxel takes
+    the same products and sums in the same tap order as three whole-box
+    passes. When the box is the whole array, the buffer is the result.
     """
-    out = np.zeros(mask.shape)
     box = bounding_box(mask, patch.radii)
     if box is None:
-        return out
-    acc = mask[box].astype(np.float64)
-    radii, variances = patch.radii, patch.variances
-    for axis in (0, 1, 2):
-        n = acc.shape[axis]
-        r = min(radii[axis], n - 1)  # a tap |t| >= n lands nowhere in the box
-        k = _axis_kernel(r, variances[axis])
-        lead = (slice(None),) * axis
-        nxt = np.zeros_like(acc)
-        for i, t in enumerate(range(-r, r + 1)):
-            # nxt[v] += k[i] * acc[v + t] wherever v + t is inside the box
-            dst = lead + (slice(max(-t, 0), n - max(t, 0)),)
-            src = lead + (slice(max(t, 0), n - max(-t, 0)),)
-            nxt[dst] += k[i] * acc[src]
-        acc = nxt
+        return np.zeros(mask.shape)
+    crop = mask[box]
+    acc = np.empty(crop.shape)
+    nz, ny, nx = acc.shape
+    k = [_axis_kernel(min(r, n - 1), v)  # a tap |t| >= n lands nowhere in the box
+         for r, n, v in zip(patch.radii, acc.shape, patch.variances)]
+    rows = min(max(1, _BLOCK // (nz * nx)), ny)  # y rows of a z-pass block
+    planes = min(max(1, _BLOCK // (ny * nx)), nz)  # z planes of a y- and x-pass block
+    block = np.empty(planes * ny * nx)
+    scratch = np.empty(max(nz * rows * nx, block.size))
+    for y0 in range(0, ny, rows):
+        _taps(acc[:, y0 : y0 + rows], crop[:, y0 : y0 + rows], k[0], 0, scratch)
+    for z0 in range(0, nz, planes):
+        slab = acc[z0 : z0 + planes]
+        ypass = block[: slab.size].reshape(slab.shape)
+        _taps(ypass, slab, k[1], 1, scratch)
+        _taps(slab, ypass, k[2], 2, scratch)
     acc *= patch.norm_const
+    if crop.shape == mask.shape:
+        return acc
+    out = np.zeros(mask.shape)
     out[box] = acc
     return out
 
@@ -137,6 +168,12 @@ def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: fl
     ``combine_psm``'s operand order. Z rounds unlike a full-grid sum, so a
     value may differ from the reference in its last float64 bits; stored, it
     is within float32 rounding.
+
+    At most two float64 box maps are held, about 16 B per box voxel: the
+    organ's map while the tumor's is built (with ``_gain``'s two blocks, and
+    its buffer on the tumor's own box while that is pasted in), then both
+    while the tumor's, scaled by lam in place, is added into the organ's.
+    The returned map is the organ's buffer.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be finite and > 0, got {mu}")
@@ -157,7 +194,9 @@ def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: fl
     s_o, c_o = part(ooi)
     s_t, c_t = part(tumor)
     s_o *= 1.0 - lam
-    s_o += lam * s_t
+    s_t *= lam  # lam * s_t, bitwise
+    s_o += s_t
+    del s_t
     return s_o, c_o * (1.0 - lam) + lam * c_t
 
 

@@ -122,12 +122,16 @@ def boxed_masks(draw):
     mask=boxed_masks(),
     size=st.tuples(*[st.integers(1, 30)] * 3),
     stddev=st.booleans(),
+    block=st.integers(1, 600),
 )
-def test_gain_map_bitwise_equals_full_grid_passes(mask, size, stddev):
-    # patch radii reach up to 15 voxels, past every axis of the grid
+def test_gain_map_bitwise_equals_full_grid_passes(mask, size, stddev, block):
+    # patch radii reach up to 15 voxels, past every axis of the grid; a box's plane and its
+    # z-by-x section hold at most 144 voxels, so blocks of 1..600 voxels run one row or plane
+    # a block, several with a partial last one, or the whole box, as the default block does
     o = bool_grid(mask, ANISO)
     spec = PatchSpec(size, sigma_is_stddev=stddev)
-    g = gain_map(o, spec).data
+    with mock.patch.object(sampling, "_BLOCK", block):
+        g = gain_map(o, spec).data
     assert g.dtype == np.float64 and g.shape == mask.shape
     assert np.array_equal(g, gain_map_full(o, spec))
 
@@ -167,6 +171,26 @@ def test_gain_passes_build_only_the_taps_that_land():
     g, peak = peak_bytes(gain_map, o, spec)
     assert np.array_equal(g.data, gain_map_full(o, spec))
     assert peak < 2**18  # the full kernel alone is 3.2 MB
+
+
+@pytest.mark.parametrize("block, z_blocks, yx_blocks", [
+    (1, 9, 7),  # one y row a z-pass block, one z plane a y- and x-pass block
+    (198, 5, 4),  # 2 of 9 y rows (2 * 7 * 11 <= 198) and 2 of 7 z planes (2 * 9 * 11 = 198): partial last blocks
+    (1 << 20, 1, 1),  # a box narrower than one block
+])
+@pytest.mark.parametrize("fill", [(slice(None),) * 3, (slice(2, 5), slice(3, 6), slice(4, 7))])
+def test_gain_blocks_split_each_pass_as_documented(rng, block, z_blocks, yx_blocks, fill):
+    # patch radii (2, 3, 4) grow the partial fill's box to the whole 7x9x11 grid
+    mask = np.zeros((7, 9, 11), dtype=bool)
+    mask[fill] = random_mask(rng, mask[fill].shape, 0.4)
+    mask[fill][0, 0, 0] = mask[fill][-1, -1, -1] = True
+    o = bool_grid(mask, ANISO)
+    spec = PatchSpec((5, 7, 9))
+    with mock.patch.object(sampling, "_BLOCK", block), \
+            mock.patch.object(sampling, "_taps", wraps=sampling._taps) as taps:
+        g = gain_map(o, spec).data
+    assert taps.call_count == z_blocks + 2 * yx_blocks
+    assert np.array_equal(g, gain_map_full(o, spec))
 
 
 def test_psm_uniform_for_zero_gain():
@@ -291,6 +315,21 @@ def test_box_psm_rejects_bad_arguments():
         box_psm(o, np.zeros((3, 3, 1), dtype=bool), o.size, spec, 1.0, 0.33)  # it would broadcast
     with pytest.raises(ValueError):
         box_psm(o, np.zeros((3, 3, 3)), o.size, spec, 1.0, 0.33)
+
+
+def test_box_psm_holds_at_most_two_float64_box_maps():
+    # a colon-like cross-section fills the 20x128x128 box, with a tumor ball inside it
+    shape = (20, 128, 128)
+    z, y, x = np.ogrid[:20, :128, :128]
+    ooi = np.broadcast_to((y - 63.5) ** 2 + (x - 63.5) ** 2 <= 62**2, shape).copy()
+    tumor = (z - 10) ** 2 + (y - 40) ** 2 + (x - 70) ** 2 <= 36
+    spec = PatchSpec((16, 32, 32))
+    (s, _), peak = peak_bytes(box_psm, ooi, tumor, 64 * ooi.size, spec, 1.0, 0.33)
+    assert s.shape == shape
+    # the organ's map and the tumor's map on the box (16 B/voxel), the two block buffers of a
+    # gain (1 MiB) and the tumor's gain on its own box: 19.0 B/voxel in all; the earlier version,
+    # two box buffers per gain pass, a product per tap and a third map for lam * s_t, read 32.3
+    assert peak < 17 * ooi.size + 16 * sampling._BLOCK
 
 
 def test_draw_centers_rejects_maps_without_a_distribution():
