@@ -26,6 +26,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -166,11 +167,6 @@ class _MaskStream(_Stream):
         return mask
 
 
-def _slab_planes(shape, halo: int = 0) -> int:
-    """The z planes of one slab of a grid of ``shape``: ``volio.SLAB_VOXELS``, at least 4 halos and 1."""
-    return max(volio.SLAB_VOXELS // (shape[1] * shape[2]), 4 * halo, 1)  # so halos add at most half the reads
-
-
 def _read_planes(src, a: int, b: int) -> np.ndarray:
     """Planes [a, b) of a run source as a (b - a, ny, nx) array."""
     ny, nx = src.shape[1:]
@@ -190,16 +186,14 @@ def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> No
     generator takes a halo of 0, so that it sees each voxel once, in order.
     """
     require_same_geometry(*srcs)
-    (nz, ny, nx), spacing = srcs[0].shape, srcs[0].spacing
-    halo = min(halo, nz)
-    step = _slab_planes((nz, ny, nx), halo)
+    shape, spacing = srcs[0].shape, srcs[0].spacing
+    halo = min(halo, shape[0])
 
-    def slab(z0):  # a function, so that its inputs are freed before the next slab is read
-        z1 = min(z0 + step, nz)
-        a, b = max(z0 - halo, 0), min(z1 + halo, nz)
+    def slab(z0, z1):  # a function, so that its inputs are freed before the next slab is read
+        a, b = max(z0 - halo, 0), min(z1 + halo, shape[0])
         return kernel(*[VoxelGrid(_read_planes(src, a, b), spacing) for src in srcs]).data[z0 - a : z1 - a]
 
-    volio.write_slabs(path, (nz, ny, nx), spacing, volio.VolumeMeta(datatype), map(slab, range(0, nz, step)))
+    volio.write_slabs(path, shape, spacing, volio.VolumeMeta(datatype), starmap(slab, volio.z_slabs(shape, halo)))
 
 
 def _require_new_volumes(*paths) -> None:
@@ -322,10 +316,8 @@ def _read_union_box(srcs, grow=(0, 0, 0)):
     """
     require_same_geometry(*srcs)
     shape = srcs[0].shape
-    step = _slab_planes(shape)
     hits = [np.zeros(n, dtype=bool) for n in shape]  # the planes across each axis that hold the union
-    for z0 in range(0, shape[0], step):
-        z1 = min(z0 + step, shape[0])
+    for z0, z1 in volio.z_slabs(shape):
         union = _read_planes(srcs[0], z0, z1)
         for src in srcs[1:]:
             union |= _read_planes(src, z0, z1)
@@ -335,8 +327,7 @@ def _read_union_box(srcs, grow=(0, 0, 0)):
     del union  # before the box is read
     bz, by, bx = box = hits_box(hits, grow) or (slice(0, 0),) * 3
     crops = [np.empty([sl.stop - sl.start for sl in box], dtype=bool) for _ in srcs]
-    for z0 in range(bz.start, bz.stop, step):
-        z1 = min(z0 + step, bz.stop)
+    for z0, z1 in volio.z_slabs(shape, lo=bz.start, hi=bz.stop):
         for src, crop in zip(srcs, crops):
             crop[z0 - bz.start : z1 - bz.start] = _read_planes(src, z0, z1)[:, by, bx]
     return box, crops
@@ -348,17 +339,16 @@ def _cmd_psm(args, cfg: PipelineConfig) -> int:
         (bz, by, bx), crops = _read_union_box((ooi, tumor), cfg.patch.radii)
         s, c = sampling.box_psm(*crops, ooi.size, cfg.patch, cfg.mu, cfg.lam)
         del crops  # before the map is written
-        shape, step = ooi.shape, _slab_planes(ooi.shape)
 
-        def slab(z0):  # the constant, with the box's planes of the slab pasted in
-            z1 = min(z0 + step, shape[0])
-            out = np.full((z1 - z0, *shape[1:]), c, dtype=np.float32)
+        def slab(z0, z1):  # the constant, with the box's planes of the slab pasted in
+            out = np.full((z1 - z0, *ooi.shape[1:]), c, dtype=np.float32)
             a, b = max(z0, bz.start), min(z1, bz.stop)
             if a < b:
                 out[a - z0 : b - z0, by, bx] = s[a - bz.start : b - bz.start]
             return out
 
-        volio.write_slabs(args.out, shape, ooi.spacing, volio.VolumeMeta("float32"), map(slab, range(0, shape[0], step)))
+        volio.write_slabs(args.out, ooi.shape, ooi.spacing, volio.VolumeMeta("float32"),
+                          starmap(slab, volio.z_slabs(ooi.shape)))
     return 0
 
 
@@ -372,13 +362,13 @@ def _swept_patches(image, centers: np.ndarray, size, pad):
     center shifted by the slab's first plane, is padded as on the whole image.
     """
     nz, (dz, rz) = image.shape[0], (size[0], size[0] // 2)
-    step = _slab_planes(image.shape)
+    slabs = volio.z_slabs(image.shape)
     order = np.argsort(centers[:, 0], kind="stable")
-    bounds = np.searchsorted(centers[order, 0], range(0, nz + step, step))
-    for z0, lo, hi in zip(range(0, nz, step), bounds, bounds[1:]):
+    bounds = np.searchsorted(centers[order, 0], [z0 for z0, _ in slabs] + [nz])
+    for (z0, z1), lo, hi in zip(slabs, bounds, bounds[1:]):
         if lo == hi:
             continue
-        a, b = max(z0 - rz, 0), min(min(z0 + step, nz) - 1 - rz + dz, nz)
+        a, b = max(z0 - rz, 0), min(z1 - 1 - rz + dz, nz)
         slab = VoxelGrid(_read_planes(image, a, b), image.spacing)
         for i in order[lo:hi]:
             z, y, x = centers[i]
@@ -506,9 +496,8 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         (args.out_tumor, "uint8", lambda z0, z1: phantom.tumor_mask(spec, z0, z1)),
     )
     _require_new_volumes(*(path for path, _, _ in volumes))  # so that no write fails after another
-    nz, step = spec.dims.nz, _slab_planes(spec.dims.shape)
     for path, datatype, build in volumes:
-        slabs = (build(z0, min(z0 + step, nz)) for z0 in range(0, nz, step))
+        slabs = (build(z0, z1) for z0, z1 in volio.z_slabs(spec.dims.shape))
         volio.write_slabs(path, spec.dims.shape, spec.spacing, volio.VolumeMeta(datatype), slabs)
     return 0
 

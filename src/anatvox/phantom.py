@@ -281,12 +281,10 @@ def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
     Identical spec gives bit-identical output, and no float64 temporary spans
     the grid.
     """
-    nz, ny, nx = spec.dims.shape
     ct = np.empty(spec.dims.shape, dtype=np.float32)
     labels = np.zeros(spec.dims.shape, dtype=np.uint8)
     tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
-    step = max(1, volio.SLAB_VOXELS // (ny * nx))
-    for z0 in range(0, nz, step):
-        slab = np.s_[z0 : z0 + step]
+    for z0, z1 in volio.z_slabs(spec.dims.shape):
+        slab = np.s_[z0:z1]
         _draw_ct(spec, z0, ct[slab], labels[slab], tumor[slab], *_fill_shapes(spec, z0, labels[slab], tumor[slab]))
     return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)

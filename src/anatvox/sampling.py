@@ -132,28 +132,50 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
     return interest.with_data(_gain(interest.data, patch))
 
 
+def _blend(s: np.ndarray, n: int, mu: float) -> tuple[np.ndarray, float]:
+    """s <- (s / mu + 1/n) / Z in place, for a float64 gain on part of an n-voxel grid; returns s and the map off it.
+
+    Z adds the n - s.size voxels off ``s``, of gain 0, as one term: an exact 0.0 when ``s`` is the grid. Raises
+    ValueError for a mu that is not finite and > 0, or so small that the blend overflows float64.
+    """
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    try:
+        with np.errstate(over="raise"):
+            s /= mu
+            s += 1.0 / n
+            z = np.sum(s, dtype=np.float64) + (n - s.size) * (1.0 / n)
+    except FloatingPointError:
+        raise ValueError(f"mu = {mu} is too small: gain / mu overflows float64") from None
+    s /= z
+    return s, (1.0 / n) / z
+
+
+def _mix(a, b, lam: float):
+    """a <- (1 - lam) * a + lam * b, returned; in place in ``a`` and ``b`` when they are arrays."""
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    a *= 1.0 - lam
+    b *= lam  # lam * b, bitwise
+    a += b
+    return a
+
+
 def psm_from_gain(gain: VoxelGrid, mu: float = 1.0) -> VoxelGrid:
     """Blend the gain field with the uniform map and renormalize, as a float64 grid.
 
     s_i = (g_i / mu + 1/n) / sum_j (g_j / mu + 1/n). Every probability is
     strictly positive because of the uniform floor.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    s = gain.data.astype(np.float64, copy=False) / mu
-    s += 1.0 / s.size
-    s /= np.sum(s, dtype=np.float64)
+    s, _ = _blend(gain.data.astype(np.float64), gain.data.size, mu)  # on a copy
     return gain.with_data(s)
 
 
 def combine_psm(s_organ: VoxelGrid, s_tumor: VoxelGrid, lam: float) -> VoxelGrid:
     """Convex mix of the organ-driven and tumor-driven maps."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_same_geometry(s_organ, s_tumor)
-    mixed = s_organ.data * (1.0 - lam)
-    mixed += lam * s_tumor.data
-    return s_organ.with_data(mixed)
+    a, b = (g.data.astype(np.result_type(g.data, 1.0)) for g in (s_organ, s_tumor))  # copies, as each term's dtype
+    return s_organ.with_data(_mix(a, b, lam))
 
 
 def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
@@ -162,42 +184,20 @@ def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: fl
     ``ooi`` and ``tumor`` are boolean masks of a grid of ``n`` voxels, both
     cropped to the box of their union grown by the patch radii (an empty
     union crops to an empty box). Neither gain reaches past the box, so each
-    map off it is the constant (1/n) / Z. The grid's map is the constant as
-    float32 with the box pasted in. Each map is built in float64 on the box
-    only, with Z = box sum + (n - box size) / n, and the two are mixed in
-    ``combine_psm``'s operand order. Z rounds unlike a full-grid sum, so a
-    value may differ from the reference in its last float64 bits; stored, it
-    is within float32 rounding.
-
-    At most two float64 box maps are held, about 16 B per box voxel: the
-    organ's map while the tumor's is built (with ``_gain``'s two blocks, and
-    its buffer on the tumor's own box while that is pasted in), then both
-    while the tumor's, scaled by lam in place, is added into the organ's.
-    The returned map is the organ's buffer.
+    map off it is the constant (1/n) / Z; the grid's map is the constant as
+    float32 with the box pasted in. Blend and mix are ``psm_from_gain``'s and
+    ``combine_psm``'s steps, run on the box: with the box equal to the grid
+    the map is bitwise theirs, and on a smaller box Z may round otherwise,
+    within float32 rounding once stored. At most two float64 box maps are
+    held, about 16 B per box voxel: the organ's while the tumor's gain is
+    built (with ``_gain``'s two blocks and the tumor's own box), then both.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
     require_bool(ooi, tumor)
     if ooi.shape != tumor.shape:
         raise ValueError(f"mask box shapes differ: {ooi.shape} vs {tumor.shape}")
-
-    def part(mask: np.ndarray):  # (map on the box, map off the box)
-        s = _gain(mask, patch)
-        s /= mu
-        s += 1.0 / n
-        z = np.sum(s, dtype=np.float64) + (n - s.size) * (1.0 / n)
-        s /= z
-        return s, (1.0 / n) / z
-
-    s_o, c_o = part(ooi)
-    s_t, c_t = part(tumor)
-    s_o *= 1.0 - lam
-    s_t *= lam  # lam * s_t, bitwise
-    s_o += s_t
-    del s_t
-    return s_o, c_o * (1.0 - lam) + lam * c_t
+    # each gain is blended as soon as it is built, while its map is still in cache
+    (s_o, c_o), (s_t, c_t) = (_blend(_gain(m, patch), n, mu) for m in (ooi, tumor))
+    return _mix(s_o, s_t, lam), _mix(c_o, c_t, lam)
 
 
 # Voxels the draw widens at once, into one reused 2 MB float64 buffer (2^16..2^20 draw equally fast).

@@ -51,14 +51,19 @@ def fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, nois
     run, a z slab or a box. ``noise`` needs only a ``mean`` and a ``stddev``.
     Each draw is rounded once to ``slab``'s dtype. Drawing k normals in pieces
     gives the same stream as one draw of k, so filling the slabs of a grid in
-    order with one generator fills it as one slab would.
+    order with one generator fills it as one slab would. A draw that overflows
+    ``slab``'s dtype raises ValueError, with the band voxels left undefined.
     """
     count = int(np.count_nonzero(band))
     if count:
         draws = rng.standard_normal(count)  # rng.normal's draws bit for bit, scaled in place
-        draws *= noise.stddev
-        draws += noise.mean
-        slab[band] = draws  # cast as assigned, with no copy
+        try:
+            with np.errstate(over="raise"):
+                draws *= noise.stddev
+                draws += noise.mean
+                slab[band] = draws  # cast as assigned, with no copy
+        except FloatingPointError:
+            raise ValueError(f"noise of mean {noise.mean} and stddev {noise.stddev} overflows {slab.dtype}") from None
 
 
 def l1_recon_loss(image: VoxelGrid, recon: VoxelGrid, restrict_to: VoxelGrid | None = None) -> float:

@@ -236,6 +236,13 @@ _PARSERS = {".nii": _parse_nifti, ".raw": _parse_rawjson, ".json": _parse_rawjso
 SLAB_VOXELS = 1 << 20
 
 
+def z_slabs(shape, halo: int = 0, lo: int = 0, hi: int | None = None) -> list[tuple[int, int]]:
+    """(z0, z1) of each slab of z planes [lo, hi), or all, of ``shape``: ``SLAB_VOXELS``, >= 4 halos, >= 1 plane."""
+    step = max(SLAB_VOXELS // (shape[1] * shape[2]), 4 * halo, 1)  # so halos add at most half the reads
+    hi = shape[0] if hi is None else hi
+    return [(z0, min(z0 + step, hi)) for z0 in range(lo, hi, step)]
+
+
 def _volume_path(path) -> Path:
     path = Path(path)
     if path.suffix not in _PARSERS:

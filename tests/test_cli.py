@@ -1102,3 +1102,85 @@ def test_stage_holds_one_copy_of_each_input(stage_inputs, stage):
         status, peak = peak_bytes(run, [a.format(d=stage_inputs) for a in argv])
     assert status == 0
     assert peak < bound * math.prod(_STAGE_SHAPE)
+
+
+def _finite_or_refused(rc: int, err: str, d: Path, inputs, outs) -> None:
+    """Exit 0 with only finite voxels in every output, or exit 1 with one ``error:`` line and no output file."""
+    if rc == 0:
+        assert err == ""
+        for out in outs:
+            assert np.isfinite(read_volume(out)[0].data).all()
+    else:
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in d.iterdir()) == sorted(inputs)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(masks=mask_pairs(), mu=st.floats(5e-324, 1e308))
+def test_psm_at_any_mu_writes_a_finite_map_or_refuses(capsys, masks, mu):
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        a, b = _write_masks(d, masks)
+        rc = run(["psm", "--ooi", str(a), "--tumor", str(b), "--mu", repr(mu), "--out", str(d / "psm.nii")])
+        err = capsys.readouterr().err
+        _finite_or_refused(rc, err, d, ["a.nii", "b.nii"], [d / "psm.nii"])
+        if rc == 1:
+            assert "mu" in err and (masks[0].any() or masks[1].any())
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ct=arrays(np.float32, st.tuples(*[st.integers(1, 4)] * 3), elements=st.floats(-1e3, 1e3, width=32)),
+       data=st.data(), mean=st.floats(-1e308, 1e308), stddev=st.floats(0, 1e308))
+def test_ssl_mask_at_any_noise_writes_a_finite_ct_or_refuses(capsys, ct, data, mean, stddev):
+    band = data.draw(arrays(np.bool_, ct.shape))
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        write_volume(VoxelGrid(ct, ANISO), VolumeMeta("float32"), d / "ct.nii")
+        write_volume(VoxelGrid(band.astype(np.uint8), ANISO), VolumeMeta("uint8"), d / "wall.nii")
+        rc = run(["ssl-mask", "--ct", str(d / "ct.nii"), "--wall", str(d / "wall.nii"), "--seed", "4",
+                  f"--noise-mean={mean!r}", f"--noise-std={stddev!r}", "--out", str(d / "masked.nii")])
+        _finite_or_refused(rc, capsys.readouterr().err, d, ["ct.nii", "wall.nii"], [d / "masked.nii"])
+
+
+TISSUE = st.tuples(st.floats(-1e308, 1e308), st.floats(0, 1e308)).map(list)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(intensity=st.fixed_dictionaries({r: TISSUE for r in ("background", "lumen", "wall", "tumor", "organ")}))
+def test_phantom_at_any_tissue_stats_writes_a_finite_ct_or_refuses(capsys, intensity):
+    spec = {"dims": [4, 24, 24], "spacing": [2.0, 1.0, 1.0], "tube_radius_mm": 3.0, "wall_thickness_mm": 1.0,
+            "tumor_radius_mm": 1.0, "seed": 5, "intensity": intensity}  # every tissue holds voxels
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "spec.json").write_text(json.dumps(spec))
+        outs = [d / "ct.nii", d / "labels.nii", d / "tumor.nii"]
+        rc = run(["phantom", "--spec", str(d / "spec.json"), "--out-ct", str(outs[0]),
+                  "--out-labels", str(outs[1]), "--out-tumor", str(outs[2])])
+        _finite_or_refused(rc, capsys.readouterr().err, d, ["spec.json"], outs)
+
+
+@pytest.mark.parametrize("stage", ["psm", "ssl-mask", "phantom"])
+def test_an_overflowing_map_or_noise_exits_1_and_writes_nothing(tmp_path, capsys, stage):
+    d = tmp_path
+    if stage == "psm":  # one mask voxel on a 4x5x6 grid
+        mask = np.zeros((4, 5, 6), dtype=bool)
+        mask[1, 2, 3] = True
+        a, b = _write_masks(d, (mask, mask))
+        argv = ["psm", "--ooi", str(a), "--tumor", str(b), "--mu", "1e-320", "--out", str(d / "psm.nii")]
+    elif stage == "ssl-mask":
+        grid = VoxelGrid(np.ones((2, 3, 4), dtype=np.uint8), ANISO)
+        write_volume(grid, VolumeMeta("float32"), d / "a.nii")
+        write_volume(grid, VolumeMeta("uint8"), d / "b.nii")
+        argv = ["ssl-mask", "--ct", str(d / "a.nii"), "--wall", str(d / "b.nii"), "--seed", "4",
+                "--noise-mean", "1e308", "--noise-std", "1e308", "--out", str(d / "masked.nii")]
+    else:
+        spec = {"dims": [8, 40, 40], "spacing": [2.0, 1.0, 1.0], "tube_radius_mm": 4.0, "wall_thickness_mm": 1.5,
+                "tumor_radius_mm": 2.0, "intensity": {"background": [1e308, 0.05]}}
+        (d / "spec.json").write_text(json.dumps(spec))
+        argv = ["phantom", "--spec", str(d / "spec.json"), "--out-ct", str(d / "ct.nii"),
+                "--out-labels", str(d / "labels.nii"), "--out-tumor", str(d / "tumor.nii")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("mu = 1e-320" if stage == "psm" else "overflows float32") in err
+    assert sorted(p.name for p in d.iterdir()) == (["spec.json"] if stage == "phantom" else ["a.nii", "b.nii"])

@@ -1,4 +1,4 @@
-"""Public operations never write through their inputs, though the CLI stages work in place.
+"""Public operations never write through their inputs, though the CLI stages and the psm steps work in place.
 
 Each test runs an operation and checks that every input array it was given
 holds the same bytes afterwards.
@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from anatvox.grid import VoxelGrid, to_bool
 from anatvox.maskgen import OrganConfig, build_ooi, select_labels
 from anatvox.morphology import FACE6, FULL26, boundary_band, dilate, erode
+from anatvox.sampling import PatchSpec, box_psm, combine_psm, gain_map, psm_from_gain
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, write_volume
 
@@ -65,6 +66,27 @@ def test_mask_bowel_wall_leaves_image_and_band_unchanged(data, dtype, seed):
     out = mask_bowel_wall(image, band, NoiseSpec(seed=seed))
     assert unchanged()
     assert not np.shares_memory(out.data, image.data)
+
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=100)
+@given(data=st.data(), mask=arrays(np.bool_, SHAPES), size=st.tuples(*[st.integers(1, 5)] * 3),
+       mu=st.sampled_from([0.5, 1.0, 2.0]), lam=st.sampled_from([0.0, 0.33, 1.0]))
+def test_the_psm_algebra_leaves_its_masks_gains_and_maps_unchanged(data, mask, size, mu, lam):
+    # the blend and the mix work in place, so each public step must hand them a copy
+    ooi, tumor = VoxelGrid(mask, ANISO), VoxelGrid(data.draw(arrays(np.bool_, mask.shape)), ANISO)
+    gain, s_organ, s_tumor = (
+        VoxelGrid(data.draw(arrays(data.draw(FLOATS), mask.shape, elements=st.floats(0, 4, width=32))), ANISO)
+        for _ in range(3)
+    )
+    unchanged = _unchanged(ooi, tumor, gain, s_organ, s_tumor)
+    spec = PatchSpec(size)
+    outs = [gain_map(ooi, spec).data, psm_from_gain(gain, mu).data, combine_psm(s_organ, s_tumor, lam).data,
+            box_psm(ooi.data, tumor.data, mask.size, spec, mu, lam)[0]]
+    assert unchanged()
+    assert not any(np.shares_memory(out, g.data) for out in outs for g in (ooi, tumor, gain, s_organ, s_tumor))
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -304,6 +304,37 @@ def test_mixed_psm_is_the_stored_reference_on_the_criterion_11_phantom():
     assert np.array_equal(mixed_psm(ooi, tumor, spec, 1.0, 0.33).data, want)
 
 
+@settings(max_examples=300)
+@given(
+    masks=mask_pairs(),
+    size=st.tuples(*[st.integers(1, 30)] * 3),
+    stddev=st.booleans(),
+    lam=st.floats(0.0, 1.0),
+    mu=st.floats(1e-3, 1e3),
+)
+def test_box_psm_on_the_whole_grid_is_the_library_chain_bitwise(masks, size, stddev, lam, mu):
+    # one blend and one mix: with no voxel off the box, box_psm runs exactly the library's steps
+    spec = PatchSpec(size, sigma_is_stddev=stddev)
+    s, _ = box_psm(*masks, masks[0].size, spec, mu, lam)
+    want = combine_psm(*(psm_from_gain(gain_map(bool_grid(m, ANISO), spec), mu) for m in masks), lam).data
+    assert s.dtype == want.dtype and s.tobytes() == want.tobytes()
+
+
+def test_psm_refuses_a_mu_that_overflows_the_blend_and_stays_uniform_on_empty_masks():
+    mask = np.zeros((4, 4, 4), dtype=bool)
+    mask[1, 2, 3] = True
+    spec = PatchSpec((2, 2, 2))
+    for mu in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"mu = {mu}"):
+            psm_from_gain(gain_map(bool_grid(mask), spec), mu)
+        with pytest.raises(ValueError, match=f"mu = {mu}"):
+            box_psm(mask, mask, mask.size, spec, mu, 0.33)
+        empty = np.zeros_like(mask)
+        assert np.all(psm_from_gain(gain_map(bool_grid(empty), spec), mu).data == 1.0 / 64)
+        s, c = box_psm(empty[:0, :0, :0], empty[:0, :0, :0], 64, spec, mu, 0.33)
+        assert s.size == 0 and c == box_psm(empty[:0, :0, :0], empty[:0, :0, :0], 64, spec, 1.0, 0.33)[1]
+
+
 def test_box_psm_rejects_bad_arguments():
     o = np.zeros((3, 3, 3), dtype=bool)
     spec = PatchSpec((2, 2, 2))
