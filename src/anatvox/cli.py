@@ -55,10 +55,8 @@ class PipelineConfig:
     hd_penalty_mm: float = 1000.0
 
     def __post_init__(self):
-        if not 0 <= self.lam <= 1:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        sampling.require_lambda(self.lam)
+        sampling.require_mu(self.mu)
         for name in ("nsd_tol_mm", "hd_penalty_mm"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -191,23 +189,9 @@ def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> No
 
     def slab(z0, z1):  # a function, so that its inputs are freed before the next slab is read
         a, b = max(z0 - halo, 0), min(z1 + halo, shape[0])
-        return kernel(*[VoxelGrid(_read_planes(src, a, b), spacing) for src in srcs]).data[z0 - a : z1 - a]
+        return [kernel(*[VoxelGrid(_read_planes(src, a, b), spacing) for src in srcs]).data[z0 - a : z1 - a]]
 
-    volio.write_slabs(path, shape, spacing, volio.VolumeMeta(datatype), starmap(slab, volio.z_slabs(shape, halo)))
-
-
-def _require_new_volumes(*paths) -> None:
-    """Refuse an output volume that names a directory, has no directory to go in or shares a file with another."""
-    owner = {}
-    for k, path in enumerate(paths):
-        for f in volio.volume_files(path):
-            if f.is_dir():
-                raise ValueError(f"{path}: is a directory")
-            if not f.parent.is_dir():
-                raise ValueError(f"{path}: {f.parent} is not an existing directory")
-            other = owner.setdefault(f.resolve(), k)
-            if other != k:
-                raise ValueError(f"{path}: writes {f}, as {paths[other]} does")
+    volio.write_slabs([(path, volio.VolumeMeta(datatype))], shape, spacing, starmap(slab, volio.z_slabs(shape, halo)))
 
 
 def _write_float(grid: VoxelGrid, path) -> None:
@@ -216,7 +200,7 @@ def _write_float(grid: VoxelGrid, path) -> None:
 
 
 def _emit_json(obj, out_path) -> None:
-    _emit_text([json.dumps(obj, indent=2, sort_keys=True) + "\n"], out_path)
+    _emit_text([json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"], out_path)
 
 
 def _emit_text(chunks, out_path) -> None:
@@ -345,9 +329,9 @@ def _cmd_psm(args, cfg: PipelineConfig) -> int:
             a, b = max(z0, bz.start), min(z1, bz.stop)
             if a < b:
                 out[a - z0 : b - z0, by, bx] = s[a - bz.start : b - bz.start]
-            return out
+            return [out]
 
-        volio.write_slabs(args.out, ooi.shape, ooi.spacing, volio.VolumeMeta("float32"),
+        volio.write_slabs([(args.out, volio.VolumeMeta("float32"))], ooi.shape, ooi.spacing,
                           starmap(slab, volio.z_slabs(ooi.shape)))
     return 0
 
@@ -380,8 +364,9 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
     _require(args, "psm", "seed")
     if args.patch_dir:
         _require(args, "image")  # before anything is written
-    elif args.image is not None:
-        raise UsageError("--image is read only to cut patches into --patch-dir")
+    elif args.image is not None or args.pad is not None:
+        raise UsageError("--image and --pad are read only to cut patches into --patch-dir")
+    pad = 0.0 if args.pad is None else args.pad
     with _Stream(args.psm) as psm:
         try:
             centers = sampling.draw_centers(psm, args.count, args.seed)
@@ -394,7 +379,7 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
         with _Stream(args.image) as image:  # every check on the image comes before the first write
             if image.shape != shape:
                 raise ValueError(f"{args.image}: shape {image.shape} is not the map's {shape}")
-            pad_value(args.pad, volio.DATATYPES[image.meta.datatype][1])
+            pad_value(pad, volio.DATATYPES[image.meta.datatype][1])
             out_dir = Path(args.patch_dir)  # its nearest existing ancestor must be a directory
             if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
                 raise ValueError(f"{out_dir}: --patch-dir is not a directory and cannot be made one")
@@ -402,7 +387,7 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
                 for lo in range(0, image.size, volio.SLAB_VOXELS):
                     image.read(lo, min(lo + volio.SLAB_VOXELS, image.size))  # each run is checked as it is read
             out_dir.mkdir(parents=True, exist_ok=True)
-            for i, patch in _swept_patches(image, centers, cfg.patch.size, args.pad):
+            for i, patch in _swept_patches(image, centers, cfg.patch.size, pad):
                 _write_float(patch, out_dir / f"patch_{i:04d}.nii")
     _emit_text(_centers_json(args.count, args.seed, centers), args.out)  # after the sweep, so --out may name the image
     return 0
@@ -469,13 +454,15 @@ def _cmd_metrics(args, cfg: PipelineConfig) -> int:
             raise UsageError("--cohort takes its cases from the manifest, not from --gt or --pred")
         _require(args, "out")
         cases = _read_manifest(args.cohort)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs or 1) as pool:
             # map yields in manifest order, so the first failing case is the one reported
             reports = list(pool.map(lambda c: _cohort_case(c, cfg), cases))
         pairs = [(case_id, report) for (_, case_id, _), report in zip(cases, reports)]
         metrics.write_cohort_report(args.out, pairs)
         return 0
     _require(args, "gt", "pred")
+    if args.jobs is not None:
+        raise UsageError("--jobs sets the threads that score a --cohort's cases")
     report = _metric_case((args.gt, args.pred), cfg)
     _emit_json(report.as_dict(), args.out)
     return 0
@@ -490,15 +477,10 @@ def _cmd_phantom(args, cfg: PipelineConfig) -> int:
         spec = phantom.PhantomSpec.from_json(obj)
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad phantom spec {args.spec}: {exc}") from None
-    volumes = (  # each volume in its own pass; only the ct's draws noise, and only the tumor's skips the labels
-        (args.out_ct, "float32", lambda z0, z1: phantom.phantom_slab(spec, z0, z1)[0]),
-        (args.out_labels, "uint8", lambda z0, z1: phantom.phantom_slab(spec, z0, z1, ct=False)[1]),
-        (args.out_tumor, "uint8", lambda z0, z1: phantom.tumor_mask(spec, z0, z1)),
-    )
-    _require_new_volumes(*(path for path, _, _ in volumes))  # so that no write fails after another
-    for path, datatype, build in volumes:
-        slabs = (build(z0, z1) for z0, z1 in volio.z_slabs(spec.dims.shape))
-        volio.write_slabs(path, spec.dims.shape, spec.spacing, volio.VolumeMeta(datatype), slabs)
+    outputs = [(path, volio.VolumeMeta(datatype)) for path, datatype in
+               ((args.out_ct, "float32"), (args.out_labels, "uint8"), (args.out_tumor, "uint8"))]
+    slabs = (phantom.phantom_slab(spec, z0, z1) for z0, z1 in volio.z_slabs(spec.dims.shape))
+    volio.write_slabs(outputs, spec.dims.shape, spec.spacing, slabs)
     return 0
 
 
@@ -539,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--image", help="volume to cut patches from")
     p.add_argument("--patch-dir", dest="patch_dir", help="directory for patch volumes")
-    p.add_argument("--pad", type=_finite_float, default=0.0, help="value of patch voxels outside the image")
+    p.add_argument("--pad", type=_finite_float, help="value of patch voxels outside the image (default 0)")
 
     p = stage("ssl-mask", _cmd_ssl_mask, "replace bowel-wall voxels with seeded noise")
     p.add_argument("--ct")
@@ -558,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred")
     p.add_argument("--out")
     p.add_argument("--cohort", help="JSON-lines manifest of {case_id, gt, pred}")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, help="threads that score a --cohort's cases (default 1)")
 
     p = stage("phantom", _cmd_phantom, "generate a synthetic phantom from a spec JSON")
     p.add_argument("--spec")

@@ -140,15 +140,35 @@ def _min_along_y(sq: np.ndarray, at: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _require_finite_terms(shape, spacing) -> None:
+    """Refuse a shape and spacing whose squared mm distances or envelope crossings can overflow float64.
+
+    ``span``, the sum over axes of (2 n step)^2, is at least 4 times every
+    squared distance, every product of pass 1 and every sum the envelope
+    passes form. A crossing divides a difference of two such sums by at
+    least 2 step^2 of an axis of 2 or more voxels the envelope runs along (z
+    and y), so it is at most span / (8 step^2). Both bounds must be finite,
+    and that step^2 must not round to 0.
+    """
+    span = sum((2 * n * s) * (2 * n * s) for n, s in zip(shape, spacing.zyx))
+    steps = [s * s for n, s in zip(shape[:2], spacing.zyx[:2]) if n > 1]
+    if not (math.isfinite(span) and all(w2 > 0 and math.isfinite(span / w2) for w2 in steps)):
+        raise ValueError(f"spacing {spacing.zyx} mm on a grid of shape {tuple(shape)}: "
+                         "squared distances overflow float64")
+
+
 def edt(mask: VoxelGrid, at: np.ndarray | None = None) -> VoxelGrid | np.ndarray:
     """Distance in mm from every voxel to the nearest true voxel.
 
     Exact under anisotropic spacing. Pass 1 gives each voxel its squared
     distance to the nearest true voxel on its x line in closed form; a
     lower-envelope pass along z and then one along y fold in those axes. The
-    z pass runs on blocks of y rows of at most ``_LINES`` lines, so its state
-    is bounded by a block, not the box. An empty mask yields +inf everywhere
-    (the one documented infinity in the package).
+    z pass runs on blocks of y rows of at most ``_LINES`` lines, and the y
+    pass on blocks of z planes of at most as many voxels, so their state is
+    bounded by a block, not the box. An empty mask yields +inf everywhere
+    (the one documented infinity in the package). A spacing whose squared
+    distances could overflow float64 on the mask's shape is refused with a
+    ValueError before any pass.
 
     With ``at``, a boolean array of the mask's shape, the y pass runs only at
     ``at``'s true voxels, as a minimum over each voxel's y line, and the
@@ -158,15 +178,19 @@ def edt(mask: VoxelGrid, at: np.ndarray | None = None) -> VoxelGrid | np.ndarray
     require_bool(mask.data)
     if at is not None and not (isinstance(at, np.ndarray) and at.dtype == np.bool_ and at.shape == mask.data.shape):
         raise ValueError(f"at must be a boolean array of shape {mask.data.shape}")
+    _require_finite_terms(mask.data.shape, mask.spacing)
     sz, sy, sx = mask.spacing.zyx
     sq = _nearest_site_pass(mask.data, sx)
-    rows = max(1, _LINES // sq.shape[2])
-    for y0 in range(0, sq.shape[1], rows):  # lines are independent, so any blocks give the same bits
+    nz, ny, nx = sq.shape
+    rows = max(1, _LINES // nx)
+    for y0 in range(0, ny, rows):  # lines are independent, so any blocks give the same bits
         _envelope_pass(sq[:, y0 : y0 + rows], 0, sz)
     if at is not None:
         d = _min_along_y(sq, at, sy)
         return np.sqrt(d, out=d)
-    _envelope_pass(sq, 1, sy)
+    planes = max(1, rows * nz // ny)  # a block of at most a z-pass block's voxels
+    for z0 in range(0, nz, planes):
+        _envelope_pass(sq[z0 : z0 + planes], 1, sy)
     return mask.with_data(np.sqrt(sq, out=sq))
 
 
@@ -245,14 +269,14 @@ def cohort_lines(cases: Iterable[tuple[str, MetricReport]]) -> list[str]:
     count = 0
     for case_id, report in cases:
         rec = {"case_id": case_id, **report.as_dict()}
-        lines.append(json.dumps(rec, sort_keys=True))
+        lines.append(json.dumps(rec, sort_keys=True, allow_nan=False))
         for key in sums:
             sums[key] += rec[key]
         count += 1
     if count == 0:
         raise ValueError("cohort is empty")
     mean = {"case_id": "mean", **{k: v / count for k, v in sums.items()}}
-    lines.append(json.dumps(mean, sort_keys=True))
+    lines.append(json.dumps(mean, sort_keys=True, allow_nan=False))
     return lines
 
 

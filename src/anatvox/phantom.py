@@ -171,27 +171,11 @@ def _cut(box, z0: int, z1: int):
     return (slice(a, b), *yx), (slice(a - z0, b - z0), *yx)
 
 
-def _slab_shape(spec: PhantomSpec, z0: int, z1: int) -> tuple[int, int, int]:
-    nz, ny, nx = spec.dims.shape
-    if not 0 <= z0 < z1 <= nz:
-        raise ValueError(f"planes [{z0}, {z1}) are not a slab of a grid of {nz} planes")
-    return z1 - z0, ny, nx
-
-
 def _lesion_box(spec: PhantomSpec) -> tuple[slice, slice, slice]:
     sz, sy, sx = spec.spacing.zyx
     tz, ty, tx = tumor_center_voxel(spec)
     r = spec.tumor_radius_mm
     return _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
-
-
-def _fill_tumor(spec: PhantomSpec, z0: int, tumor: np.ndarray) -> None:
-    """Set the tumor's voxels of the zeroed ``tumor``, the planes from z0."""
-    sz, sy, sx = spec.spacing.zyx
-    tz, ty, tx = tumor_center_voxel(spec)
-    lesion, at = _cut(_lesion_box(spec), z0, z0 + len(tumor))
-    z, y, x = _grid_coords_mm(spec, lesion)
-    tumor[at] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
 
 
 def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarray):
@@ -210,7 +194,10 @@ def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarr
     colon = dist <= spec.tube_radius_mm
     wall = colon & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
     labels[tube_at][colon] = 1
-    _fill_tumor(spec, z0, tumor)
+    tz, ty, tx = tumor_center_voxel(spec)
+    lesion, at = _cut(_lesion_box(spec), z0, z1)
+    z, y, x = _grid_coords_mm(spec, lesion)
+    tumor[at] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
 
     # Distractor ellipsoids claim only background voxels so labels stay a
     # partition; their geometry is the only seed-dependent shape.
@@ -245,15 +232,8 @@ def _draw_ct(spec: PhantomSpec, z0: int, ct: np.ndarray, labels, tumor, tube_at,
         sslmask.fill_band(plane[yx], tumor[k][yx], rng, spec.tumor)
 
 
-def tumor_mask(spec: PhantomSpec, z0: int, z1: int) -> np.ndarray:
-    """The tumor ground truth of the z planes [z0, z1): the voxels whose centers lie within its radius of its center."""
-    tumor = np.zeros(_slab_shape(spec, z0, z1), dtype=np.bool_)
-    _fill_tumor(spec, z0, tumor)
-    return tumor
-
-
-def phantom_slab(spec: PhantomSpec, z0: int, z1: int, ct: bool = True):
-    """(ct, labels, tumor_gt) of the z planes [z0, z1), as arrays; ``ct=False`` skips the noise and gives None.
+def phantom_slab(spec: PhantomSpec, z0: int, z1: int):
+    """(ct, labels, tumor_gt) of the z planes [z0, z1), as arrays.
 
     Each shape is evaluated only on its own voxel box cut to the slab, and the
     distractors are placed by the same draws from ``default_rng(spec.seed)``
@@ -263,14 +243,15 @@ def phantom_slab(spec: PhantomSpec, z0: int, z1: int, ct: bool = True):
     its consecutive draws in that order, each region in C order, and a later
     region overwrites an earlier one where they meet (the tumor the wall).
     """
-    shape = _slab_shape(spec, z0, z1)
+    nz, ny, nx = spec.dims.shape
+    if not 0 <= z0 < z1 <= nz:
+        raise ValueError(f"planes [{z0}, {z1}) are not a slab of a grid of {nz} planes")
+    shape = (z1 - z0, ny, nx)
     labels, tumor = np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.bool_)
     colon = _fill_shapes(spec, z0, labels, tumor)
-    if not ct:
-        return None, labels, tumor
-    out = np.empty(shape, dtype=np.float32)  # allocated after the shapes' float64 temporaries are gone
-    _draw_ct(spec, z0, out, labels, tumor, *colon)
-    return out, labels, tumor
+    ct = np.empty(shape, dtype=np.float32)  # allocated after the shapes' float64 temporaries are gone
+    _draw_ct(spec, z0, ct, labels, tumor, *colon)
+    return ct, labels, tumor
 
 
 def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:

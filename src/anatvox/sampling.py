@@ -132,14 +132,25 @@ def gain_map(interest: VoxelGrid, patch: PatchSpec) -> VoxelGrid:
     return interest.with_data(_gain(interest.data, patch))
 
 
+def require_mu(mu: float) -> None:
+    """Raise ValueError unless the blend weight mu is finite and > 0."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
+def require_lambda(lam: float) -> None:
+    """Raise ValueError unless the mix weight lambda is in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+
+
 def _blend(s: np.ndarray, n: int, mu: float) -> tuple[np.ndarray, float]:
     """s <- (s / mu + 1/n) / Z in place, for a float64 gain on part of an n-voxel grid; returns s and the map off it.
 
     Z adds the n - s.size voxels off ``s``, of gain 0, as one term: an exact 0.0 when ``s`` is the grid. Raises
-    ValueError for a mu that is not finite and > 0, or so small that the blend overflows float64.
+    ValueError for a mu that ``require_mu`` refuses, or so small that the blend overflows float64.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    require_mu(mu)
     try:
         with np.errstate(over="raise"):
             s /= mu
@@ -153,8 +164,7 @@ def _blend(s: np.ndarray, n: int, mu: float) -> tuple[np.ndarray, float]:
 
 def _mix(a, b, lam: float):
     """a <- (1 - lam) * a + lam * b, returned; in place in ``a`` and ``b`` when they are arrays."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    require_lambda(lam)
     a *= 1.0 - lam
     b *= lam  # lam * b, bitwise
     a += b

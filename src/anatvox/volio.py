@@ -26,6 +26,7 @@ The raw format is <name>.raw (little-endian voxels, z slowest) next to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -336,42 +337,65 @@ def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:
         return VoxelGrid(src.read(0, src.size).reshape(src.shape), src.spacing), src.meta
 
 
-def write_slabs(path, shape, spacing: Spacing, meta: VolumeMeta, slabs) -> None:
-    """Write a volume of ``shape`` whose voxels come as ``slabs``, arrays in z-major order.
+def write_slabs(outputs, shape, spacing: Spacing, slabs) -> None:
+    """Write volumes of one ``shape`` and ``spacing`` whose voxels come as ``slabs``.
 
-    The header (or the JSON sidecar) is written first, then each slab as it
-    comes, encoded losslessly in ``meta``'s datatype. The slabs must hold
-    every voxel once. Each file is written as ``<name>.part`` beside it and
-    moved over its own name only after the last slab, so a fault leaves no
-    output and any older file as it was, and ``path`` may name a volume that
-    is still being read.
+    ``outputs`` lists each volume's ``(path, meta)``, and each slab holds one
+    z-major array per output, its next voxels. Before any file is opened, an
+    output that is a directory, has no directory to go in or shares a file
+    with another is refused. Each header (or JSON sidecar) is written first,
+    then each slab's arrays as they come, encoded losslessly in their meta's
+    datatype. The slabs must hold every voxel of each output once. Each file
+    is written as ``<name>.part`` beside it, and all are moved over their own
+    names only after the last slab, so a fault leaves no output and every
+    older file as it was, and a path may name a volume that is still being
+    read.
     """
-    path, finals, n = _volume_path(path), volume_files(path), math.prod(shape)
+    paths, n = [_volume_path(path) for path, _ in outputs], math.prod(shape)
     if not n:  # the readers refuse a zero-length axis
-        raise ValueError(f"{path}: cannot write an empty grid of shape {tuple(shape)}")
-    head = _nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00") if path.suffix == ".nii" else b""
-    parts = [p.with_name(p.name + ".part") for p in finals]
+        raise ValueError(f"{paths[0]}: cannot write an empty grid of shape {tuple(shape)}")
+    finals = [volume_files(path) for path in paths]
+    owner = {}
+    for k, (path, files) in enumerate(zip(paths, finals)):
+        for f in files:
+            if f.is_dir():
+                raise ValueError(f"{path}: is a directory")
+            if not f.parent.is_dir():
+                raise ValueError(f"{path}: {f.parent} is not an existing directory")
+            other = owner.setdefault(f.resolve(), k)
+            if other != k:
+                raise ValueError(f"{path}: writes {f}, as {paths[other]} does")
+    parts = {f: f.with_name(f.name + ".part") for files in finals for f in files}
+    metas = [meta for _, meta in outputs]
     try:
-        if path.suffix != ".nii":  # the raw payload's JSON sidecar
-            sidecar = {"dims": list(shape), "spacing": list(spacing.zyx), "datatype": meta.datatype}
-            parts[1].write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
-        written = 0
-        with open(parts[0], "wb") as fh:
-            fh.write(head)
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path, meta, files in zip(paths, metas, finals):
+                handles.append(stack.enter_context(open(parts[files[0]], "wb")))
+                if path.suffix == ".nii":
+                    handles[-1].write(_nifti_header(shape, spacing, meta).ljust(VOX_OFFSET, b"\x00"))
+                else:  # the raw payload's JSON sidecar
+                    sidecar = {"dims": list(shape), "spacing": list(spacing.zyx), "datatype": meta.datatype}
+                    parts[files[1]].write_text(json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8")
+            written = [0] * len(paths)
             for slab in slabs:
-                fh.write(_encode_payload(slab, meta.datatype, path))
-                written += slab.size
-                del slab  # so that the next slab is made without this one held
-        if written != n:
-            raise ValueError(f"{path}: the slabs hold {written} voxels, not {n}")
-        for part, final in zip(parts, finals):
+                if len(slab) != len(paths):
+                    raise ValueError(f"{paths[0]}: a slab holds {len(slab)} arrays for {len(paths)} volumes")
+                for k, data in enumerate(slab):
+                    handles[k].write(_encode_payload(data, metas[k].datatype, paths[k]))
+                    written[k] += data.size
+                del slab, data  # so that the next slab is made without this one held
+        for path, count in zip(paths, written):
+            if count != n:
+                raise ValueError(f"{path}: the slabs hold {count} voxels, not {n}")
+        for final, part in parts.items():
             os.replace(part, final)
     except BaseException:
-        for part in parts:
+        for part in parts.values():
             part.unlink(missing_ok=True)
         raise
 
 
 def write_volume(grid: VoxelGrid, meta: VolumeMeta, path) -> None:
     """Write a grid under ``meta``'s datatype as one slab; booleans encode as uint8 {0, 1}."""
-    write_slabs(path, grid.data.shape, grid.spacing, meta, [grid.data])
+    write_slabs([(path, meta)], grid.data.shape, grid.spacing, [[grid.data]])

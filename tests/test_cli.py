@@ -92,6 +92,25 @@ def test_phantom_refuses_an_output_it_cannot_write_before_writing_any(tmp_path, 
     assert sorted(tmp_path.iterdir()) == before  # no ct.nii, no other volume
 
 
+@pytest.mark.parametrize("stage", ["ooi", "wall", "psm", "ssl-mask"])
+def test_a_stage_refuses_an_out_that_is_a_directory(workdir, stage, capsys):
+    assert _ooi(workdir, "ooi0.nii", times="0") == 0
+    assert run(["wall", "--ooi", str(workdir / "ooi0.nii"), "--out", str(workdir / "wall.nii")]) == 0
+    labels, ooi0, wall = (str(workdir / f) for f in ("labels.nii", "ooi0.nii", "wall.nii"))
+    inputs = {"ooi": ["--ts", labels, "--word", labels, "--set-ts", "1", "--set-word", "1"],
+              "wall": ["--ooi", ooi0],
+              "psm": ["--ooi", ooi0, "--tumor", str(workdir / "tumor.nii")],
+              "ssl-mask": ["--ct", str(workdir / "ct.nii"), "--wall", wall, "--seed", "1"]}[stage]
+    out = workdir / "out.nii"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    before = sorted(workdir.rglob("*"))
+    capsys.readouterr()
+    assert run([stage, *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: is a directory\n"
+    assert sorted(workdir.rglob("*")) == before and (out / "kept.txt").read_text() == "kept\n"
+
+
 def test_pipeline_stage_chain(workdir):
     assert _ooi(workdir, "ooi.nii") == 0
     assert _ooi(workdir, "ooi0.nii", times="0") == 0
@@ -222,6 +241,19 @@ def test_usage_errors_exit_2(workdir, capsys):
         assert not (workdir / "out.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--jobs", "--pad"])
+def test_a_flag_the_stage_would_ignore_exits_2(workdir, flag, capsys):
+    # --jobs without --cohort, --pad without --patch-dir
+    tumor = str(workdir / "tumor.nii")
+    argv = {"--jobs": ["metrics", "--gt", tumor, "--pred", tumor, "--jobs", "3"],
+            "--pad": ["sample", "--psm", tumor, "--seed", "1", "--pad", "5"]}[flag]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(workdir / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+    assert not (workdir / "out.json").exists()
+
+
 def test_missing_input_exit_1(workdir):
     assert run(["metrics", "--gt", str(workdir / "nope.nii"), "--pred", str(workdir / "tumor.nii")]) == 1
     assert run(["wall", "--ooi", str(workdir / "nope.nii"), "--out", str(workdir / "w.nii")]) == 1
@@ -248,6 +280,19 @@ def test_config_file_and_flag_precedence(workdir, capsys):
     assert rc == 0
     organ = json.loads(capsys.readouterr().out)["organ"]
     assert organ["elem"] == "face6" and organ["dilate_times"] == 2
+
+
+@pytest.mark.parametrize("flag,value,weights", [("--mu", "0", {"mu": 0.0, "lam": 0.5}),
+                                                  ("--lambda", "1.5", {"mu": 1.0, "lam": 1.5})])
+def test_the_config_and_box_psm_refuse_a_weight_with_one_sentence(workdir, flag, value, weights, capsys):
+    mask = np.ones((2, 2, 2), dtype=bool)
+    with pytest.raises(ValueError) as refused:
+        sampling.box_psm(mask, mask, mask.size, PatchSpec((1, 1, 1)), **weights)
+    capsys.readouterr()
+    assert run(["psm", "--ooi", str(workdir / "tumor.nii"), "--tumor", str(workdir / "tumor.nii"),
+                flag, value, "--out", str(workdir / "psm.nii")]) == 2
+    assert capsys.readouterr().err == f"error: bad config: {refused.value}\n"
+    assert not (workdir / "psm.nii").exists()
 
 
 def test_unknown_config_key_rejected(workdir):
@@ -845,6 +890,24 @@ def test_a_failing_cohort_case_names_its_line_and_case(workdir, problem, jobs, c
     assert err.startswith(f"error: {manifest} line 3 (b): ") and err.count("\n") == 1
     assert ("grid geometry mismatch" if problem == "spacing" else "absent.nii") in err
     assert not (workdir / "c.jsonl").exists()
+
+
+def test_metrics_refuses_a_spacing_whose_distances_overflow(tmp_path, capsys):
+    # raw sidecars carry any finite spacing; squared z distances of 1e300 mm overflow float64
+    gt = np.zeros((3, 4, 5), dtype=np.uint8)
+    gt[0, 1, 1] = gt[2, 2, 3] = 1
+    for name, data in (("gt", gt), ("pred", np.roll(gt, 1, axis=2))):
+        write_volume(VoxelGrid(data, Spacing(1e300, 1.0, 1.0)), VolumeMeta("uint8"), tmp_path / f"{name}.raw")
+    manifest = tmp_path / "cases.jsonl"
+    manifest.write_text(json.dumps({"case_id": "far", "gt": str(tmp_path / "gt.raw"),
+                                    "pred": str(tmp_path / "pred.raw")}) + "\n")
+    capsys.readouterr()
+    for argv in (["--gt", str(tmp_path / "gt.raw"), "--pred", str(tmp_path / "pred.raw")],
+                 ["--cohort", str(manifest)]):
+        assert run(["metrics", *argv, "--out", str(tmp_path / "report.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spacing (1e+300, 1.0, 1.0) mm" in err and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_empty_cohort_leaves_no_report(workdir, capsys):

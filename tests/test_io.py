@@ -18,6 +18,7 @@ from anatvox.volio import (
     VolumeMeta,
     VolumeReader,
     read_volume,
+    volume_files,
     write_slabs,
     write_volume,
 )
@@ -469,7 +470,7 @@ def test_reader_runs_are_read_volume_bitwise(tmp_path, shape, datatype, ext, sca
     got, want = np.concatenate(runs), grid.data.reshape(-1)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # the runs written as slabs give the bytes of the grid written whole
-    write_slabs(tmp_path / f"slabs{ext}", grid.shape, grid.spacing, meta, runs)
+    write_slabs([(tmp_path / f"slabs{ext}", meta)], grid.shape, grid.spacing, [[run] for run in runs])
     write_volume(grid, meta, tmp_path / f"whole{ext}")
     for suffix in ((".nii",) if ext == ".nii" else (".raw", ".json")):
         assert (tmp_path / f"slabs{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
@@ -505,13 +506,19 @@ def test_reader_raises_read_volumes_error_before_returning_a_run(tmp_path, fault
 def test_a_refused_write_leaves_no_file_and_keeps_an_older_one(tmp_path, ext, fault, existing):
     data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
     # each stream is refused at its end, after the header and the first slab are written
-    slabs, match = {"short": ([data[0]], "hold 12 voxels, not 24"),
-                    "long": ([data[0], data[1], data[1]], "hold 36 voxels, not 24"),
-                    "lossy": ([data[0], data[1] + 0.5], "cannot losslessly")}[fault]
-    names = ["v.nii"] if ext == ".nii" else ["v.json", "v.raw"]
-    for name in names if existing else []:
-        (tmp_path / name).write_bytes(b"an older file\n")
-    with pytest.raises(ValueError, match=match):
-        write_slabs(tmp_path / f"v{ext}", data.shape, ANISO, VolumeMeta("int16"), slabs)
-    assert sorted(p.name for p in tmp_path.iterdir()) == (names if existing else [])
-    assert all((tmp_path / name).read_bytes() == b"an older file\n" for name in names if existing)
+    stream, match = {"short": ([data[0]], "hold 12 voxels, not 24"),
+                     "long": ([data[0], data[1], data[1]], "hold 36 voxels, not 24"),
+                     "lossy": ([data[0], data[1] + 0.5], "cannot losslessly")}[fault]
+    # one volume, then two: the first one's slabs hold it whole, and the second one's are the refused stream
+    for slabs in ([[bad] for bad in stream], list(zip(np.array_split(data.reshape(-1), len(stream)), stream))):
+        d = tmp_path / str(len(slabs[0]))
+        d.mkdir()
+        paths = [d / f"{stem}{ext}" for stem in "vw"[: len(slabs[0])]]
+        names = sorted(f.name for path in paths for f in volume_files(path))
+        for name in names if existing else []:
+            (d / name).write_bytes(b"an older file\n")
+        with pytest.raises(ValueError, match=match) as err:
+            write_slabs([(path, VolumeMeta("int16")) for path in paths], data.shape, ANISO, slabs)
+        assert str(err.value).startswith(f"{paths[-1]}: ")  # the refused volume is named
+        assert sorted(p.name for p in d.iterdir()) == (names if existing else [])
+        assert all((d / name).read_bytes() == b"an older file\n" for name in names if existing)

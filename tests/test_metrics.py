@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -161,7 +162,9 @@ def test_edt_at_surface_memory_stays_under_the_full_transform():
     assert peak < 38 * math.prod(shape)
 
 
-@pytest.mark.parametrize("lines", [1, 10])  # one y row a block; 2 of 9 rows (8 lines) a block, a partial last block
+# one y row and one z plane a block; 2 of 9 rows (8 lines) a block, a partial last block, and one plane;
+# 4 rows, 2 of 5 planes a block, a partial last block
+@pytest.mark.parametrize("lines", [1, 10, 16])
 @pytest.mark.parametrize("density", [0.02, 0.3])
 def test_edt_in_blocks_of_z_lines_is_the_unblocked_transform(rng, lines, density):
     spacing = Spacing(2.5, 0.78125, 0.9)
@@ -191,6 +194,30 @@ def test_edt_at_surface_memory_is_bounded_by_a_block_of_z_lines():
     # the float64 box and the z pass's state on the larger block: 24.6 B/voxel here;
     # the earlier version ran the z pass on every line at once and read 37.8
     assert peak < 27 * math.prod(shape)
+
+
+def test_edt_memory_is_bounded_by_a_block_of_z_planes():
+    # the surface above, whose full transform runs its y pass on 2 blocks of 6 of its 12 planes
+    shape = (12, 200, 300)
+    _, y, x = np.ogrid[:1, :200, :300]
+    solid = np.broadcast_to(((y - 99.5) / 95) ** 2 + ((x - 149.5) / 140) ** 2 <= 1, shape)
+    surf = surface_voxels(VoxelGrid(solid.copy(), Spacing(2.5, 0.78125, 0.78125)))
+    got, peak = peak_bytes(edt, surf)
+    assert got.data.shape == shape
+    # 24.5 B/voxel here; the earlier version ran the y pass on every line at once and read 28.7
+    assert peak < 27 * math.prod(shape)
+
+
+@pytest.mark.parametrize("spacing", [(1e300, 1.0, 1.0), (1e100, 1e-100, 1.0), (1e-200, 1.0, 1.0)])
+def test_edt_refuses_a_spacing_whose_squared_distances_overflow(spacing):
+    # the z line at (y 2, x 3) holds two sites after pass 1, at squared x distances 0 and sx^2, so the z pass
+    # takes their crossing, which overflows (or divides by a step^2 of 0) unless refused
+    mask = np.zeros((3, 4, 5), dtype=bool)
+    mask[0, 2, 3] = mask[2, 2, 4] = True
+    grid = VoxelGrid(mask, Spacing(*spacing))
+    for at in (None, mask):
+        with pytest.raises(ValueError, match=re.escape(f"spacing {grid.spacing.zyx} mm on a grid of shape (3, 4, 5)")):
+            edt(grid, at)
 
 
 # ---------------------------------------------------------------------------
