@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import starmap
 from pathlib import Path
 
@@ -49,7 +49,7 @@ class PipelineConfig:
     patch: sampling.PatchSpec = sampling.PatchSpec((16, 32, 32))
     lam: float = 0.33
     mu: float = 1.0
-    noise: sslmask.NoiseSpec = sslmask.NoiseSpec()  # ssl-mask sets the seed
+    noise: sslmask.NoiseSpec = sslmask.NoiseSpec()  # its seed is unused: ssl-mask draws from --seed
     loss: LossConfig = LossConfig()
     nsd_tol_mm: float = 4.0
     hd_penalty_mm: float = 1000.0
@@ -157,12 +157,7 @@ class _MaskStream(_Stream):
     """A ``_Stream`` whose runs come back as boolean masks of their nonzero voxels."""
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        run = super().read(lo, hi)
-        if run.dtype != np.uint8:
-            return run != 0
-        mask = run.view(np.bool_)  # this reader owns the run it read, so it becomes the mask in place
-        np.not_equal(run, 0, out=mask)  # an exact overlap, which numpy runs element by element
-        return mask
+        return super().read(lo, hi) != 0
 
 
 def _read_planes(src, a: int, b: int) -> np.ndarray:
@@ -395,12 +390,11 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 
 def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
     _require(args, "ct", "wall", "seed", "out")
-    noise = replace(cfg.noise, seed=args.seed)
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(args.seed)
 
     def masked(ct, band):  # a CT slab as float32, its band voxels filled with the next draws
         out = ct.data.astype(np.float32, copy=False)
-        sslmask.fill_band(out, band.data, rng, noise)
+        sslmask.fill_band(out, band.data, rng, cfg.noise)
         return ct.with_data(out)
 
     with _Stream(args.ct) as ct, _MaskStream(args.wall) as band:

@@ -115,19 +115,18 @@ def require_same_geometry(*grids) -> None:
 def extract_patch(grid: VoxelGrid, center, size, pad=0) -> VoxelGrid:
     """Patch of ``size`` voxels around the (z, y, x) ``center``, padded out of bounds.
 
-    Output voxel k maps to grid coordinate center - size//2 + k. For even
-    sizes the center is the high-index voxel of the central pair. The center
-    must lie inside the grid; the patch itself may hang over any border, and
-    those reads yield ``pad``, which must read back unchanged from the grid's
-    dtype (so -1 or 0.5 is refused for a uint8 grid, not wrapped or truncated).
+    ``center`` and ``size`` are integer triples (``is_int``). Output voxel k
+    maps to grid coordinate center - size//2 + k. For even sizes the center
+    is the high-index voxel of the central pair. The center must lie inside
+    the grid; the patch itself may hang over any border, and those reads
+    yield ``pad``, which must read back unchanged from the grid's dtype (so
+    -1 or 0.5 is refused for a uint8 grid, not wrapped or truncated).
     """
-    size = tuple(int(s) for s in size)
-    if len(size) != 3 or any(s <= 0 for s in size):
-        raise ValueError(f"patch size must be 3 positive integers, got {size}")
-    center = tuple(int(c) for c in center)
-    shape = grid.data.shape
-    if len(center) != 3 or not all(0 <= c < n for c, n in zip(center, shape)):
-        raise ValueError(f"patch center {center} outside grid shape {shape}")
+    size, center, shape = tuple(size), tuple(center), grid.data.shape
+    if len(size) != 3 or not all(is_int(s) and s >= 1 for s in size):
+        raise ValueError(f"patch size must be 3 integers >= 1, got {size!r}")
+    if len(center) != 3 or not all(is_int(c) and 0 <= c < n for c, n in zip(center, shape)):
+        raise ValueError(f"patch center must be 3 integers inside grid shape {shape}, got {center!r}")
 
     start = [c - s // 2 for c, s in zip(center, size)]
     out = np.full(size, pad_value(pad, grid.data.dtype), dtype=grid.data.dtype)

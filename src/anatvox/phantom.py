@@ -8,9 +8,9 @@ lesions live. Distractor ellipsoids with label codes >= 2 exercise
 multi-label selection. All geometry derives from the spec fields; the seed
 only moves intensities and distractor placement.
 
-The volumes are built one z slab at a time. The CT noise of plane z is drawn
-from its own generator, seeded with ``[seed, z]``, so a slab's bytes do not
-depend on how the grid is cut into slabs.
+The volumes can be built one z slab at a time. The CT noise of plane z is
+drawn from its own generator, seeded with ``[seed, z]``, so a slab's bytes do
+not depend on how the grid is cut into slabs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sslmask, volio
+from . import sslmask
 from .grid import Dims, Spacing, VoxelGrid, is_int
 from .jsoncheck import overlay_json
 
@@ -171,22 +171,23 @@ def _cut(box, z0: int, z1: int):
     return (slice(a, b), *yx), (slice(a - z0, b - z0), *yx)
 
 
-def _lesion_box(spec: PhantomSpec) -> tuple[slice, slice, slice]:
-    sz, sy, sx = spec.spacing.zyx
-    tz, ty, tx = tumor_center_voxel(spec)
-    r = spec.tumor_radius_mm
-    return _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
+def phantom_slab(spec: PhantomSpec, z0: int, z1: int):
+    """(ct, labels, tumor_gt) of the z planes [z0, z1), as arrays.
 
-
-def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarray):
-    """Set the shapes' voxels of the zeroed ``labels`` and ``tumor``, the planes from z0.
-
-    Returns what the CT draw needs of the colon: the tube's box cut to the
-    slab, in the slab's planes, and the lumen and the wall on that box.
+    Each shape is evaluated only on its own voxel box cut to the slab, and the
+    distractors are placed by the same draws from ``default_rng(spec.seed)``
+    in every slab, so labels and tumor are the grid's planes whatever the
+    slab. The CT noise of plane z comes from its own ``default_rng([spec.seed,
+    z])``: the plane's background, lumen, wall, organ and tumor voxels take
+    its consecutive draws in that order, each region in C order, and a later
+    region overwrites an earlier one where they meet (the tumor the wall).
     """
-    z1 = z0 + len(labels)
     nz, ny, nx = spec.dims.shape
+    if not 0 <= z0 < z1 <= nz:
+        raise ValueError(f"planes [{z0}, {z1}) are not a slab of a grid of {nz} planes")
     sz, sy, sx = spec.spacing.zyx
+    shape = (z1 - z0, ny, nx)
+    labels, tumor = np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.bool_)
     arc_center, radius = arc_params(spec)
     reach = radius + spec.tube_radius_mm
     tube, tube_at = _cut(_box(spec, arc_center, (spec.tube_radius_mm, reach, reach)), z0, z1)
@@ -194,10 +195,14 @@ def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarr
     colon = dist <= spec.tube_radius_mm
     wall = colon & (dist >= spec.tube_radius_mm - spec.wall_thickness_mm)
     labels[tube_at][colon] = 1
+    lumen = colon & ~wall
+    del dist, colon  # the float64 distances are gone before any later array is allocated
     tz, ty, tx = tumor_center_voxel(spec)
-    lesion, at = _cut(_lesion_box(spec), z0, z1)
-    z, y, x = _grid_coords_mm(spec, lesion)
-    tumor[at] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= spec.tumor_radius_mm
+    r = spec.tumor_radius_mm
+    lesion = _box(spec, (tz * sz, ty * sy, tx * sx), (r, r, r))
+    box, at = _cut(lesion, z0, z1)
+    z, y, x = _grid_coords_mm(spec, box)
+    tumor[at] = np.sqrt((z - tz * sz) ** 2 + (y - ty * sy) ** 2 + (x - tx * sx) ** 2) <= r
 
     # Distractor ellipsoids claim only background voxels so labels stay a
     # partition; their geometry is the only seed-dependent shape.
@@ -215,12 +220,8 @@ def _fill_shapes(spec: PhantomSpec, z0: int, labels: np.ndarray, tumor: np.ndarr
         ) <= 1.0
         organ = labels[at]
         organ[inside & (organ == 0)] = 2 + k
-    return tube_at, colon & ~wall, wall
 
-
-def _draw_ct(spec: PhantomSpec, z0: int, ct: np.ndarray, labels, tumor, tube_at, lumen, wall) -> None:
-    """Fill ``ct``, the planes from z0, with each plane's draws: labels 0, 1 and 2.. cover every voxel."""
-    yx = _lesion_box(spec)[1:]
+    ct = np.empty(shape, dtype=np.float32)  # allocated after the shapes' float64 temporaries are gone
     for k, plane in enumerate(ct):
         rng = np.random.default_rng([spec.seed, z0 + k])
         sslmask.fill_band(plane, labels[k] == 0, rng, spec.background)
@@ -229,43 +230,16 @@ def _draw_ct(spec: PhantomSpec, z0: int, ct: np.ndarray, labels, tumor, tube_at,
             sslmask.fill_band(plane[tube_at[1:]], lumen[t], rng, spec.lumen)
             sslmask.fill_band(plane[tube_at[1:]], wall[t], rng, spec.wall)
         sslmask.fill_band(plane, labels[k] >= 2, rng, spec.organ)
-        sslmask.fill_band(plane[yx], tumor[k][yx], rng, spec.tumor)
-
-
-def phantom_slab(spec: PhantomSpec, z0: int, z1: int):
-    """(ct, labels, tumor_gt) of the z planes [z0, z1), as arrays.
-
-    Each shape is evaluated only on its own voxel box cut to the slab, and the
-    distractors are placed by the same draws from ``default_rng(spec.seed)``
-    in every slab, so labels and tumor are the grid's planes whatever the
-    slab. The CT noise of plane z comes from its own ``default_rng([spec.seed,
-    z])``: the plane's background, lumen, wall, organ and tumor voxels take
-    its consecutive draws in that order, each region in C order, and a later
-    region overwrites an earlier one where they meet (the tumor the wall).
-    """
-    nz, ny, nx = spec.dims.shape
-    if not 0 <= z0 < z1 <= nz:
-        raise ValueError(f"planes [{z0}, {z1}) are not a slab of a grid of {nz} planes")
-    shape = (z1 - z0, ny, nx)
-    labels, tumor = np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.bool_)
-    colon = _fill_shapes(spec, z0, labels, tumor)
-    ct = np.empty(shape, dtype=np.float32)  # allocated after the shapes' float64 temporaries are gone
-    _draw_ct(spec, z0, ct, labels, tumor, *colon)
+        sslmask.fill_band(plane[lesion[1:]], tumor[k][lesion[1:]], rng, spec.tumor)
     return ct, labels, tumor
 
 
 def gen_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, VoxelGrid, VoxelGrid]:
-    """Build (ct, labels, tumor_gt) whole, filled by ~``volio.SLAB_VOXELS`` z slabs as ``phantom_slab`` fills one.
+    """(ct, labels, tumor_gt) as grids: ``phantom_slab`` of the whole grid.
 
     Label codes: 0 background, 1 colon (wall + lumen), 2..k distractors. The
     tumor mask is separate and overlaps the colon wall by construction.
-    Identical spec gives bit-identical output, and no float64 temporary spans
-    the grid.
+    Identical spec gives bit-identical output, and its float64 temporaries
+    span one shape's voxel box at a time.
     """
-    ct = np.empty(spec.dims.shape, dtype=np.float32)
-    labels = np.zeros(spec.dims.shape, dtype=np.uint8)
-    tumor = np.zeros(spec.dims.shape, dtype=np.bool_)
-    for z0, z1 in volio.z_slabs(spec.dims.shape):
-        slab = np.s_[z0:z1]
-        _draw_ct(spec, z0, ct[slab], labels[slab], tumor[slab], *_fill_shapes(spec, z0, labels[slab], tumor[slab]))
-    return VoxelGrid(ct, spec.spacing), VoxelGrid(labels, spec.spacing), VoxelGrid(tumor, spec.spacing)
+    return tuple(VoxelGrid(a, spec.spacing) for a in phantom_slab(spec, 0, spec.dims.nz))

@@ -64,6 +64,16 @@ def test_extract_patch_center_outside_rejected():
         extract_patch(g, (3, 0, 0), (3, 3, 3))
     with pytest.raises(ValueError):
         extract_patch(g, (0, -1, 0), (3, 3, 3))
+    # a center or size value that is not an integer is refused, not truncated
+    for center, size in [((1.7, 2, 2), (1, 1, 1)), ((1, 1, 1), (2.9, 1, 1)), ((True, 1, 1), (1, 1, 1)),
+                         ((1, 1, 1), (1, True, 1)), (("1", 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, "1")),
+                         ((1.0, 1, 1), (1, 1, 1)), ((1, 1, 1), (3, 3, 3.0)), ((1, 1), (1, 1, 1)),
+                         ((1, 1, 1), (0, 1, 1))]:
+        with pytest.raises(ValueError, match="integers"):
+            extract_patch(g, center, size)
+    # numpy integers, which draw_centers returns, stay accepted
+    center = tuple(np.array([1, 1, 1]))
+    assert extract_patch(g, center, (np.int32(3), 3, 3)).data.tobytes() == g.data.tobytes()
 
 
 def test_extract_patch_pad_must_read_back_from_the_grid_dtype():
