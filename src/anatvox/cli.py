@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, hits_box, pad_value, require_same_geometry
+from .grid import VoxelGrid, extract_patch, hits_box, pad_value, pasted_run, require_same_geometry
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -315,16 +315,13 @@ def _read_union_box(srcs, grow=(0, 0, 0)):
 def _cmd_psm(args, cfg: PipelineConfig) -> int:
     _require(args, "ooi", "tumor", "out")
     with _MaskStream(args.ooi) as ooi, _MaskStream(args.tumor) as tumor:
-        (bz, by, bx), crops = _read_union_box((ooi, tumor), cfg.patch.radii)
+        box, crops = _read_union_box((ooi, tumor), cfg.patch.radii)
         s, c = sampling.box_psm(*crops, ooi.size, cfg.patch, cfg.mu, cfg.lam)
         del crops  # before the map is written
+        plane = math.prod(ooi.shape[1:])
 
         def slab(z0, z1):  # the constant, with the box's planes of the slab pasted in
-            out = np.full((z1 - z0, *ooi.shape[1:]), c, dtype=np.float32)
-            a, b = max(z0, bz.start), min(z1, bz.stop)
-            if a < b:
-                out[a - z0 : b - z0, by, bx] = s[a - bz.start : b - bz.start]
-            return [out]
+            return [pasted_run(ooi.shape, box, s, c, z0 * plane, z1 * plane, np.float32)]
 
         volio.write_slabs([(args.out, volio.VolumeMeta("float32"))], ooi.shape, ooi.spacing,
                           starmap(slab, volio.z_slabs(ooi.shape)))

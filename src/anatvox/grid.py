@@ -197,6 +197,28 @@ def pairwise_sum(leaf, lo: int, hi: int):
     return leaf(lo, hi)
 
 
+def pasted_run(shape, box, values: np.ndarray, fill, lo: int, hi: int, dtype=np.float64) -> np.ndarray:
+    """Voxels [lo, hi), in z-major order, of a ``shape`` array of ``fill`` with ``values`` pasted at ``box``.
+
+    ``box`` holds three slices with explicit bounds, the empty box included,
+    and ``values`` has its shape. Only the x rows that hold the run are built,
+    as ``dtype``, and the box is pasted into them one z plane at a time. A box
+    that covers the array reads the run from ``values`` as it is, without a
+    copy if it is already ``dtype``.
+    """
+    if values.shape == tuple(shape):
+        return values.reshape(-1)[lo:hi].astype(dtype, copy=False)
+    ny, nx = shape[1:]
+    r0, r1 = lo // nx, -(-hi // nx)  # the rows that hold the run
+    out = np.full((r1 - r0, nx), fill, dtype=dtype)
+    bz, by, bx = box
+    for z in range(max(bz.start, r0 // ny), min(bz.stop, -(-r1 // ny))):
+        a, b = max(z * ny + by.start, r0), min(z * ny + by.stop, r1)
+        if a < b:
+            out[a - r0 : b - r0, bx] = values[z - bz.start, a - z * ny - by.start : b - z * ny - by.start]
+    return out.reshape(-1)[lo - r0 * nx : hi - r0 * nx]
+
+
 def to_bool(grid: VoxelGrid) -> VoxelGrid:
     """Nonzero voxels as a boolean mask (uint8 label files round-trip here)."""
     if grid.data.dtype == np.bool_:

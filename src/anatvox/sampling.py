@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import volio
-from .grid import VoxelGrid, bounding_box, is_int, pairwise_sum, require_bool, require_same_geometry
+from .grid import (
+    VoxelGrid, bounding_box, is_int, pairwise_sum, pasted_run, require_bool, require_same_geometry,
+)
 
 
 @dataclass(frozen=True)
@@ -88,22 +90,22 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     Each pass adds the weighted neighbors inside the array along one axis, so
     the mask is in effect zero-padded. The gain is exactly 0 wherever no mask
     voxel falls inside the patch box, so the passes run only on the mask's
-    bounding box grown by the patch radii: every term the box leaves out adds
-    ``k * 0.0``, so the field is bitwise the same as passes over the array.
+    bounding box grown by the patch radii, in place in that box of the
+    zero-filled field: every term the box leaves out adds ``k * 0.0``, so the
+    field is bitwise the same as passes over the array.
 
-    One float64 buffer of the box is held, with two blocks of ``_BLOCK``
-    voxels (or of one y row or z plane, if that is larger). The z pass fills
-    it from the boolean crop a block of y rows at a time (``k * True`` is
-    ``k * 1.0``). Then, a block of z planes at a time, the y pass goes into a
-    block buffer and the x pass back into the box buffer. Every voxel takes
-    the same products and sums in the same tap order as three whole-box
-    passes. When the box is the whole array, the buffer is the result.
+    Besides the field, two blocks of ``_BLOCK`` voxels (or of one y row or z
+    plane, if that is larger) are held. The z pass fills the box from the
+    boolean crop a block of y rows at a time (``k * True`` is ``k * 1.0``).
+    Then, a block of z planes at a time, the y pass goes into a block buffer
+    and the x pass back into the box. Every voxel takes the same products and
+    sums in the same tap order as three whole-box passes.
     """
+    out = np.zeros(mask.shape)
     box = bounding_box(mask, patch.radii)
     if box is None:
-        return np.zeros(mask.shape)
-    crop = mask[box]
-    acc = np.empty(crop.shape)
+        return out
+    crop, acc = mask[box], out[box]
     nz, ny, nx = acc.shape
     k = [_axis_kernel(min(r, n - 1), v)  # a tap |t| >= n lands nowhere in the box
          for r, n, v in zip(patch.radii, acc.shape, patch.variances)]
@@ -119,10 +121,6 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
         _taps(ypass, slab, k[1], 1, scratch)
         _taps(slab, ypass, k[2], 2, scratch)
     acc *= patch.norm_const
-    if crop.shape == mask.shape:
-        return acc
-    out = np.zeros(mask.shape)
-    out[box] = acc
     return out
 
 
@@ -144,18 +142,26 @@ def require_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
 
 
-def _blend(s: np.ndarray, n: int, mu: float) -> tuple[np.ndarray, float]:
+def _blend(s: np.ndarray, n: int, mu: float, shape=None, box=None) -> tuple[np.ndarray, float]:
     """s <- (s / mu + 1/n) / Z in place, for a float64 gain on part of an n-voxel grid; returns s and the map off it.
 
-    Z adds the n - s.size voxels off ``s``, of gain 0, as one term: an exact 0.0 when ``s`` is the grid. Raises
-    ValueError for a mu that ``require_mu`` refuses, or so small that the blend overflows float64.
+    ``s`` is the gain on ``box`` of a ``shape`` array (by default, ``s`` is
+    that array) whose other voxels have gain 0. Z sums the blended array in
+    its own pairwise order, one ``pasted_run`` at a time, so it is bitwise
+    ``np.sum`` of the array although only ``s`` is held; it adds the n voxels
+    less the array's, of gain 0, as one term: an exact 0.0 when the array is
+    the grid. Raises ValueError for a mu that ``require_mu`` refuses, or so
+    small that the blend overflows float64.
     """
     require_mu(mu)
+    shape = s.shape if shape is None else shape
+    size = math.prod(shape)
     try:
         with np.errstate(over="raise"):
             s /= mu
             s += 1.0 / n
-            z = np.sum(s, dtype=np.float64) + (n - s.size) * (1.0 / n)
+            z = pairwise_sum(lambda lo, hi: np.sum(pasted_run(shape, box, s, 1.0 / n, lo, hi)), 0, size)
+            z += (n - size) * (1.0 / n)
     except FloatingPointError:
         raise ValueError(f"mu = {mu} is too small: gain / mu overflows float64") from None
     s /= z
@@ -188,6 +194,14 @@ def combine_psm(s_organ: VoxelGrid, s_tumor: VoxelGrid, lam: float) -> VoxelGrid
     return s_organ.with_data(_mix(a, b, lam))
 
 
+def _outside(shape, box) -> list[tuple[slice, ...]]:
+    """At most six disjoint boxes that tile the voxels of a ``shape`` array outside ``box``, or all of them."""
+    (bz, by, bx), (nz, ny, nx) = box, shape
+    return [(slice(0, bz.start),), (slice(bz.stop, nz),),
+            (bz, slice(0, by.start)), (bz, slice(by.stop, ny)),
+            (bz, by, slice(0, bx.start)), (bz, by, slice(bx.stop, nx))]
+
+
 def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
     """(the float64 mixed map on the box, the mixed constant off it): ``combine_psm`` of two ``psm_from_gain`` maps.
 
@@ -198,16 +212,30 @@ def box_psm(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: fl
     float32 with the box pasted in. Blend and mix are ``psm_from_gain``'s and
     ``combine_psm``'s steps, run on the box: with the box equal to the grid
     the map is bitwise theirs, and on a smaller box Z may round otherwise,
-    within float32 rounding once stored. At most two float64 box maps are
-    held, about 16 B per box voxel: the organ's while the tumor's gain is
-    built (with ``_gain``'s two blocks and the tumor's own box), then both.
+    within float32 rounding once stored.
+
+    The tumor's gain is built only on the tumor's own box grown by the patch
+    radii, the tumor box; off it the tumor's map is its constant, and its Z
+    sums the union box in the union box's pairwise order, so the map is
+    bitwise that of a tumor map built on the whole box. The mix runs in place
+    in the organ's map, with the tumor's map on the tumor box and with its
+    constant on the rest. One float64 box map is held, 8 B per box voxel, and
+    the tumor's gain on the tumor box, with ``_gain``'s two blocks while a
+    gain is built. mu and lambda are checked before either gain is built.
     """
     require_bool(ooi, tumor)
     if ooi.shape != tumor.shape:
         raise ValueError(f"mask box shapes differ: {ooi.shape} vs {tumor.shape}")
+    require_mu(mu)
+    require_lambda(lam)
     # each gain is blended as soon as it is built, while its map is still in cache
-    (s_o, c_o), (s_t, c_t) = (_blend(_gain(m, patch), n, mu) for m in (ooi, tumor))
-    return _mix(s_o, s_t, lam), _mix(c_o, c_t, lam)
+    s_o, c_o = _blend(_gain(ooi, patch), n, mu)
+    tb = bounding_box(tumor, patch.radii) or (slice(0, 0),) * 3
+    s_t, c_t = _blend(_gain(tumor[tb], patch), n, mu, tumor.shape, tb)
+    _mix(s_o[tb], s_t, lam)
+    for part in _outside(s_o.shape, tb):
+        _mix(s_o[part], c_t, lam)
+    return s_o, _mix(c_o, c_t, lam)
 
 
 # Voxels the draw widens at once, into one reused 2 MB float64 buffer (2^16..2^20 draw equally fast).
@@ -267,6 +295,13 @@ def draw_centers(src, count: int, seed: int) -> np.ndarray:
         raise ValueError(_NO_DISTRIBUTION)
     u = np.random.default_rng(seed).random(count)
     order = np.argsort(u)
-    idx = np.empty(count, dtype=np.intp)
-    idx[order] = _invert_sorted(src, total, u[order])
-    return np.stack(np.unravel_index(idx, src.shape), axis=1)
+    flat = _invert_sorted(src, total, u[order])
+    del u  # before the rows are made
+    rows = np.empty((count, 3), dtype=np.intp)
+    idx = rows[:, 2]
+    idx[order] = flat  # draw i's flat index, split in place into its (z, y, x)
+    del order, flat
+    _, ny, nx = src.shape
+    np.divmod(idx, ny * nx, out=(rows[:, 0], idx))
+    np.divmod(idx, nx, out=(rows[:, 1], idx))
+    return rows

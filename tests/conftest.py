@@ -232,6 +232,21 @@ def gain_map_full(interest: VoxelGrid, patch: PatchSpec) -> np.ndarray:
     return acc
 
 
+def box_psm_union(ooi: np.ndarray, tumor: np.ndarray, n: int, patch: PatchSpec, mu: float, lam: float):
+    """``box_psm`` with both maps built on the whole box; the oracle for its tumor map on the tumor's own box.
+
+    Each gain is the three passes over the box, each map is blended and summed
+    with ``np.sum`` over the box, and the maps are mixed as whole arrays.
+    """
+    maps = []
+    for mask in (ooi, tumor):
+        s = gain_map_full(VoxelGrid(mask, ISO), patch) / mu + 1.0 / n
+        z = np.sum(s) + (n - s.size) * (1.0 / n)
+        maps.append((s / z, (1.0 / n) / z))
+    (s_o, c_o), (s_t, c_t) = maps
+    return s_o * (1.0 - lam) + s_t * lam, c_o * (1.0 - lam) + c_t * lam
+
+
 def mixed_psm(ooi: VoxelGrid, tumor: VoxelGrid, patch: PatchSpec, mu: float, lam: float) -> VoxelGrid:
     """The float32 map the psm stage writes, on the whole grid; the oracle for the stage's box reads and slab writes.
 

@@ -1141,6 +1141,10 @@ _STAGE_PEAKS = {
     # gain passes on that box, then one float32 slab of the map (1.74; was 6.97 holding both masks,
     # their union and the float32 map whole)
     "psm": (["psm", "--ooi", "{d}/tumor.nii", "--tumor", "{d}/tumor.nii", "--out", "{d}/psm_again.nii"], 3.0),
+    # the same with the dilated labels as the OOI, whose box, grown by the patch radii, is half the grid and
+    # holds the 8x8x8 tumor: the crops, the organ's float64 map on the union box and the tumor's gain on its
+    # own box (6.62; was 10.81 with the tumor's map on the union box too)
+    "psm-tumor-box": (["psm", "--ooi", "{d}/ooi.nii", "--tumor", "{d}/tumor.nii", "--out", "{d}/psm_tb.nii"], 8.5),
     # one slab of each mask, then both masks cropped to the box of gt | pred, then per surface box its
     # distances along x and the lower-envelope pass along z, scored along y at the other surface's voxels
     # only (7.51; was 9.08 holding both masks whole, 9.12 building each full box EDT)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, pairwise_sum, to_bool
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, pairwise_sum, pasted_run, to_bool
 
 from conftest import ISO, make_grid
 
@@ -127,3 +129,19 @@ def test_pairwise_sum_of_widened_runs_is_bitwise_np_sum(n):
     x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)).astype(np.float32)
     got = pairwise_sum(lambda lo, hi: np.sum(x[lo:hi].astype(np.float64)), 0, n)
     assert float(got).hex() == float(np.sum(x.astype(np.float64))).hex()
+
+
+@given(data=st.data(), shape=st.tuples(*[st.integers(1, 6)] * 3), dtype=st.sampled_from([np.float64, np.float32]))
+def test_pasted_run_is_the_run_of_the_constant_array_with_the_box_pasted_in(data, shape, dtype):
+    if data.draw(st.booleans(), "empty box"):
+        box = (slice(0, 0),) * 3
+    else:
+        lo = [data.draw(st.integers(0, n - 1)) for n in shape]
+        box = tuple(slice(a, data.draw(st.integers(a + 1, n))) for a, n in zip(lo, shape))
+    values = np.random.default_rng(0).random(tuple(s.stop - s.start for s in box))
+    whole = np.full(shape, 0.25, dtype=dtype)
+    whole[box] = values
+    lo = data.draw(st.integers(0, whole.size))
+    hi = data.draw(st.integers(lo, whole.size))
+    got = pasted_run(shape, box, values, 0.25, lo, hi, dtype)
+    assert got.dtype == dtype and got.tobytes() == whole.reshape(-1)[lo:hi].tobytes()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anatvox import sampling, volio
-from anatvox.grid import Dims, VoxelGrid
+from anatvox.grid import Dims, VoxelGrid, bounding_box
 from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
 from anatvox.sampling import (
@@ -26,8 +26,8 @@ from anatvox.sampling import (
 from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 
 from conftest import (
-    ANISO, ISO, bool_grid, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, mixed_psm, peak_bytes,
-    random_mask,
+    ANISO, ISO, bool_grid, box_psm_union, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, mixed_psm,
+    peak_bytes, random_mask,
 )
 
 
@@ -348,6 +348,110 @@ def test_box_psm_rejects_bad_arguments():
         box_psm(o, np.zeros((3, 3, 3)), o.size, spec, 1.0, 0.33)
 
 
+def test_box_psm_refuses_mu_and_lambda_before_building_a_gain():
+    o = np.ones((6, 6, 6), dtype=bool)
+    for mu, lam in ((0.0, 0.5), (math.nan, 0.5), (1.0, 1.5), (1.0, math.nan)):
+        with mock.patch.object(sampling, "_gain", wraps=sampling._gain) as gain, pytest.raises(ValueError):
+            box_psm(o, o, o.size, PatchSpec((2, 2, 2)), mu, lam)
+        assert gain.call_count == 0
+
+
+def _box_masks(shape, ooi_box, tumor_box, seed, density):
+    """(OOI, tumor) masks of ``shape``, each random voxels of its box (None for no voxel) with the box's corners set."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for box in (ooi_box, tumor_box):
+        mask = np.zeros(shape, dtype=bool)
+        if box is not None:
+            sl = tuple(slice(a, b) for a, b in box)
+            mask[sl] = rng.random(mask[sl].shape) < density
+            mask[tuple(a for a, _ in box)] = mask[tuple(b - 1 for _, b in box)] = True
+        masks.append(mask)
+    return masks
+
+
+@st.composite
+def _psm_case(draw, kind):
+    """(OOI, tumor) masks of a grid of up to 40^3 voxels: the tumor's box is inside, straddles or lies outside the
+    OOI's box, or the tumor is empty."""
+    shape = draw(st.tuples(*[st.integers(1, 40)] * 3))
+    axis = draw(st.integers(0, 2))
+    if kind in ("straddling", "outside"):
+        shape = tuple(max(n, 3) if a == axis else n for a, n in enumerate(shape))
+
+    def interval(lo, hi):
+        a = draw(st.integers(lo, hi - 1))
+        return a, draw(st.integers(a + 1, hi))
+
+    ooi_box = [interval(0, n) for n in shape]
+    tumor_box = [interval(a, b) if kind == "inside" else interval(0, n) for (a, b), n in zip(ooi_box, shape)]
+    if kind in ("straddling", "outside"):  # the OOI's box ends at ``cut`` along ``axis``
+        cut = draw(st.integers(1, shape[axis] - 1))
+        ooi_box[axis] = interval(0, cut)[0], cut
+        tumor_box[axis] = interval(cut, shape[axis]) if kind == "outside" else (
+            draw(st.integers(0, cut - 1)), draw(st.integers(cut + 1, shape[axis])))
+    seed, density = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.05, 0.3, 1.0]))
+    return _box_masks(shape, ooi_box, None if kind == "empty" else tumor_box, seed, density)
+
+
+def _check_box_psm_against_union_box_maps(ooi, tumor, spec, mu, lam):
+    box = bounding_box(ooi | tumor, spec.radii)
+    n = 3 * ooi.size  # a grid larger than the box, so Z adds the voxels off it
+    s, c = box_psm(ooi[box], tumor[box], n, spec, mu, lam)
+    want, want_c = box_psm_union(ooi[box], tumor[box], n, spec, mu, lam)
+    assert s.dtype == want.dtype and s.tobytes() == want.tobytes()
+    assert c == want_c
+
+
+@pytest.mark.parametrize("kind", ["inside", "straddling", "outside", "empty"])
+@settings(max_examples=200)
+@given(data=st.data(), size=st.tuples(*[st.integers(1, 9)] * 3), stddev=st.booleans(),
+       lam=st.floats(0.0, 1.0), mu=st.floats(1e-3, 1e3))
+def test_box_psm_is_the_map_with_the_tumor_map_on_the_whole_box_bitwise(kind, data, size, stddev, lam, mu):
+    ooi, tumor = data.draw(_psm_case(kind))
+    _check_box_psm_against_union_box_maps(ooi, tumor, PatchSpec(size, sigma_is_stddev=stddev), mu, lam)
+
+
+# (grid shape, OOI box, tumor box, patch size) per axis
+_PSM_BOXES = {
+    "one-voxel-union": ((1, 1, 1), [(0, 1)] * 3, [(0, 1)] * 3, (1, 1, 1)),
+    "one-voxel-tumor": ((5, 6, 7), [(0, 5), (0, 6), (0, 7)], [(2, 3), (0, 1), (6, 7)], (1, 1, 1)),
+    "one-voxel-straddle": ((1, 9, 1), [(0, 1), (0, 2), (0, 1)], [(0, 1), (8, 9), (0, 1)], (1, 3, 1)),
+    # 42735 voxels: the pairwise sum's leaves hold 10680, 10680, 10680 and 10695 voxels
+    "unequal-leaves-inside": ((33, 35, 37), [(0, 33), (0, 35), (0, 37)], [(10, 14), (3, 9), (30, 37)], (5, 7, 9)),
+    "unequal-leaves-outside": ((33, 35, 37), [(0, 20), (0, 35), (0, 37)], [(25, 30), (3, 9), (30, 37)], (5, 7, 9)),
+}
+
+
+@pytest.mark.parametrize("case", _PSM_BOXES)
+def test_box_psm_is_the_map_with_the_tumor_map_on_the_whole_box_at_the_edges(case):
+    shape, ooi_box, tumor_box, size = _PSM_BOXES[case]
+    ooi, tumor = _box_masks(shape, ooi_box, tumor_box, 7, 0.3)
+    _check_box_psm_against_union_box_maps(ooi, tumor, PatchSpec(size), 0.7, 0.33)
+
+
+# A colon-like cross-section fills a 40x160x160 grid's planes 10-29, radius 50 voxels; the tumor ball lies
+# inside, across the edge of or outside the OOI's box, which the patch radii grow to 83-100% of the union box.
+_TUMOR_BALLS = {"inside": ((20, 60, 90), 6), "straddling": ((20, 30, 80), 6), "outside": ((20, 150, 150), 4)}
+
+
+@pytest.mark.parametrize("where", _TUMOR_BALLS)
+def test_box_psm_holds_one_float64_box_map(where):
+    z, y, x = np.ogrid[:40, :160, :160]
+    (cz, cy, cx), r = _TUMOR_BALLS[where]
+    ooi = ((y - 80) ** 2 + (x - 80) ** 2 <= 50**2) & (z >= 10) & (z < 30)
+    tumor = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2 <= r * r
+    spec = PatchSpec((16, 32, 32))
+    box = bounding_box(ooi | tumor, spec.radii)
+    ooi, tumor = ooi[box], tumor[box]
+    (s, _), peak = peak_bytes(box_psm, ooi, tumor, 64 * ooi.size, spec, 1.0, 0.33)
+    assert s.shape == ooi.shape
+    # the organ's map on the box (8 B/voxel), the tumor's gain on its own box (under 0.8 B/voxel), the
+    # two block buffers of a gain (1 MiB, 1.4-1.6 B/voxel) and a pairwise leaf: 9.4-10.4 B/voxel; with
+    # the tumor's map on the whole box too it read 16.7-18.2
+    assert peak < 10.5 * ooi.size
+
+
 def test_box_psm_holds_at_most_two_float64_box_maps():
     # a colon-like cross-section fills the 20x128x128 box, with a tumor ball inside it
     shape = (20, 128, 128)
@@ -357,8 +461,8 @@ def test_box_psm_holds_at_most_two_float64_box_maps():
     spec = PatchSpec((16, 32, 32))
     (s, _), peak = peak_bytes(box_psm, ooi, tumor, 64 * ooi.size, spec, 1.0, 0.33)
     assert s.shape == shape
-    # the organ's map and the tumor's map on the box (16 B/voxel), the two block buffers of a
-    # gain (1 MiB) and the tumor's gain on its own box: 19.0 B/voxel in all; the earlier version,
+    # the bound held the organ's map and the tumor's map on the box (16 B/voxel), the two block buffers
+    # of a gain (1 MiB) and the tumor's gain on its own box: 19.0 B/voxel in all; the earlier version,
     # two box buffers per gain pass, a product per tap and a third map for lam * s_t, read 32.3
     assert peak < 17 * ooi.size + 16 * sampling._BLOCK
 
@@ -480,6 +584,15 @@ def test_draw_centers_frees_the_map_without_the_cycle_collector():
         assert ref() is None  # no reference cycle keeps the map alive after the draw
     finally:
         gc.enable()
+
+
+def test_draw_centers_holds_40_bytes_a_draw():
+    # the sorted uniforms, their order and the flat indices, then the order, the flat indices and the
+    # (count, 3) rows, which the indices are split into in place: 40 B a draw (72 with unravel_index and stack)
+    prob = np.random.default_rng(1).random((8, 16, 16)).astype(np.float32)
+    count = 200_000
+    _, peak = peak_bytes(draw_centers, VoxelGrid(prob, ISO), count, 3)
+    assert peak < 41 * count
 
 
 def test_draw_centers_degenerate_distribution():
