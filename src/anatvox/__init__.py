@@ -24,7 +24,7 @@ from .losses import (
 from .maskgen import OrganConfig, bowel_wall, build_ooi, select_labels
 from .metrics import MetricReport, edt, seg_metrics, surface_voxels, write_cohort_report
 from .morphology import FACE6, FULL26, StructElem, boundary_band, dilate, erode
-from .phantom import PhantomSpec, TissueStats, gen_phantom
+from .phantom import PhantomSpec, gen_phantom
 from .sampling import (
     PatchSpec,
     combine_psm,
@@ -45,7 +45,7 @@ __all__ = [
     "OrganConfig", "bowel_wall", "build_ooi", "select_labels",
     "MetricReport", "edt", "seg_metrics", "surface_voxels", "write_cohort_report",
     "FACE6", "FULL26", "StructElem", "boundary_band", "dilate", "erode",
-    "PhantomSpec", "TissueStats", "gen_phantom",
+    "PhantomSpec", "gen_phantom",
     "PatchSpec", "combine_psm", "draw_centers", "gain_map", "psm_from_gain",
     "NoiseSpec", "l1_recon_loss", "mask_bowel_wall",
     "VolumeMeta", "read_volume", "write_volume",

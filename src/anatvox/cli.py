@@ -49,7 +49,7 @@ class PipelineConfig:
     patch: sampling.PatchSpec = sampling.PatchSpec((16, 32, 32))
     lam: float = 0.33
     mu: float = 1.0
-    noise: sslmask.NoiseSpec = sslmask.NoiseSpec()  # its seed is unused: ssl-mask draws from --seed
+    noise: sslmask.NoiseSpec = sslmask.NoiseSpec()
     loss: LossConfig = LossConfig()
     nsd_tol_mm: float = 4.0
     hd_penalty_mm: float = 1000.0
@@ -153,6 +153,18 @@ class _Stream(volio.VolumeReader):
         return run
 
 
+class _ImageStream(_Stream):
+    """A ``_Stream`` of an image written out as float32, each run refused if float32 would round a voxel of it."""
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        run = super().read(lo, hi)
+        # uint8 and int16 always fit, and so does an int32 of magnitude at most 2**24, which min and max settle
+        if run.dtype == np.int32 and run.size and not (-(1 << 24) <= run.min() and run.max() <= 1 << 24) \
+                and not np.array_equal(run.astype(np.float32), run):  # compared as float64, exactly
+            raise ValueError(f"{self.path}: int32 voxel values that float32 would round")
+        return run
+
+
 class _MaskStream(_Stream):
     """A ``_Stream`` whose runs come back as boolean masks of their nonzero voxels."""
 
@@ -187,11 +199,6 @@ def _write_by_slab(path, datatype: str, kernel, halo: int, *srcs: _Stream) -> No
         return [kernel(*[VoxelGrid(_read_planes(src, a, b), spacing) for src in srcs]).data[z0 - a : z1 - a]]
 
     volio.write_slabs([(path, volio.VolumeMeta(datatype))], shape, spacing, starmap(slab, volio.z_slabs(shape, halo)))
-
-
-def _write_float(grid: VoxelGrid, path) -> None:
-    out = grid.with_data(grid.data.astype(np.float32, copy=False))
-    volio.write_volume(out, volio.VolumeMeta.for_grid(out, "float32"), path)
 
 
 def _emit_json(obj, out_path) -> None:
@@ -368,19 +375,20 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
             raise ValueError(f"sampling from {args.psm}: {exc}") from None
         shape = psm.shape
     if args.patch_dir:
-        with _Stream(args.image) as image:  # every check on the image comes before the first write
+        with _ImageStream(args.image) as image:  # every check on the image comes before the first write
             if image.shape != shape:
                 raise ValueError(f"{args.image}: shape {image.shape} is not the map's {shape}")
-            pad_value(pad, volio.DATATYPES[image.meta.datatype][1])
+            for dtype in (volio.DATATYPES[image.meta.datatype][1], np.float32):  # the image's and the patches'
+                pad_value(pad, dtype)
             out_dir = Path(args.patch_dir)  # its nearest existing ancestor must be a directory
             if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
                 raise ValueError(f"{out_dir}: --patch-dir is not a directory and cannot be made one")
-            if image.meta.datatype == "float32":  # an unscaled integer image is finite
+            if image.meta.datatype in ("float32", "int32"):  # an unscaled uint8 or int16 image is finite and fits
                 for lo in range(0, image.size, volio.SLAB_VOXELS):
                     image.read(lo, min(lo + volio.SLAB_VOXELS, image.size))  # each run is checked as it is read
             out_dir.mkdir(parents=True, exist_ok=True)
             for i, patch in _swept_patches(image, centers, cfg.patch.size, pad):
-                _write_float(patch, out_dir / f"patch_{i:04d}.nii")
+                volio.write_volume(patch, volio.VolumeMeta("float32"), out_dir / f"patch_{i:04d}.nii")
     _emit_text(_centers_json(args.count, args.seed, centers), args.out)  # after the sweep, so --out may name the image
     return 0
 
@@ -394,7 +402,7 @@ def _cmd_ssl_mask(args, cfg: PipelineConfig) -> int:
         sslmask.fill_band(out, band.data, rng, cfg.noise)
         return ct.with_data(out)
 
-    with _Stream(args.ct) as ct, _MaskStream(args.wall) as band:
+    with _ImageStream(args.ct) as ct, _MaskStream(args.wall) as band:
         _write_by_slab(args.out, "float32", masked, 0, ct, band)
     return 0
 

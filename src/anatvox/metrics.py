@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import VoxelGrid, bounding_box, require_bool, require_same_geometry
-from .morphology import FACE6, erode_mask
+from .morphology import FACE6, boundary_band
 
 _INF = float("inf")
 
@@ -196,9 +196,7 @@ def edt(mask: VoxelGrid, at: np.ndarray | None = None) -> VoxelGrid | np.ndarray
 
 def surface_voxels(mask: VoxelGrid) -> VoxelGrid:
     """True voxels with a face-6 neighbor that is background or out of bounds."""
-    require_bool(mask.data)
-    m = mask.data
-    return mask.with_data(m & ~erode_mask(m, FACE6, 1))
+    return boundary_band(mask, FACE6, 0, 1)  # the mask less its erosion, which lies inside it
 
 
 def _nearest_rank_95(values: np.ndarray) -> float:

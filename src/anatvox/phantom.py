@@ -31,16 +31,6 @@ _BOX_GROW = 2  # voxels added to each side of a shape's box against mm rounding
 
 
 @dataclass(frozen=True)
-class TissueStats:
-    mean: float
-    stddev: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and 0 <= self.stddev < math.inf):
-            raise ValueError(f"tissue mean must be finite and stddev finite and >= 0, got {self}")
-
-
-@dataclass(frozen=True)
 class PhantomSpec:
     dims: Dims = Dims(64, 96, 96)
     spacing: Spacing = Spacing(5.0, 0.78, 0.78)
@@ -48,11 +38,11 @@ class PhantomSpec:
     wall_thickness_mm: float = 3.0
     tumor_radius_mm: float = 3.0
     n_distractors: int = 3
-    background: TissueStats = TissueStats(-1.0, 0.05)
-    lumen: TissueStats = TissueStats(-0.6, 0.05)
-    wall: TissueStats = TissueStats(0.4, 0.05)
-    tumor: TissueStats = TissueStats(0.8, 0.05)
-    organ: TissueStats = TissueStats(0.1, 0.05)
+    background: sslmask.NoiseSpec = sslmask.NoiseSpec(-1.0, 0.05)
+    lumen: sslmask.NoiseSpec = sslmask.NoiseSpec(-0.6, 0.05)
+    wall: sslmask.NoiseSpec = sslmask.NoiseSpec(0.4, 0.05)
+    tumor: sslmask.NoiseSpec = sslmask.NoiseSpec(0.8, 0.05)
+    organ: sslmask.NoiseSpec = sslmask.NoiseSpec(0.1, 0.05)
     seed: int = 0
 
     def __post_init__(self):
@@ -78,7 +68,7 @@ class PhantomSpec:
             tumor_radius_mm=float(j["tumor_radius_mm"]),
             n_distractors=j["n_distractors"],
             seed=j["seed"],
-            **{region: TissueStats(*(float(v) for v in pair)) for region, pair in j["intensity"].items()},
+            **{region: _tissue(region, pair) for region, pair in j["intensity"].items()},
         )
 
     def to_json(self) -> dict:
@@ -92,6 +82,13 @@ class PhantomSpec:
             "intensity": {r: [getattr(self, r).mean, getattr(self, r).stddev] for r in _REGIONS},
             "seed": self.seed,
         }
+
+
+def _tissue(region: str, pair: list) -> sslmask.NoiseSpec:
+    """A spec's ``intensity[region]``, which must be exactly [mean, stddev]: no NoiseSpec default fills it."""
+    if len(pair) != 2:
+        raise ValueError(f"intensity {region} must be [mean, stddev], got {pair}")
+    return sslmask.NoiseSpec(*(float(v) for v in pair))
 
 
 def _grid_coords_mm(spec: PhantomSpec, box=None):

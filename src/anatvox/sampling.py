@@ -65,23 +65,18 @@ def _axis_kernel(radius: int, variance: float) -> np.ndarray:
     return np.exp(-(t * t) / (2.0 * variance))
 
 
-# Voxels in one block of the gain passes, the size of the y pass's block buffer and of the tap scratch.
+# Voxels in one block of the gain passes, the size of the y pass's block buffer.
 _BLOCK = 1 << 16
 
 
-def _taps(dst: np.ndarray, src: np.ndarray, k: np.ndarray, axis: int, scratch: np.ndarray) -> None:
-    """dst = 0, then dst[v] += k[i] * src[v + t] for each tap t = i - r that lands in the array, in tap order.
-
-    Each product goes into a view of the flat float64 ``scratch``.
-    """
+def _taps(dst: np.ndarray, src: np.ndarray, k: np.ndarray, axis: int) -> None:
+    """dst = 0, then dst[v] += k[i] * src[v + t] for each tap t = i - r that lands in the array, in tap order."""
     n, r = src.shape[axis], k.size // 2
     lead = (slice(None),) * axis
     dst[...] = 0.0
     for i, t in enumerate(range(-r, r + 1)):
         part = src[lead + (slice(max(t, 0), n - max(-t, 0)),)]
-        prod = scratch[: part.size].reshape(part.shape)
-        np.multiply(k[i], part, out=prod)
-        dst[lead + (slice(max(-t, 0), n - max(t, 0)),)] += prod
+        dst[lead + (slice(max(-t, 0), n - max(t, 0)),)] += k[i] * part
 
 
 def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
@@ -95,11 +90,12 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     field is bitwise the same as passes over the array.
 
     Besides the field, two blocks of ``_BLOCK`` voxels (or of one y row or z
-    plane, if that is larger) are held. The z pass fills the box from the
-    boolean crop a block of y rows at a time (``k * True`` is ``k * 1.0``).
-    Then, a block of z planes at a time, the y pass goes into a block buffer
-    and the x pass back into the box. Every voxel takes the same products and
-    sums in the same tap order as three whole-box passes.
+    plane, if that is larger) are held: the block buffer and one tap's
+    product, a temporary freed as the tap is added. The z pass fills the box
+    from the boolean crop a block of y rows at a time (``k * True`` is
+    ``k * 1.0``). Then, a block of z planes at a time, the y pass goes into
+    the block buffer and the x pass back into the box. Every voxel takes the
+    same products and sums in the same tap order as three whole-box passes.
     """
     out = np.zeros(mask.shape)
     box = bounding_box(mask, patch.radii)
@@ -112,14 +108,13 @@ def _gain(mask: np.ndarray, patch: PatchSpec) -> np.ndarray:
     rows = min(max(1, _BLOCK // (nz * nx)), ny)  # y rows of a z-pass block
     planes = min(max(1, _BLOCK // (ny * nx)), nz)  # z planes of a y- and x-pass block
     block = np.empty(planes * ny * nx)
-    scratch = np.empty(max(nz * rows * nx, block.size))
     for y0 in range(0, ny, rows):
-        _taps(acc[:, y0 : y0 + rows], crop[:, y0 : y0 + rows], k[0], 0, scratch)
+        _taps(acc[:, y0 : y0 + rows], crop[:, y0 : y0 + rows], k[0], 0)
     for z0 in range(0, nz, planes):
         slab = acc[z0 : z0 + planes]
         ypass = block[: slab.size].reshape(slab.shape)
-        _taps(ypass, slab, k[1], 1, scratch)
-        _taps(slab, ypass, k[2], 2, scratch)
+        _taps(ypass, slab, k[1], 1)
+        _taps(slab, ypass, k[2], 2)
     acc *= patch.norm_const
     return out
 

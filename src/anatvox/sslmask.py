@@ -16,11 +16,10 @@ from .grid import VoxelGrid, require_bool, require_same_geometry
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian fill parameters. Defaults assume intensity-normalized volumes."""
+    """A Gaussian: the wall noise, or a phantom tissue's CT. Defaults assume intensity-normalized volumes."""
 
     mean: float = 0.0
     stddev: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.mean):
@@ -29,8 +28,8 @@ class NoiseSpec:
             raise ValueError(f"noise stddev must be finite and >= 0, got {self.stddev}")
 
 
-def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> VoxelGrid:
-    """Copy of ``image`` with every ``band`` voxel replaced by fresh noise.
+def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec, seed: int) -> VoxelGrid:
+    """Copy of ``image`` with every ``band`` voxel replaced by fresh noise from ``default_rng(seed)``.
 
     Draws are assigned in the fixed z-major traversal order of the band, so a
     given seed always produces the identical volume; voxels outside the band
@@ -40,7 +39,7 @@ def mask_bowel_wall(image: VoxelGrid, band: VoxelGrid, noise: NoiseSpec) -> Voxe
     require_same_geometry(image, band)
     require_bool(band.data)
     out = image.data.astype(np.promote_types(image.data.dtype, np.float32))
-    fill_band(out, band.data, np.random.default_rng(noise.seed), noise)
+    fill_band(out, band.data, np.random.default_rng(seed), noise)
     return image.with_data(out)
 
 
@@ -48,7 +47,7 @@ def fill_band(slab: np.ndarray, band: np.ndarray, rng: np.random.Generator, nois
     """Fill ``slab``'s ``band`` voxels, in place and in C order, with ``rng``'s next draws.
 
     ``slab`` and ``band`` are the same voxels of an image and of its mask: a
-    run, a z slab or a box. ``noise`` needs only a ``mean`` and a ``stddev``.
+    run, a z slab or a box.
     Each draw is rounded once to ``slab``'s dtype. Drawing k normals in pieces
     gives the same stream as one draw of k, so filling the slabs of a grid in
     order with one generator fills it as one slab would. A draw that overflows

@@ -396,6 +396,7 @@ BAD_PHANTOM_SPECS = [
     [],
     {"intensity": []},
     {"intensity": {"wall": [1]}},
+    {"intensity": {"wall": [1, 2, 3]}},
     {"seed": 1.5},
     {"seed": "7"},
     {"seed": -1},
@@ -611,7 +612,7 @@ def test_ssl_mask_reads_each_ct_once(workdir, datatype, scale):
     assert read == {"ct_in.nii": data.size, "tumor.nii": data.size}
     band, _ = read_volume(workdir / "tumor.nii")
     ct_in, _ = read_volume(workdir / "ct_in.nii")
-    want = mask_bowel_wall(ct_in, band.with_data(band.data != 0), NoiseSpec(seed=4))
+    want = mask_bowel_wall(ct_in, band.with_data(band.data != 0), NoiseSpec(), 4)
     assert read_volume(workdir / "masked.nii")[0].data.tobytes() == want.data.astype(np.float32).tobytes()
 
 
@@ -657,7 +658,7 @@ def test_slab_stages_write_the_whole_grid_kernels(tmp_path, shape, elem, codes, 
                     "--seed", str(seed), "--out", str(tmp_path / "ssl-mask.nii")]) == 0
     for name, want, datatype in (("ooi", build_ooi(ts, word, cfg), "uint8"),
                                  ("wall", bowel_wall(mask, cfg.elem, r_out, r_in), "uint8"),
-                                 ("ssl-mask", mask_bowel_wall(ct, mask, NoiseSpec(seed=seed)), "float32")):
+                                 ("ssl-mask", mask_bowel_wall(ct, mask, NoiseSpec(), seed), "float32")):
         got, meta = read_volume(tmp_path / f"{name}.nii")
         assert meta.datatype == datatype and got.data.tobytes() == want.data.astype(datatype).tobytes(), name
 
@@ -671,7 +672,7 @@ def test_an_integer_ct_is_masked_as_mask_bowel_wall_then_float32(workdir, dataty
     with mock.patch.object(volio, "SLAB_VOXELS", 5000):  # slabs that split z slices unevenly
         assert run(_ssl_mask_argv(workdir, workdir / "ct_int.nii")) == 0
     band, _ = read_volume(workdir / "tumor.nii")
-    want = mask_bowel_wall(ct.with_data(data), band.with_data(band.data != 0), NoiseSpec(seed=4))
+    want = mask_bowel_wall(ct.with_data(data), band.with_data(band.data != 0), NoiseSpec(), 4)
     got, meta = read_volume(workdir / "masked.nii")
     assert meta.datatype == "float32" and band.data.any()
     assert got.data.tobytes() == want.data.astype(np.float32).tobytes()
@@ -760,6 +761,43 @@ def test_uint8_image_is_padded_with_a_value_it_holds(workdir):
     for path in sorted((workdir / "patches").iterdir()):
         patch, _ = read_volume(path)
         assert np.any(patch.data == 7.0)
+
+
+def _write_int32_ct_and_band(d, last):
+    """ct.nii, an int32 3x4x5 image of 2**25 + 4 (a float32) whose last voxel is ``last``; band.nii, one voxel."""
+    data = np.full((3, 4, 5), 2**25 + 4, dtype=np.int32)
+    data.reshape(-1)[-1] = last
+    band = np.zeros(data.shape, dtype=np.uint8)
+    band[1, 2, 3] = 1
+    for name, a in (("ct", data), ("band", band)):
+        grid = VoxelGrid(a, Spacing(2.0, 1.0, 1.0))
+        write_volume(grid, VolumeMeta.for_grid(grid), d / f"{name}.nii")
+
+
+@pytest.mark.parametrize("last", [16777217, -16777217, 2**31 - 1])
+def test_ssl_mask_refuses_an_int32_ct_that_float32_would_round(tmp_path, capsys, last):
+    _write_int32_ct_and_band(tmp_path, last)
+    argv = ["ssl-mask", "--ct", str(tmp_path / "ct.nii"), "--wall", str(tmp_path / "band.nii"), "--seed", "4",
+            "--out", str(tmp_path / "masked.nii")]
+    with mock.patch.object(volio, "SLAB_VOXELS", 20):  # the voxel is in the last of three slabs
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'ct.nii'}: ") and err.count("\n") == 1 and "float32" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.nii", "ct.nii"]
+
+
+@pytest.mark.parametrize("last, pad", [(16777217, "0"), (16777216, "16777217")])
+def test_sample_refuses_int32_voxels_or_a_pad_that_float32_would_round(tmp_path, capsys, last, pad):
+    _write_int32_ct_and_band(tmp_path, last)
+    argv = ["sample", "--psm", str(tmp_path / "band.nii"), "--count", "3", "--seed", "1",
+            "--out", str(tmp_path / "c.json"), "--image", str(tmp_path / "ct.nii"),
+            "--patch-dir", str(tmp_path / "patches"), "--patch-size", "1,2,2", "--pad", pad]
+    with mock.patch.object(volio, "SLAB_VOXELS", 20):
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float32" in err
+    assert (str(tmp_path / "ct.nii") in err) == (pad == "0")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.nii", "ct.nii"]
 
 
 # 2**59 float64 uniforms are 4 EiB, beyond any address space, so the allocation

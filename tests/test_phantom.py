@@ -13,13 +13,13 @@ from anatvox.morphology import FACE6
 from anatvox.phantom import (
     ARC_HALF_ANGLE,
     PhantomSpec,
-    TissueStats,
     arc_params,
     centerline_distance,
     gen_phantom,
     phantom_slab,
     tumor_center_voxel,
 )
+from anatvox.sslmask import NoiseSpec
 
 from conftest import JSON_VALUES, gen_phantom_full, peak_bytes
 
@@ -113,7 +113,7 @@ def test_geometric_impossibility_rejected():
     with pytest.raises(ValueError):
         PhantomSpec(wall_thickness_mm=9.0, tube_radius_mm=8.0)
     with pytest.raises(ValueError):
-        TissueStats(0.0, -1.0)
+        NoiseSpec(0.0, -1.0)
 
 
 def test_from_json_round_trip_and_unknown_keys():
@@ -127,7 +127,7 @@ def test_from_json_round_trip_and_unknown_keys():
         }
     )
     assert spec.tube_radius_mm == 7.0
-    assert spec.tumor == TissueStats(0.9, 0.01)
+    assert spec.tumor == NoiseSpec(0.9, 0.01)
     with pytest.raises(ValueError):
         PhantomSpec.from_json({"tube_radius": 7.0})
     with pytest.raises(ValueError):
@@ -163,11 +163,11 @@ def test_region_intensities_separate():
     spec = PhantomSpec(
         dims=Dims(24, 64, 64),
         spacing=Spacing(2.0, 1.0, 1.0),
-        background=TissueStats(-1.0, 0.01),
-        lumen=TissueStats(-0.5, 0.01),
-        wall=TissueStats(0.4, 0.01),
-        tumor=TissueStats(0.9, 0.01),
-        organ=TissueStats(0.1, 0.01),
+        background=NoiseSpec(-1.0, 0.01),
+        lumen=NoiseSpec(-0.5, 0.01),
+        wall=NoiseSpec(0.4, 0.01),
+        tumor=NoiseSpec(0.9, 0.01),
+        organ=NoiseSpec(0.1, 0.01),
         seed=3,
     )
     ct, labels, tumor = gen_phantom(spec)
