@@ -434,7 +434,10 @@ def _read_manifest(path) -> list:
         if not (isinstance(rec, dict) and "case_id" in rec
                 and isinstance(rec.get("gt"), str) and isinstance(rec.get("pred"), str)):
             raise UsageError(f"{where}: need a JSON object with case_id, gt and pred paths")
-        cases.append((where, str(rec["case_id"]), (rec["gt"], rec["pred"])))
+        case_id = str(rec["case_id"])
+        if case_id == metrics.MEAN_CASE_ID:
+            raise UsageError(f"{where}: case_id {case_id!r} is the name of the report's aggregate row")
+        cases.append((where, case_id, (rec["gt"], rec["pred"])))
     return cases
 
 

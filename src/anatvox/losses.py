@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import volio
 from .grid import VoxelGrid, pairwise_sum, require_bool, require_same_geometry
 
 
@@ -42,27 +41,25 @@ def _score(gt, pred, cfg: LossConfig, *organs):
 
     An entry is an organ mask to zero the prediction outside of, or None to
     score it as it is. ``gt``, ``pred`` and each organ are run sources, a
-    grid or a ``volio.VolumeReader``, each read through one
-    ``volio.SlabCache``; the masks' runs must be boolean. One pass reads the prediction in its stored
-    dtype, checks that each run lies in [0, 1] and widens only that run to
-    float64, once per entry. ``pairwise_sum`` splits the runs where numpy's
-    pairwise summation does and visits them in ascending order, so every sum
-    is bitwise the full-grid sum and a file is read once, front to back.
+    grid or a ``volio.VolumeReader``, each read one run at a time; the masks'
+    runs must be boolean. One pass reads the prediction in its stored dtype,
+    checks that each run lies in [0, 1] and widens only that run to float64,
+    once per entry. ``pairwise_sum`` splits the runs where numpy's pairwise
+    summation does and visits them in ascending order, so every sum is
+    bitwise the full-grid sum and each input is read once, front to back.
     """
     require_same_geometry(pred, gt, *(o for o in organs if o is not None))  # a reader's from its header
-    read, read_y = volio.SlabCache(pred), volio.SlabCache(gt)
-    read_o = [None if o is None else volio.SlabCache(o) for o in organs]
 
     def sums(lo, hi):  # |Y|, then per entry: [sum(P*Y), sum(P), sum of the log clamped P of the true class]
-        run = read(lo, hi)
+        run = pred.read(lo, hi)
         _require_unit(run)
-        y = read_y(lo, hi)
+        y = gt.read(lo, hi)
         require_bool(y)
         out = [np.count_nonzero(y)]
-        for o in read_o:
+        for o in organs:
             p = run.astype(np.float64)
             if o is not None:
-                mask = o(lo, hi)
+                mask = o.read(lo, hi)
                 require_bool(mask)
                 p *= mask
             out += [np.sum(p * y), np.sum(p)]
@@ -115,8 +112,8 @@ def loss_report(gt, pred, organ, cfg: LossConfig = LossConfig()) -> dict:
     """{dice_loss, ce_loss, af_loss} from one pass, bitwise equal to the three calls.
 
     Each input is a grid or a ``volio.VolumeReader`` (the masks' reading
-    boolean runs), read one ``volio.SLAB_VOXELS`` slab at a time, so files
-    are scored without being held whole.
+    boolean runs), read one pairwise run at a time, so files are scored
+    without being held whole.
     """
     (num, den, ce), masked = _score(gt, pred, cfg, None, organ)
     return {"dice_loss": 1.0 - num / den, "ce_loss": ce, "af_loss": _weighted(cfg, *masked)}

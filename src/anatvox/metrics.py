@@ -260,6 +260,9 @@ def seg_metrics(
 # Cohort reporting
 # ---------------------------------------------------------------------------
 
+MEAN_CASE_ID = "mean"  # the case_id of a cohort report's trailing aggregate row
+
+
 def cohort_lines(cases: Iterable[tuple[str, MetricReport]]) -> list[str]:
     """JSON lines for a cohort: one object per case plus a trailing mean row."""
     lines = []
@@ -273,7 +276,7 @@ def cohort_lines(cases: Iterable[tuple[str, MetricReport]]) -> list[str]:
         count += 1
     if count == 0:
         raise ValueError("cohort is empty")
-    mean = {"case_id": "mean", **{k: v / count for k, v in sums.items()}}
+    mean = {"case_id": MEAN_CASE_ID, **{k: v / count for k, v in sums.items()}}
     lines.append(json.dumps(mean, sort_keys=True, allow_nan=False))
     return lines
 

@@ -88,7 +88,10 @@ def _tissue(region: str, pair: list) -> sslmask.NoiseSpec:
     """A spec's ``intensity[region]``, which must be exactly [mean, stddev]: no NoiseSpec default fills it."""
     if len(pair) != 2:
         raise ValueError(f"intensity {region} must be [mean, stddev], got {pair}")
-    return sslmask.NoiseSpec(*(float(v) for v in pair))
+    try:
+        return sslmask.NoiseSpec(*(float(v) for v in pair))
+    except ValueError as exc:
+        raise ValueError(f"intensity {region}: {exc}") from None
 
 
 def _grid_coords_mm(spec: PhantomSpec, box=None):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import volio
 from .grid import (
     VoxelGrid, bounding_box, is_int, pairwise_sum, pasted_run, require_bool, require_same_geometry,
 )
@@ -275,17 +274,15 @@ def draw_centers(src, count: int, seed: int) -> np.ndarray:
     float32 map as stored. Row i is the (z, y, x) voxel of draw i: the first
     voxel whose z-major float64 cdf of map / sum exceeds the i-th uniform of
     ``default_rng(seed)``, or the last voxel if none does. ``src`` is a run
-    source, a grid or a ``volio.VolumeReader``, read twice, one slab at a time:
-    once through a ``volio.SlabCache`` for the sum, once for the cdf. The sum
-    and the cdf are bitwise those of the map widened to float64, but only one
-    run or slab is ever widened; identical (map, count, seed) reproduces the
-    identical array.
+    source, a grid or a ``volio.VolumeReader``, read twice: one pairwise run
+    at a time for the sum, one slab at a time for the cdf. The sum and the cdf
+    are bitwise those of the map widened to float64, but only one run or slab
+    is ever widened; identical (map, count, seed) reproduces the identical
+    array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    read = volio.SlabCache(src)
-    total = pairwise_sum(lambda lo, hi: np.sum(read(lo, hi).astype(np.float64, copy=False)), 0, src.size)
-    del read  # its slab, before the cdf's slabs are read
+    total = pairwise_sum(lambda lo, hi: np.sum(src.read(lo, hi).astype(np.float64, copy=False)), 0, src.size)
     if not 0 < total < math.inf:  # written so that NaN fails too
         raise ValueError(_NO_DISTRIBUTION)
     u = np.random.default_rng(seed).random(count)

@@ -294,8 +294,8 @@ class VolumeReader:
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Voxels [lo, hi) in z-major order, as a new array of the file's values."""
         self._fh.seek(self._offset + lo * self._dtype.itemsize)
-        run = np.fromfile(self._fh, self._dtype, count=hi - lo)
-        if run.size != hi - lo:
+        run = np.empty(hi - lo, self._dtype)
+        if self._fh.readinto(run) != run.nbytes:  # so no voxel is left as np.empty made it
             raise CorruptFileError(f"{self.path}: payload shrank while it was read")
         if self._scale is None:
             return run
@@ -307,28 +307,6 @@ class VolumeReader:
         except FloatingPointError:
             raise VolumeFormatError(f"{self.path}: scl_slope/scl_inter overflow float32") from None
         return run
-
-
-class SlabCache:
-    """``read(lo, hi)`` of a run source's ascending runs, served from reads of a whole slab.
-
-    A run source is a ``VoxelGrid`` or a ``VolumeReader``: its ``read(lo, hi)``
-    gives voxels [lo, hi) in z-major order. ``pairwise_sum`` asks for
-    ascending runs that tile the grid, so a slab of ``SLAB_VOXELS`` voxels,
-    read from the start of the first run the last slab does not hold whole,
-    serves the runs that follow. Only the head of a run that crosses a slab's
-    end is read twice.
-    """
-
-    def __init__(self, src):
-        self._src, self._lo, self._hi, self._slab = src, 0, 0, None
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        if not self._lo <= lo <= hi <= self._hi:
-            self._slab = None  # the old slab is freed before the new one is read
-            self._lo, self._hi = lo, min(max(hi, lo + SLAB_VOXELS), self._src.size)
-            self._slab = self._src.read(self._lo, self._hi)
-        return self._slab[lo - self._lo : hi - self._lo]
 
 
 def read_volume(path) -> tuple[VoxelGrid, VolumeMeta]:

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box
+from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, pairwise_sum
 from anatvox.morphology import StructElem
 from anatvox.phantom import PhantomSpec, centerline_distance, tumor_center_voxel
 from anatvox.sampling import PatchSpec, box_psm
@@ -49,6 +49,15 @@ def peak_bytes(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_read_once_by_leaf(runs, n: int) -> None:
+    """``runs``, the (lo, hi) of a source's reads in order, ascend and tile [0, n): each one ``pairwise_sum`` leaf."""
+    assert all(lo < hi for lo, hi in runs)
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == n  # no gap, no overlap
+    leaves = []
+    pairwise_sum(lambda lo, hi: leaves.append((lo, hi)) or 0, 0, n)
+    assert runs == leaves
 
 
 def scale_nifti(path, slope, inter) -> None:

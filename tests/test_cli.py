@@ -29,7 +29,9 @@ from anatvox.sampling import PatchSpec
 from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
-from conftest import ANISO, JSON_VALUES, mask_pairs, mixed_psm, peak_bytes, scale_nifti
+from conftest import (
+    ANISO, JSON_VALUES, assert_read_once_by_leaf, mask_pairs, mixed_psm, peak_bytes, scale_nifti,
+)
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
 
@@ -404,6 +406,8 @@ BAD_PHANTOM_SPECS = [
     {"n_distractors": True},
     {"tumor_radius_mm": math.nan},
     {"intensity": {"wall": [math.nan, 0.05]}},
+    {"intensity": {"wall": [math.nan, 1]}},
+    {"intensity": {"wall": [0, -1]}},
     {"intensity": {"tumor": [0.8, math.inf]}},
     {"dims": [64, 16, 16]},  # the tube does not fit in-plane
     {"dims": [3, 96, 96], "spacing": [1.0, 0.78, 0.78]},  # nor along z
@@ -419,6 +423,8 @@ def test_bad_phantom_spec_exits_2(bad, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad phantom spec {tmp_path / 'spec.json'}: ") and err.count("\n") == 1
+    if isinstance(bad, dict) and isinstance(bad.get("intensity"), dict):  # the message names the bad tissue
+        assert all(f"intensity {region}" in err for region in bad["intensity"])
     assert not any(Path(f).exists() for f in out)
 
 
@@ -616,15 +622,17 @@ def test_ssl_mask_reads_each_ct_once(workdir, datatype, scale):
     assert read_volume(workdir / "masked.nii")[0].data.tobytes() == want.data.astype(np.float32).tobytes()
 
 
-def test_loss_reads_each_mask_once_a_slab_at_a_time(workdir):
-    # 8 pairwise leaves of 12288 voxels, and a slab of each input serves three of them
-    with mock.patch.object(volio, "SLAB_VOXELS", 3 * 12288), _voxels_read() as read:
-        with mock.patch.object(volio.VolumeReader, "read", autospec=True,
-                               side_effect=volio.VolumeReader.read) as calls:
-            assert run(_loss_argv(workdir, workdir / "tumor.nii")) == 0
-    assert read == {"tumor.nii": 3 * math.prod(SPEC["dims"])}  # gt, prediction and organ, each read once
-    per_reader = collections.Counter(id(c.args[0]) for c in calls.call_args_list)
-    assert sorted(per_reader.values()) == [3, 3, 3]  # the masks and the prediction, each by slab
+def test_loss_reads_each_input_once_in_runs_that_tile_the_grid(workdir):
+    # 8 pairwise leaves of 12288 voxels, each read as its own run from each input
+    with mock.patch.object(volio.VolumeReader, "read", autospec=True, side_effect=volio.VolumeReader.read) as calls:
+        assert run(_loss_argv(workdir, workdir / "tumor.nii")) == 0
+    runs = collections.defaultdict(list)
+    for call in calls.call_args_list:
+        src, lo, hi = call.args
+        runs[id(src)].append((lo, hi))
+    assert len(runs) == 3  # gt, prediction and organ
+    for r in runs.values():
+        assert_read_once_by_leaf(r, math.prod(SPEC["dims"]))
     tumor, _ = read_volume(workdir / "tumor.nii")
     want = loss_report(to_bool(tumor), tumor, to_bool(tumor), LossConfig())
     assert json.loads((workdir / "loss.json").read_text()) == want
@@ -689,6 +697,7 @@ def test_an_integer_ct_is_masked_as_mask_bowel_wall_then_float32(workdir, dataty
         ('{"case_id": "b", "pred": "p.nii"}', "JSON object"),
         ('{"gt": "g.nii", "pred": "p.nii"}', "JSON object"),
         ('{"case_id": "b", "gt": 3, "pred": "p.nii"}', "JSON object"),
+        ('{"case_id": "mean", "gt": "g.nii", "pred": "p.nii"}', "case_id 'mean' is the name of the report's aggregate row"),
     ],
 )
 def test_bad_manifest_line_names_the_line(workdir, line, problem, capsys):
@@ -1171,10 +1180,10 @@ _STAGE_PEAKS = {
     # whole band, 5.5 holding the whole float32 CT, 9.5 with a copy of it)
     "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
                   "--out", "{d}/masked.nii"], 1.0),
-    # one slab of each mask and of the float32 prediction (0.90; was 0.71 reading the prediction
-    # one pairwise run at a time, 2.59 holding the masks whole, 6.4 holding the prediction whole)
+    # one pairwise run of each mask and of the float32 prediction, and its float64 temporaries (0.61;
+    # was 0.90 holding one slab of each input, 2.59 holding the masks whole, 6.4 holding the prediction whole)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
-              "--out", "{d}/loss.json"], 1.0),
+              "--out", "{d}/loss.json"], 0.75),
     # one slab of each mask, then both masks cropped to the union's box and the float64 maps and
     # gain passes on that box, then one float32 slab of the map (1.74; was 6.97 holding both masks,
     # their union and the float32 map whole)
@@ -1190,8 +1199,9 @@ _STAGE_PEAKS = {
     # the same on an 8x8x8 tumor box: one slab of each mask, then the two box crops
     # (0.22; was 3.08 holding both masks whole)
     "metrics-box": (["metrics", "--gt", "{d}/tumor.nii", "--pred", "{d}/tumor.nii", "--out", "{d}/mbox.json"], 1.0),
-    # one float32 slab of the map for the sum, then the draw's fixed 2 MB float64 buffer and the
-    # 1 MB run read into it (3.13; was 6.12 holding the map whole)
+    # one pairwise run of the map for the sum, then the draw's fixed 2 MB float64 buffer and the
+    # 1 MB run read into it, which set the peak (3.12; 3.12 too summing one map slab at a time,
+    # 6.12 holding the map whole)
     "sample": (["sample", "--psm", "{d}/psm.nii", "--count", "1000", "--seed", "1", "--out", "{d}/c.json"], 4.5),
     # the draw above sets it; the check pass reads one image slab, the sweep one slab with its
     # patch-radius halo planes (1.2) and a patch (3.08; was 8.21 holding the map and the image whole)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
 import struct
 
 import numpy as np
@@ -498,6 +500,20 @@ def test_reader_raises_read_volumes_error_before_returning_a_run(tmp_path, fault
                 runs.append(src.read(lo, min(lo + 100, src.size)))
     assert len(runs) == (0 if fault == "truncated" else data.size // 100)  # every run before the last
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ext", [".nii", ".raw"])
+def test_a_payload_cut_after_opening_raises_at_the_first_run_past_the_cut(tmp_path, ext):
+    data = np.arange(4 * 8 * 16, dtype=np.float32).reshape(4, 8, 16)
+    path = tmp_path / f"v{ext}"
+    write_volume(VoxelGrid(data, ANISO), VolumeMeta("float32"), path)
+    payload, n = volume_files(path)[0], data.size
+    with VolumeReader(path) as src:
+        os.truncate(payload, payload.stat().st_size - 10)  # half of voxel n - 3 and all of the last two are gone
+        assert src.read(0, n - 3).tobytes() == data.reshape(-1)[: n - 3].tobytes()
+        for lo, hi in ((n - 3, n - 2), (n - 1, n), (0, n)):
+            with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: payload shrank while it was read$"):
+                src.read(lo, hi)
 
 
 @pytest.mark.parametrize("ext", [".nii", ".raw"])

@@ -25,6 +25,7 @@ from anatvox.losses import (
 from conftest import (
     ISO,
     af_loss_full,
+    assert_read_once_by_leaf,
     bool_grid,
     combined_loss_full,
     cross_entropy_grad_full,
@@ -274,21 +275,18 @@ def test_loss_report_is_the_three_calls(shape, dtype, gt_kind, organ_kind, seed)
 
 @pytest.mark.parametrize("dtype", ["float32", "uint8"])
 def test_loss_report_reads_each_prediction_run_once(tmp_path, rng, dtype):
-    shape = (5, 16, 27)  # leaves of uneven length, and several slabs that cut them
+    shape = (5, 16, 27)  # leaves of uneven length
     y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
     data = rng.random(shape)
     p = VoxelGrid((data < 0.5).astype(np.uint8) if dtype == "uint8" else data.astype(dtype), ISO)
     write_volume(p, VolumeMeta.for_grid(p), tmp_path / "pred.nii")
-    with VolumeReader(tmp_path / "pred.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128), \
-            mock.patch.object(volio, "SLAB_VOXELS", 500):
-        with mock.patch.object(src, "read", wraps=src.read) as read:
+    with VolumeReader(tmp_path / "pred.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+        with mock.patch.object(src, "read", wraps=src.read) as read, \
+                mock.patch.object(y, "read", wraps=y.read) as read_y, mock.patch.object(o, "read", wraps=o.read) as read_o:
             report = loss_report(y, src, o, CFG)
         want = loss_report(y, p, o, CFG)
-    runs = [c.args for c in read.call_args_list]
-    assert runs[0][0] == 0 and runs[-1][1] == p.data.size
-    # ascending slabs with no gap; the next starts at most one leaf back, at the run the last cut
-    assert all(lo < next_lo <= hi for (lo, hi), (next_lo, _) in zip(runs, runs[1:]))
-    assert all(hi - lo >= 500 for lo, hi in runs[:-1])  # a slab, not a leaf
+        for calls in (read, read_y, read_o):  # the prediction, gt and organ, each read once by leaf
+            assert_read_once_by_leaf([c.args for c in calls.call_args_list], p.data.size)
     assert {k: float.hex(v) for k, v in report.items()} == {k: float.hex(v) for k, v in want.items()}
 
 
@@ -301,9 +299,9 @@ class _MaskReader(VolumeReader):
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 16), st.integers(1, 27)),
-       pred=st.sampled_from(["float32", "scaled int16"]), slab=st.integers(1, 3000),
-       chunk=st.sampled_from([128, 200]), seed=st.integers(0, 2**32 - 1))
-def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, pred, slab, chunk, seed):
+       pred=st.sampled_from(["float32", "scaled int16"]), chunk=st.sampled_from([128, 200]),
+       seed=st.integers(0, 2**32 - 1))
+def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, pred, chunk, seed):
     rng = np.random.default_rng(seed)
     y, o = (bool_grid(random_mask(rng, shape)) for _ in range(2))
     for name, g in (("gt", y), ("organ", o)):
@@ -317,7 +315,7 @@ def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, pred,
         scale_nifti(tmp_path / "pred.nii", 2.0**-11, -0.25)
     p, meta = volio.read_volume(tmp_path / "pred.nii")
     assert meta.datatype == "float32"
-    with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk), mock.patch.object(volio, "SLAB_VOXELS", slab):
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):
         with _MaskReader(tmp_path / "gt.nii") as gt, _MaskReader(tmp_path / "organ.nii") as organ, \
                 VolumeReader(tmp_path / "pred.nii") as src:
             got = loss_report(gt, src, organ, CFG)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox import sampling, volio
+from anatvox import grid, sampling
 from anatvox.grid import Dims, VoxelGrid, bounding_box
 from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.phantom import PhantomSpec, gen_phantom
@@ -26,8 +26,8 @@ from anatvox.sampling import (
 from anatvox.volio import VolumeMeta, VolumeReader, write_volume
 
 from conftest import (
-    ANISO, ISO, bool_grid, box_psm_union, boxed_mask, gain_at_naive, gain_map_full, make_grid, mask_pairs, mixed_psm,
-    peak_bytes, random_mask,
+    ANISO, ISO, assert_read_once_by_leaf, bool_grid, box_psm_union, boxed_mask, gain_at_naive, gain_map_full, make_grid,
+    mask_pairs, mixed_psm, peak_bytes, random_mask,
 )
 
 
@@ -540,17 +540,33 @@ def test_draw_centers_walks_slab_edges_like_the_full_cdf(prob, slab, count, seed
 
 
 @settings(max_examples=100)
-@given(prob=slab_walk_maps(), slab=st.sampled_from([1, 7, 64]), stream=st.sampled_from([1, 5, 256]),
+@given(prob=slab_walk_maps(), slab=st.sampled_from([1, 7, 64]), chunk=st.sampled_from([16, 40, 1 << 14]),
        ext=st.sampled_from([".nii", ".raw"]), count=st.integers(1, 200), seed=st.integers(0, 2**32))
-def test_draw_centers_draws_from_a_volume_reader_what_it_draws_from_the_grid(prob, slab, stream, ext, count, seed):
-    grid = VoxelGrid(prob, ISO)
+def test_draw_centers_draws_from_a_volume_reader_what_it_draws_from_the_grid(prob, slab, chunk, ext, count, seed):
+    vox = VoxelGrid(prob, ISO)
     with tempfile.TemporaryDirectory() as d, mock.patch.object(sampling, "_SLAB", slab), \
-            mock.patch.object(volio, "SLAB_VOXELS", stream):  # the sum's slabs and the cdf's differ
+            mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):  # the sum's runs and the cdf's slabs differ
         path = Path(d) / f"map{ext}"
-        write_volume(grid, VolumeMeta.for_grid(grid), path)
+        write_volume(vox, VolumeMeta.for_grid(vox), path)
         with VolumeReader(path) as src:
             got = draw_centers(src, count, seed)
-    assert np.array_equal(got, draw_centers(grid, count, seed))
+        assert np.array_equal(got, draw_centers(vox, count, seed))
+
+
+def test_draw_centers_reads_the_map_once_by_leaf_for_the_sum_then_once_by_slab_for_the_cdf(tmp_path, rng):
+    vox = VoxelGrid(rng.random((5, 16, 27)).astype(np.float32), ISO)  # leaves of uneven length
+    write_volume(vox, VolumeMeta.for_grid(vox), tmp_path / "map.nii")
+    n = vox.size
+    with VolumeReader(tmp_path / "map.nii") as src, mock.patch.object(grid, "_PAIRWISE_CHUNK", 128), \
+            mock.patch.object(sampling, "_SLAB", 500):
+        with mock.patch.object(src, "read", wraps=src.read) as read:
+            got = draw_centers(src, 50, seed=3)
+        want = draw_centers(vox, 50, seed=3)
+        runs = [c.args for c in read.call_args_list]
+        k = next(i for i, (_, hi) in enumerate(runs) if hi == n) + 1  # the sum's last run
+        assert_read_once_by_leaf(runs[:k], n)
+    assert runs[k:] == [(lo, min(lo + 500, n)) for lo in range(0, n, 500)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("slab", [1, 7, 64])
