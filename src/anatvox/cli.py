@@ -425,7 +425,7 @@ def _metric_case(paths, cfg: PipelineConfig) -> metrics.MetricReport:
 
 def _read_manifest(path) -> list:
     """(where, case_id, (gt, pred)) per nonblank JSON line of a cohort manifest; ``where`` is "<path> line N"."""
-    cases = []
+    cases, seen = [], {}  # case_id -> the line that named it
     for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
@@ -437,6 +437,9 @@ def _read_manifest(path) -> list:
         case_id = str(rec["case_id"])
         if case_id == metrics.MEAN_CASE_ID:
             raise UsageError(f"{where}: case_id {case_id!r} is the name of the report's aggregate row")
+        if case_id in seen:  # the report names rows by str(case_id), so 1 and "1" collide too
+            raise UsageError(f"{where}: case_id {case_id!r} repeats line {seen[case_id]}")
+        seen[case_id] = n
         cases.append((where, case_id, (rec["gt"], rec["pred"])))
     return cases
 

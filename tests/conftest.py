@@ -51,13 +51,18 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def pairwise_leaves(n: int) -> list:
+    """The (lo, hi) of the runs that ``pairwise_sum`` hands its leaf over [0, n), in order."""
+    leaves = []
+    pairwise_sum(lambda lo, hi: leaves.append((lo, hi)) or 0, 0, n)
+    return leaves
+
+
 def assert_read_once_by_leaf(runs, n: int) -> None:
     """``runs``, the (lo, hi) of a source's reads in order, ascend and tile [0, n): each one ``pairwise_sum`` leaf."""
     assert all(lo < hi for lo, hi in runs)
     assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == n  # no gap, no overlap
-    leaves = []
-    pairwise_sum(lambda lo, hi: leaves.append((lo, hi)) or 0, 0, n)
-    assert runs == leaves
+    assert runs == pairwise_leaves(n)
 
 
 def scale_nifti(path, slope, inter) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import anatvox
-from anatvox import cli, sampling, volio
+from anatvox import cli, grid, sampling, volio
 from anatvox.cli import PipelineConfig, run
 from anatvox.grid import Spacing, VoxelGrid, bounding_box, extract_patch, to_bool
 from anatvox.losses import LossConfig, loss_report
@@ -30,7 +30,8 @@ from anatvox.sslmask import NoiseSpec, mask_bowel_wall
 from anatvox.volio import VolumeMeta, read_volume, write_volume
 
 from conftest import (
-    ANISO, JSON_VALUES, assert_read_once_by_leaf, mask_pairs, mixed_psm, peak_bytes, scale_nifti,
+    ANISO, ISO, JSON_VALUES, assert_read_once_by_leaf, mask_pairs, mixed_psm, pairwise_leaves, peak_bytes,
+    scale_nifti,
 )
 
 SPEC = {"dims": [24, 64, 64], "spacing": [2.0, 1.0, 1.0], "seed": 7}
@@ -555,6 +556,31 @@ def test_a_fault_in_the_last_run_leaves_no_output(workdir, stage, bad, existing,
     assert out.read_bytes() == b"an earlier run's output\n" if existing else not out.exists()
 
 
+@pytest.mark.parametrize("bad,message", [(1.5, "[0, 1]"), (np.nan, "non-finite")])
+def test_loss_checks_a_prediction_run_whose_masks_are_empty(tmp_path, bad, message, capsys):
+    shape = (4, 16, 27)
+    gt = np.zeros(shape, dtype=np.uint8)
+    gt[0, 0, :5] = 1  # in the first leaf only, inside the organ's first 64 voxels
+    data = np.full(shape, 0.25, dtype=np.float32)
+    for name, arr in (("gt", gt), ("ooi", gt | (np.arange(gt.size) < 64).reshape(shape))):
+        write_volume(VoxelGrid(arr, ISO), VolumeMeta("uint8"), tmp_path / f"{name}.nii")
+    argv = ["loss", "--gt", str(tmp_path / "gt.nii"), "--pred", str(tmp_path / "pred.nii"),
+            "--ooi", str(tmp_path / "ooi.nii"), "--out", str(tmp_path / "loss.json")]
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+        lo, hi = pairwise_leaves(gt.size)[-1]
+        assert lo >= 64  # the last leaf's gt and organ runs are empty
+        write_volume(VoxelGrid(data, ISO), VolumeMeta("float32"), tmp_path / "pred.nii")
+        assert run(argv) == 0  # the same inputs with a good last voxel
+        (tmp_path / "loss.json").unlink()
+        data.reshape(-1)[hi - 1] = bad
+        write_volume(VoxelGrid(data, ISO), VolumeMeta("float32"), tmp_path / "pred.nii")
+        capsys.readouterr()
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "loss.json").exists()
+
+
 @pytest.mark.parametrize("stage", ["ooi", "wall", "ssl-mask", "sample"])
 def test_out_may_name_the_stages_input(workdir, stage):
     assert _ooi(workdir, "ooi0.nii", times="0") == 0
@@ -698,17 +724,19 @@ def test_an_integer_ct_is_masked_as_mask_bowel_wall_then_float32(workdir, dataty
         ('{"gt": "g.nii", "pred": "p.nii"}', "JSON object"),
         ('{"case_id": "b", "gt": 3, "pred": "p.nii"}', "JSON object"),
         ('{"case_id": "mean", "gt": "g.nii", "pred": "p.nii"}', "case_id 'mean' is the name of the report's aggregate row"),
+        ('{"case_id": "a", "gt": "g.nii", "pred": "p.nii"}', "case_id 'a' repeats line 1"),
+        ('{"case_id": "1", "gt": "g.nii", "pred": "p.nii"}', "case_id '1' repeats line 2"),
     ],
 )
 def test_bad_manifest_line_names_the_line(workdir, line, problem, capsys):
     tumor = str(workdir / "tumor.nii")
-    good = json.dumps({"case_id": "a", "gt": tumor, "pred": tumor})
+    good = [json.dumps({"case_id": case_id, "gt": tumor, "pred": tumor}) for case_id in ("a", 1)]  # 1 is no repeat of "a"
     manifest = workdir / "cases.jsonl"
-    manifest.write_text(f"{good}\n\n{line}\n")
+    manifest.write_text(f"{good[0]}\n{good[1]}\n\n{line}\n")
     rc = run(["metrics", "--cohort", str(manifest), "--out", str(workdir / "c.jsonl")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"{manifest} line 3:" in err and problem in err
+    assert f"{manifest} line 4:" in err and problem in err
     assert not (workdir / "c.jsonl").exists()
 
 
@@ -1180,8 +1208,9 @@ _STAGE_PEAKS = {
     # whole band, 5.5 holding the whole float32 CT, 9.5 with a copy of it)
     "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
                   "--out", "{d}/masked.nii"], 1.0),
-    # one pairwise run of each mask and of the float32 prediction, and its float64 temporaries (0.61;
-    # was 0.90 holding one slab of each input, 2.59 holding the masks whole, 6.4 holding the prediction whole)
+    # one pairwise run of each mask and of the float32 prediction, and its float64 temporaries (0.50; 0.61
+    # when a run the organ fills was widened twice, 0.90 holding one slab of each input, 2.59 holding the
+    # masks whole, 6.4 holding the prediction whole)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
               "--out", "{d}/loss.json"], 0.75),
     # one slab of each mask, then both masks cropped to the union's box and the float64 maps and

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import weakref
@@ -31,6 +32,7 @@ from conftest import (
     cross_entropy_grad_full,
     cross_entropy_loss_full,
     make_grid,
+    pairwise_leaves,
     peak_bytes,
     random_mask,
     scale_nifti,
@@ -321,6 +323,110 @@ def test_loss_report_of_mask_readers_is_the_grids_bitwise(tmp_path, shape, pred,
             got = loss_report(gt, src, organ, CFG)
         want = loss_report(y, p, o, CFG)
     assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+def _leaf_blocks(rng, leaves, kinds, n) -> np.ndarray:
+    """A flat mask of ``n`` voxels that is all False, all True or mixed on each leaf, as ``kinds`` says."""
+    flat = np.zeros(n, dtype=bool)
+    for (lo, hi), kind in zip(leaves, kinds):
+        if kind == "full":
+            flat[lo:hi] = True
+        elif kind == "mixed":
+            flat[lo:hi] = rng.random(hi - lo) < 0.5
+            flat[lo], flat[hi - 1] = True, False  # mixed whenever the leaf holds two voxels
+    return flat
+
+
+_KIND_PAIRS = [(o, g) for o in ("empty", "full", "mixed") for g in ("empty", "full", "mixed")]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 16), st.integers(1, 16)),
+       dtype=st.sampled_from(["float32", "float64", "uint8"]), chunk=st.sampled_from([128, 200]),
+       readers=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_losses_of_whole_leaf_blocks_match_the_full_grid_oracle(tmp_path, shape, dtype, chunk, readers, seed):
+    # Each leaf's organ and gt runs are each empty, full or mixed, so the scorer skips
+    # some of their work; the first nine leaves take the nine (organ, gt) pairs. The
+    # chunk is at least numpy's 128-element pairwise block, below which the full-grid
+    # sum stops halving and the leaves' sums would no longer be its partial sums.
+    rng = np.random.default_rng(seed)
+    n = math.prod(shape)
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):
+        leaves = pairwise_leaves(n)
+        picks = rng.integers(0, 9, len(leaves))
+        picks[:9] = rng.permutation(9)[: len(leaves)]
+        o_kinds, y_kinds = zip(*(_KIND_PAIRS[k] for k in picks))
+        o = bool_grid(_leaf_blocks(rng, leaves, o_kinds, n).reshape(shape))
+        y = bool_grid(_leaf_blocks(rng, leaves, y_kinds, n).reshape(shape))
+        if dtype == "uint8":
+            pred = (rng.random(shape) < 0.5).astype(np.uint8)
+        else:
+            pred = rng.random(shape).astype(dtype)
+            for value, frac in ((0.0, 0.2), (1.0, 0.2), (-0.0, 0.1)):
+                pred[rng.random(shape) < frac] = value
+        p = VoxelGrid(pred, ISO)
+        cfg = LossConfig(dice_weight=float(rng.uniform(0, 2)), ce_weight=float(rng.uniform(0, 2)))
+        want = {"dice_loss": soft_dice_loss_full(y, p, cfg), "ce_loss": cross_entropy_loss_full(y, p, cfg),
+                "af_loss": af_loss_full(y, p, o, cfg)}
+        with contextlib.ExitStack() as stack:
+            gt, pr, organ = y, p, o
+            if readers:  # the masks as boolean-run readers, and the prediction too unless float64, which no volume holds
+                for name, g in (("gt", y), ("organ", o)) + ((("pred", p),) if dtype != "float64" else ()):
+                    write_volume(g, VolumeMeta.for_grid(g), tmp_path / f"{name}.nii")
+                gt, organ = (stack.enter_context(_MaskReader(tmp_path / f"{name}.nii")) for name in ("gt", "organ"))
+                if dtype != "float64":
+                    pr = stack.enter_context(VolumeReader(tmp_path / "pred.nii"))
+            got = {"dice_loss": soft_dice_loss(gt, pr, cfg), "ce_loss": cross_entropy_loss(gt, pr, cfg),
+                   "af_loss": af_loss(gt, pr, organ, cfg)}
+            report = loss_report(gt, pr, organ, cfg)
+    for calls in (got, report):
+        assert {k: float.hex(v) for k, v in calls.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+def _one_leaf_each(rng, shape):
+    """(gt, organ) of ``shape``: the organ is full on leaf 0, mixed on leaf 1 and empty on every other
+    leaf, where the gt is empty too."""
+    n = math.prod(shape)
+    leaves = pairwise_leaves(n)
+    organ = _leaf_blocks(rng, leaves, ["full", "mixed"], n)
+    gt = _leaf_blocks(rng, leaves, ["mixed", "mixed"], n)
+    return leaves, bool_grid(gt.reshape(shape)), bool_grid(organ.reshape(shape))
+
+
+def test_leaves_whose_organ_run_is_full_or_empty_skip_their_log_pass(rng):
+    shape = (4, 16, 27)  # 16 leaves of 104 or 112 voxels
+    p = VoxelGrid(rng.random(shape), ISO)
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+        leaves, y, o = _one_leaf_each(rng, shape)
+        with mock.patch.object(np, "log", wraps=np.log) as log:
+            report = loss_report(y, p, o, CFG)
+    # the plain entry logs every leaf; the focalized entry reuses it on the full leaf,
+    # logs the mixed one and logs one all-zero run per length of the empty leaves
+    lengths = {hi - lo for lo, hi in leaves[2:]}
+    assert log.call_count == len(leaves) + 1 + len(lengths) < 2 * len(leaves)
+    assert report["af_loss"] == af_loss_full(y, p, o, CFG)
+    assert report["dice_loss"] == soft_dice_loss_full(y, p, CFG)
+    assert report["ce_loss"] == cross_entropy_loss_full(y, p, CFG)
+
+
+@pytest.mark.parametrize("fault,message", [("1.5", r"\[0, 1\]"), ("nan", r"\[0, 1\]"),
+                                           ("uint8 organ run", "boolean mask"), ("uint8 gt run", "boolean mask")])
+def test_a_leaf_whose_masks_are_empty_is_still_checked(rng, fault, message):
+    shape = (4, 16, 27)
+    p = VoxelGrid(rng.random(shape), ISO)
+    with mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
+        leaves, y, o = _one_leaf_each(rng, shape)
+        lo, hi = leaves[-1]
+        assert not y.read(lo, hi).any() and not o.read(lo, hi).any()
+        if fault in ("1.5", "nan"):
+            p.data.reshape(-1)[hi - 1] = float(fault)
+        else:
+            src = o if fault == "uint8 organ run" else y
+            read = src.read
+            src.read = lambda a, b: read(a, b).view(np.uint8) if a == lo else read(a, b)
+        for score in (loss_report, af_loss):  # with and without the unmasked entry
+            with pytest.raises(ValueError, match=message):
+                score(y, p, o, CFG)
 
 
 def test_a_mask_reader_must_read_booleans(tmp_path, rng):
