@@ -46,14 +46,12 @@ def _score(gt, pred, cfg: LossConfig, *organs):
     checks that each run lies in [0, 1] and that each mask run is boolean,
     and only then does the work the run's masks leave open, with bitwise the
     same terms. A run whose gt is all False forms no P*Y: its sum is 0.0, as
-    p >= 0. An entry whose organ run is all True takes the unmasked terms, as
-    p * 1.0 == p, so the run is widened, clipped and logged once for both. An
-    entry whose organ and gt runs are both all False takes the terms of an
-    all-zero run, computed once per run length by the same code. Any other
-    entry widens the run to float64 and scores it. ``pairwise_sum`` splits
-    the runs where numpy's pairwise summation does and visits them in
-    ascending order, so every sum is bitwise the full-grid sum and each input
-    is read once, front to back.
+    p >= 0. An entry whose organ and gt runs are both all False takes the
+    terms of an all-zero run, computed once per run length by the same code.
+    Any other entry widens the run to float64, zeroes it outside its organ
+    and scores it. ``pairwise_sum`` splits the runs where numpy's pairwise
+    summation does and visits them in ascending order, so every sum is
+    bitwise the full-grid sum and each input is read once, front to back.
     """
     require_same_geometry(pred, gt, *(o for o in organs if o is not None))  # a reader's from its header
     zero_terms = {}  # run length -> the terms of an all-zero run against an all-False gt
@@ -75,21 +73,17 @@ def _score(gt, pred, cfg: LossConfig, *organs):
         masks = [None if o is None else o.read(lo, hi) for o in organs]
         require_bool(*(m for m in masks if m is not None))
         n_true = np.count_nonzero(y)
-        out, plain = [n_true], None
+        out = [n_true]
         for mask in masks:
-            n_in = run.size if mask is None else np.count_nonzero(mask)
-            if n_in == run.size:
-                if plain is None:
-                    plain = run_terms(run.astype(np.float64), y, n_true)
-                out += plain
-            elif n_in == 0 and n_true == 0:
+            if mask is not None and n_true == 0 and not np.any(mask):
                 if run.size not in zero_terms:
                     zero_terms[run.size] = run_terms(np.zeros(run.size), y, 0)
                 out += zero_terms[run.size]
-            else:
-                p = run.astype(np.float64)
+                continue
+            p = run.astype(np.float64)
+            if mask is not None:
                 p *= mask
-                out += run_terms(p, y, n_true)
+            out += run_terms(p, y, n_true)
         return np.array(out)
 
     n_true, *terms = pairwise_sum(sums, 0, gt.size)  # counts below 2^53 add exactly in float64

@@ -1209,8 +1209,8 @@ _STAGE_PEAKS = {
     "ssl-mask": (["ssl-mask", "--ct", "{d}/ct.nii", "--wall", "{d}/band.nii", "--seed", "5",
                   "--out", "{d}/masked.nii"], 1.0),
     # one pairwise run of each mask and of the float32 prediction, and its float64 temporaries (0.50; 0.61
-    # when a run the organ fills was widened twice, 0.90 holding one slab of each input, 2.59 holding the
-    # masks whole, 6.4 holding the prediction whole)
+    # while one entry's float64 run and logs were still held as the next entry widened the run, 0.90 holding
+    # one slab of each input, 2.59 holding the masks whole, 6.4 holding the prediction whole)
     "loss": (["loss", "--gt", "{d}/gt.nii", "--pred", "{d}/pred.nii", "--ooi", "{d}/ooi.nii",
               "--out", "{d}/loss.json"], 0.75),
     # one slab of each mask, then both masks cropped to the union's box and the float64 maps and

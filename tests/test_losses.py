@@ -393,17 +393,17 @@ def _one_leaf_each(rng, shape):
     return leaves, bool_grid(gt.reshape(shape)), bool_grid(organ.reshape(shape))
 
 
-def test_leaves_whose_organ_run_is_full_or_empty_skip_their_log_pass(rng):
+def test_leaves_whose_organ_and_gt_runs_are_empty_skip_their_log_pass(rng):
     shape = (4, 16, 27)  # 16 leaves of 104 or 112 voxels
     p = VoxelGrid(rng.random(shape), ISO)
     with mock.patch.object(grid, "_PAIRWISE_CHUNK", 128):
         leaves, y, o = _one_leaf_each(rng, shape)
         with mock.patch.object(np, "log", wraps=np.log) as log:
             report = loss_report(y, p, o, CFG)
-    # the plain entry logs every leaf; the focalized entry reuses it on the full leaf,
-    # logs the mixed one and logs one all-zero run per length of the empty leaves
+    # the plain entry logs every leaf; the focalized entry logs the full and the mixed
+    # leaf and one all-zero run per length of the empty leaves
     lengths = {hi - lo for lo, hi in leaves[2:]}
-    assert log.call_count == len(leaves) + 1 + len(lengths) < 2 * len(leaves)
+    assert log.call_count == len(leaves) + 2 + len(lengths) < 2 * len(leaves)
     assert report["af_loss"] == af_loss_full(y, p, o, CFG)
     assert report["dice_loss"] == soft_dice_loss_full(y, p, CFG)
     assert report["ce_loss"] == cross_entropy_loss_full(y, p, CFG)
