@@ -6,6 +6,9 @@ step's input, the full-26 cube runs the three axis passes in sequence.
 
 Voxels outside the grid are background for both dilation and erosion, so
 dilation never wraps and erosion strips open borders.
+
+The steps run only on the mask's bounding box, grown by as far as the
+steps can reach, so their cost follows the organ's size, not the grid's.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VoxelGrid, require_bool
+from .grid import VoxelGrid, bounding_box, require_bool
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,33 @@ def _axis_pass(out: np.ndarray, src: np.ndarray, axis: int, erode: bool) -> None
 
 
 def _iterate(mask: np.ndarray, elem: StructElem, times: int, erode: bool, in_place: bool = False) -> np.ndarray:
-    """``times`` steps on a copy of ``mask``, or with ``in_place`` on ``mask`` itself, which the caller owns."""
+    """``times`` steps on a copy of ``mask``, or with ``in_place`` on ``mask`` itself, which the caller owns.
+
+    The steps run only on the view of the mask's bounding box, grown by the
+    step count for dilation, with one scratch box. Off that view the mask is
+    False and stays so, as a dilation step reaches one voxel and an erosion
+    sets none. An erosion clears the view's edge planes, as it would on the
+    whole array: each of their voxels has a False neighbor off the view.
+    """
     _check_mask(mask, times)
     out = mask if in_place else mask.copy()
     # A step changes any mask that is neither empty nor full, and every voxel
     # lies within sum(shape) face steps of every other voxel and of the outside
     # of the grid, so by then dilation and erosion have reached a fixed point.
     steps = min(times, sum(mask.shape))
-    src = np.empty_like(out) if steps else None  # one scratch grid, refilled before each read
+    box = bounding_box(out, (0 if erode else steps,) * 3) if steps else None
+    if box is None:  # no step, or an empty mask, which no step changes
+        return out
+    view = out[box]
+    src = np.empty_like(view)  # one scratch box, refilled before each read
     for _ in range(steps):
         for axis in range(3):
             # The face-6 cross reads the step's input on every axis. The
             # full-26 cube is the product of three axis segments, so each of
             # its passes reads the previous pass.
             if axis == 0 or elem.kind == "full26":
-                np.copyto(src, out)
-            _axis_pass(out, src, axis, erode)
+                np.copyto(src, view)
+            _axis_pass(view, src, axis, erode)
     return out
 
 
@@ -110,9 +124,19 @@ def erode(mask: VoxelGrid, elem: StructElem, times: int) -> VoxelGrid:
 
 
 def boundary_band(mask: VoxelGrid, elem: StructElem, r_out: int, r_in: int) -> VoxelGrid:
-    """XOR of the r_out-dilated and r_in-eroded mask: a thick boundary shell."""
+    """XOR of the r_out-dilated and r_in-eroded mask: a thick boundary shell.
+
+    Both lie in the mask's bounding box grown by ``r_out``, so the band is
+    built in place on that box of a copy of the mask, False off the box.
+    """
     if r_out < 0 or r_in < 0:
         raise ValueError(f"band radii must be >= 0, got ({r_out}, {r_in})")
-    outer = dilate_mask(mask.data, elem, r_out)
-    outer ^= erode_mask(mask.data, elem, r_in)
-    return mask.with_data(outer)
+    _check_mask(mask.data, 0)
+    band = mask.data.copy()
+    box = bounding_box(band, (r_out,) * 3)
+    if box is not None:
+        outer = band[box]
+        eroded = erode_mask(outer, elem, r_in)
+        _iterate(outer, elem, r_out, erode=False, in_place=True)
+        outer ^= eroded
+    return mask.with_data(band)

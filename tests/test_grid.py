@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anatvox import grid
 from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, pairwise_sum, pasted_run, to_bool
 
 from conftest import ISO, make_grid
@@ -127,8 +130,12 @@ def test_pairwise_sum_of_widened_runs_is_bitwise_np_sum(n):
     rng = np.random.default_rng(n)
     # magnitudes over 16 decades, so a sum in another order rounds differently
     x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)).astype(np.float32)
-    got = pairwise_sum(lambda lo, hi: np.sum(x[lo:hi].astype(np.float64)), 0, n)
-    assert float(got).hex() == float(np.sum(x.astype(np.float64))).hex()
+    want = float(np.sum(x.astype(np.float64))).hex()
+    # runs of at least numpy's 128-element pairwise block: the chunks the loss tests patch in, and the default
+    for chunk in (128, 200, 1 << 14):
+        with mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):
+            got = pairwise_sum(lambda lo, hi: np.sum(x[lo:hi].astype(np.float64)), 0, n)
+        assert float(got).hex() == want, chunk
 
 
 @given(data=st.data(), shape=st.tuples(*[st.integers(1, 6)] * 3), dtype=st.sampled_from([np.float64, np.float32]))

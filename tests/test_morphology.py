@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anatvox.grid import Dims
+from anatvox import morphology
+from anatvox.grid import Dims, VoxelGrid, bounding_box
+from anatvox.maskgen import OrganConfig, build_ooi
 from anatvox.morphology import (
     FACE6,
     FULL26,
@@ -204,3 +206,80 @@ def test_negative_times_rejected(rng):
         dilate(m, FACE6, -1)
     with pytest.raises(ValueError):
         boundary_band(m, FACE6, -1, 0)
+
+
+@st.composite
+def sparse_masks(draw):
+    """A grid of up to 10x12x14 holding up to four voxels or small blobs, often on its faces, edges and corners."""
+    shape = draw(st.tuples(st.integers(1, 10), st.integers(1, 12), st.integers(1, 14)))
+    mask = np.zeros(shape, dtype=bool)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = [draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1)) for n in shape]
+        blob = tuple(slice(a, a + draw(st.integers(1, 4))) for a in lo)
+        mask[blob] |= draw(arrays(np.bool_, mask[blob].shape))
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=sparse_masks(), elem=st.sampled_from([FACE6, FULL26]), times=st.integers(0, 4), past=st.booleans())
+def test_morphology_on_sparse_masks_equals_naive_oracle(mask, elem, times, past):
+    # the steps run on the mask's grown box alone, which here is seldom the whole grid
+    if past:
+        times += sum(mask.shape)
+    want = dilate_naive(mask, elem, times)
+    assert np.array_equal(dilate_mask(mask, elem, times), want)
+    assert np.array_equal(erode_mask(mask, elem, times), erode_naive(mask, elem, times))
+    labels = VoxelGrid(mask.astype(np.uint8), ISO)  # build_ooi dilates its own union in place
+    cfg = OrganConfig(set_ts={1}, set_word={1}, dilate_times=times, elem=elem)
+    assert np.array_equal(build_ooi(labels, labels.with_data(np.zeros_like(labels.data)), cfg).data, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=sparse_masks(), elem=st.sampled_from([FACE6, FULL26]), r_out=st.integers(0, 3), r_in=st.integers(0, 3))
+def test_boundary_band_on_sparse_masks_equals_naive_oracle(mask, elem, r_out, r_in):
+    want = dilate_naive(mask, elem, r_out) ^ erode_naive(mask, elem, r_in)
+    assert np.array_equal(boundary_band(bool_grid(mask), elem, r_out, r_in).data, want)
+
+
+@pytest.fixture
+def pass_shapes(monkeypatch):
+    """(shape, erode) of the array each ``_axis_pass`` call works on, in call order."""
+    shapes = []
+    real = morphology._axis_pass
+
+    def spy(out, src, axis, erode):
+        shapes.append((out.shape, erode))
+        real(out, src, axis, erode)
+
+    monkeypatch.setattr(morphology, "_axis_pass", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("elem", [FACE6, FULL26])
+def test_steps_work_on_the_masks_box_alone(pass_shapes, elem):
+    mask = np.zeros((20, 40, 40), dtype=bool)
+    mask[10, 20, 20] = True
+    dilate_mask(mask, elem, 3)
+    assert pass_shapes == [((7, 7, 7), False)] * 9  # the voxel grown by 3 on every side
+    pass_shapes.clear()
+    mask[9:12, 18:23, 20] = True
+    erode_mask(mask, elem, 2)
+    assert pass_shapes == [((3, 5, 1), True)] * 6  # an erosion never leaves the mask's box
+
+
+def test_an_empty_mask_makes_no_pass(pass_shapes):
+    empty = np.zeros((20, 40, 40), dtype=bool)
+    for elem in (FACE6, FULL26):
+        assert not dilate_mask(empty, elem, 3).any() and not erode_mask(empty, elem, 3).any()
+        assert not boundary_band(bool_grid(empty), elem, 2, 2).data.any()
+    assert pass_shapes == []
+
+
+@pytest.mark.parametrize("elem", [FACE6, FULL26])
+def test_boundary_band_works_on_the_masks_box_grown_by_r_out(pass_shapes, elem):
+    mask = np.zeros((20, 40, 40), dtype=bool)
+    mask[4:9, 30:39, 1:6] = True
+    grown = tuple(s.stop - s.start for s in bounding_box(mask, (2, 2, 2)))
+    assert grown == (9, 12, 8)  # clipped at the high y face and the low x face
+    boundary_band(bool_grid(mask), elem, 2, 1)
+    assert pass_shapes == [((5, 9, 5), True)] * 3 + [(grown, False)] * 6

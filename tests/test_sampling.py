@@ -543,6 +543,8 @@ def test_draw_centers_walks_slab_edges_like_the_full_cdf(prob, slab, count, seed
 @given(prob=slab_walk_maps(), slab=st.sampled_from([1, 7, 64]), chunk=st.sampled_from([16, 40, 1 << 14]),
        ext=st.sampled_from([".nii", ".raw"]), count=st.integers(1, 200), seed=st.integers(0, 2**32))
 def test_draw_centers_draws_from_a_volume_reader_what_it_draws_from_the_grid(prob, slab, chunk, ext, count, seed):
+    # Chunks of 16 and 40 are below numpy's 128-element pairwise block, so the sum is no longer
+    # np.sum's; the draw is therefore compared only with the draw from the grid under the same patch.
     vox = VoxelGrid(prob, ISO)
     with tempfile.TemporaryDirectory() as d, mock.patch.object(sampling, "_SLAB", slab), \
             mock.patch.object(grid, "_PAIRWISE_CHUNK", chunk):  # the sum's runs and the cdf's slabs differ
