@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maskgen, metrics, phantom, sampling, sslmask, volio
-from .grid import VoxelGrid, extract_patch, hits_box, pad_value, pasted_run, require_same_geometry
+from .grid import VoxelGrid, extract_patch, hits_box, pad_value, pasted_run, plane_hits, require_same_geometry
 from .jsoncheck import overlay_json
 from .losses import LossConfig, loss_report
 
@@ -307,9 +307,9 @@ def _read_union_box(srcs, grow=(0, 0, 0)):
         union = _read_planes(srcs[0], z0, z1)
         for src in srcs[1:]:
             union |= _read_planes(src, z0, z1)
-        hits[0][z0:z1] = union.any(axis=(1, 2))
-        hits[1] |= union.any(axis=(0, 2))
-        hits[2] |= union.any(axis=(0, 1))
+        hits[0][z0:z1], hy, hx = plane_hits(union)
+        hits[1] |= hy
+        hits[2] |= hx
     del union  # before the box is read
     bz, by, bx = box = hits_box(hits, grow) or (slice(0, 0),) * 3
     crops = [np.empty([sl.stop - sl.start for sl in box], dtype=bool) for _ in srcs]

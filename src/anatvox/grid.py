@@ -154,8 +154,20 @@ def bounding_box(mask: np.ndarray, grow=(0, 0, 0)) -> tuple[slice, ...] | None:
 
     Each axis is grown by ``grow`` voxels on both sides and clipped to the grid.
     """
+    return hits_box(plane_hits(mask), grow)
+
+
+def plane_hits(mask: np.ndarray) -> list[np.ndarray]:
+    """Per axis, which planes across it hold a true voxel: ``np.any`` over every other axis.
+
+    Axis 0 is reduced first, and the other axes only over the planes from
+    its first to its last hit, which hold every true voxel.
+    """
+    hits = [np.any(mask, axis=tuple(range(1, mask.ndim)))]
+    at = np.flatnonzero(hits[0])
+    inner = mask[at[0] : at[-1] + 1] if at.size else mask[:0]
     axes = range(mask.ndim)
-    return hits_box((np.any(mask, axis=tuple(a for a in axes if a != axis)) for axis in axes), grow)
+    return hits + [np.any(inner, axis=tuple(a for a in axes if a != axis)) for axis in axes[1:]]
 
 
 def hits_box(hits, grow=(0, 0, 0)) -> tuple[slice, ...] | None:

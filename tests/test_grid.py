@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatvox import grid
 from anatvox.grid import Dims, Spacing, VoxelGrid, bounding_box, extract_patch, pairwise_sum, pasted_run, to_bool
@@ -123,6 +124,22 @@ def test_bounding_box_grows_and_clips():
     m[4, 5, 6] = True  # the far corner: growth clips at the high ends
     assert bounding_box(m, (1, 1, 1)) == (slice(3, 5), slice(4, 6), slice(5, 7))
     assert np.array_equal(m[bounding_box(m)], np.ones((1, 1, 1), dtype=bool))
+
+
+@given(shape=st.tuples(*[st.integers(1, 7)] * 3), planes=st.sampled_from(["any", "none", "one"]), data=st.data())
+def test_plane_hits_and_bounding_box_are_the_per_axis_any(shape, planes, data):
+    mask = data.draw(arrays(np.bool_, shape))
+    if planes == "none":
+        mask[:] = False
+    elif planes == "one":  # a single z plane may hold voxels
+        z = data.draw(st.integers(0, shape[0] - 1))
+        mask[:z] = mask[z + 1 :] = False
+    want = [mask.any(axis=(1, 2)), mask.any(axis=(0, 2)), mask.any(axis=(0, 1))]
+    got = grid.plane_hits(mask)
+    assert len(got) == 3 and all(g.dtype == np.bool_ and np.array_equal(g, w) for g, w in zip(got, want))
+    at = [np.flatnonzero(w) for w in want]
+    box = tuple(slice(a[0], a[-1] + 1) for a in at) if mask.any() else None
+    assert bounding_box(mask) == box
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])

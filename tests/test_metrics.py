@@ -163,21 +163,28 @@ def test_edt_at_surface_memory_stays_under_the_full_transform():
 
 
 # one y row and one z plane a block; 2 of 9 rows (8 lines) a block, a partial last block, and one plane;
-# 4 rows, 2 of 5 planes a block, a partial last block
+# 4 rows, 2 of 5 planes a block, a partial last block. The boxed masks hold sites in z planes 1-2 and y
+# rows 3-7 only, so whole blocks of z lines and lines beside the sites' lines in a block have no site.
 @pytest.mark.parametrize("lines", [1, 10, 16])
 @pytest.mark.parametrize("density", [0.02, 0.3])
 def test_edt_in_blocks_of_z_lines_is_the_unblocked_transform(rng, lines, density):
     spacing = Spacing(2.5, 0.78125, 0.9)
     for _ in range(4):
-        mask = random_mask(rng, (5, 9, 4), density)
-        at = random_mask(rng, mask.shape, 0.4)
-        grid = VoxelGrid(mask, spacing)
-        want_full, want_at = edt(grid).data, edt(grid, at)
-        with mock.patch.object(metrics, "_LINES", lines):
-            got_full, got_at = edt(grid).data, edt(grid, at)
-        assert np.array_equal(got_full, want_full) and np.array_equal(got_at, want_at)  # bitwise, infinities included
-        if mask.any():
-            assert np.abs(got_full - brute_edt(mask, spacing)).max() <= 1e-9
+        spread = random_mask(rng, (5, 9, 4), density)
+        boxed = np.zeros_like(spread)
+        boxed[1:3, 3:8] = spread[1:3, 3:8]
+        boxed[1, 3, 0] = boxed[2, 7, 3] = True
+        for mask in (spread, boxed):
+            at = random_mask(rng, mask.shape, 0.4)
+            grid = VoxelGrid(mask, spacing)
+            want_full, want_at = edt(grid).data, edt(grid, at)
+            with mock.patch.object(metrics, "_LINES", lines):
+                got_full, got_at = edt(grid).data, edt(grid, at)
+            assert np.array_equal(got_full, want_full) and np.array_equal(got_at, want_at)  # bitwise, infinities too
+            if mask.any():
+                ref = brute_edt(mask, spacing)
+                assert np.abs(got_full - ref).max() <= 1e-9
+                assert np.abs(got_at - ref[at]).max(initial=0.0) <= 1e-9
 
 
 def test_edt_at_surface_memory_is_bounded_by_a_block_of_z_lines():
